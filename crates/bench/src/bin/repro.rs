@@ -237,8 +237,8 @@ fn parse_args() -> Result<Options, String> {
                 println!("exit codes: 0 ok, 1 target/job failures, 2 usage error,");
                 println!("            124 deadline exceeded, 130 interrupted,");
                 println!(
-                    "            134 aborted at an injected {}=crash@K I/O point.",
-                    runner::faultio::IO_FAULT_ENV
+                    "            134 aborted at an injected {}=io:crash@K point.",
+                    runner::fault::FAULT_ENV
                 );
                 std::process::exit(0);
             }
@@ -406,11 +406,12 @@ fn serve_usage() {
     println!("daemon (SIGKILL, abort, injected crash@K) is respawned with");
     println!("bounded deterministic backoff (50ms doubling, cap 2s); 5 fast");
     println!("crashes in a row give up loudly with exit 1. Restarted children");
-    println!("run with MEMBW_NET_FAULT/MEMBW_IO_FAULT cleared (injected faults");
-    println!("test one generation, not the healed service) and report their");
+    println!("run with MEMBW_FAULT cleared (injected faults test one");
+    println!("generation, not the healed service) and report their");
     println!("generation as the stats counter supervisor-restarts.");
     println!("exit codes: 0 clean drain, 1 fatal/crash-loop give-up, 2 usage,");
-    println!("            130 interrupted (SIGTERM/SIGINT), 134 crash@K abort.");
+    println!("            130 interrupted (SIGTERM/SIGINT),");
+    println!("            134 MEMBW_FAULT=net:crash@K or io:crash@K abort.");
 }
 
 /// `repro serve --supervise`: spawn and babysit `repro serve` (same
@@ -440,8 +441,7 @@ fn cmd_serve_supervised(argv: &[String]) -> i32 {
                 // deterministic crash@K would re-fire at the same point
                 // every generation and the loop detector would give up
                 // on a fault that was, by construction, transient.
-                cmd.env_remove(membw_serve::NET_FAULT_ENV);
-                cmd.env_remove(runner::faultio::IO_FAULT_ENV);
+                cmd.env_remove(runner::fault::FAULT_ENV);
             }
             cmd
         },
@@ -549,9 +549,7 @@ fn cmd_serve(argv: &[String]) -> i32 {
         if let Ok(v) = std::env::var(runner::JOBS_ENV) {
             runner::parse_jobs(&v)?;
         }
-        // The serve driver honors the chaos variable too, so validate
-        // the chained registry (runner hooks + MEMBW_SERVE_FAULT).
-        membw_serve::chaos::validate_env()?;
+        runner::validate_fault_env()?;
         if let Ok(v) = std::env::var(runner::MEM_BUDGET_MB_ENV) {
             let mb = runner::parse_mem_budget_mb(&v)?;
             if mem_budget_mb.is_none() {

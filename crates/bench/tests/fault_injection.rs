@@ -14,8 +14,7 @@ fn repro(args: &[&str], envs: &[(&str, &str)], ckpt: &std::path::Path) -> Output
     cmd.args(args)
         .arg("--checkpoint-dir")
         .arg(ckpt)
-        .env_remove("MEMBW_FAULT_INJECT")
-        .env_remove("MEMBW_FAULT_SLOW")
+        .env_remove("MEMBW_FAULT")
         .env_remove("MEMBW_JOBS");
     for (k, v) in envs {
         cmd.env(k, v);
@@ -58,7 +57,7 @@ fn faulted_target_fails_alone_with_identical_healthy_stdout() {
     for jobs in ["1", "8"] {
         let faulted = repro(
             &["--scale", "test", "--jobs", jobs, "table7", "fig4"],
-            &[("MEMBW_FAULT_INJECT", "fig4:3")],
+            &[("MEMBW_FAULT", "job:panic@fig4:3")],
             &dir.join(format!("ckpt-fault-{jobs}")),
         );
         assert!(
@@ -101,7 +100,7 @@ fn interrupted_run_resumes_to_byte_identical_archives() {
             "--json",
             json1.to_str().expect("utf8 path"),
         ],
-        &[("MEMBW_FAULT_INJECT", "table8:5")],
+        &[("MEMBW_FAULT", "job:panic@table8:5")],
         &ckpt,
     );
     assert!(!run1.status.success(), "interrupted run exits nonzero");
@@ -124,7 +123,7 @@ fn interrupted_run_resumes_to_byte_identical_archives() {
             "--json",
             json2.to_str().expect("utf8 path"),
         ],
-        &[("MEMBW_FAULT_INJECT", "table8:0")],
+        &[("MEMBW_FAULT", "job:panic@table8:0")],
         &ckpt,
     );
     assert!(

@@ -24,7 +24,7 @@ const WARM_TARGET: &str = "table7";
 const LONG_TARGET: &str = "fig3";
 /// Slows every inner job of fig3's first suite so the SIGKILL lands
 /// mid-render with some jobs checkpointed and some not.
-const SLOW_SPEC: &str = "fig3/spec92:*:150";
+const SLOW_SPEC: &str = "job:slow@fig3/spec92:*:150";
 
 fn request(target: &str) -> ServiceRequest {
     let mut req = ServiceRequest::new(target);
@@ -45,7 +45,7 @@ fn spawn_daemon(base: &Path, sock: &Path) -> Child {
             "--jobs",
             "2",
         ])
-        .env("MEMBW_FAULT_SLOW", SLOW_SPEC)
+        .env("MEMBW_FAULT", SLOW_SPEC)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()

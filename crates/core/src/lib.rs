@@ -39,7 +39,6 @@
 pub mod audit;
 pub mod error;
 pub mod fastpath;
-pub mod faultio;
 pub mod plot;
 pub mod report;
 pub mod run_ablation;

@@ -63,11 +63,10 @@
 mod cancel;
 mod checkpoint;
 mod failure;
-pub mod faultenv;
+pub mod fault;
 pub mod faultio;
 mod governor;
 mod handle;
-mod inject;
 pub mod persist;
 
 pub use cancel::{
@@ -76,15 +75,12 @@ pub use cancel::{
 };
 pub use checkpoint::{quarantined_artifacts, CheckpointConfig};
 pub use failure::{JobError, JobFailure};
-pub use faultenv::validate_env as validate_fault_env;
+pub use fault::validate_env as validate_fault_env;
 pub use governor::{
     ambient_governor, global_governor, parse_mem_budget_mb, set_mem_budget, with_governor,
     AdmissionGuard, Governor, GovernorStats, MEM_BUDGET_MB_ENV,
 };
 pub use handle::{Dispatcher, JobHandle, JobOutcome, SubmitError};
-pub use inject::{
-    validate_selector_spec, validate_slow_spec, FAULT_CANCEL_ENV, FAULT_INJECT_ENV, FAULT_SLOW_ENV,
-};
 
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -456,7 +452,7 @@ impl Runner {
     /// A job that panics (on every allowed attempt) or overruns the
     /// configured deadline yields `Err(`[`JobFailure`]`)` in its slot;
     /// sibling jobs are unaffected. `label` names the batch in failure
-    /// reports and fault-injection hooks (`MEMBW_FAULT_INJECT`).
+    /// reports and `MEMBW_FAULT` job directives.
     pub fn try_run<T, F>(&self, label: &str, n: usize, f: F) -> Vec<Result<T, JobFailure>>
     where
         T: Send,
@@ -527,7 +523,7 @@ impl Runner {
             METRIC_JOBS.fetch_add(1, Ordering::Relaxed);
             let t0 = Instant::now();
             let out = catch_unwind(AssertUnwindSafe(|| {
-                inject::apply(label, i);
+                fault::on_dispatch(label, i);
                 f(i)
             }));
             METRIC_BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -22,7 +22,7 @@
 //! `membw serve` result store all persist through this module, so their
 //! crash-safety stories are literally the same code path. Every
 //! filesystem operation goes through [`faultio`](crate::faultio), so
-//! the `MEMBW_IO_FAULT` plan — short writes, injected `ENOSPC`, failing
+//! `MEMBW_FAULT`'s `io:` directives — short writes, injected `ENOSPC`, failing
 //! `fsync`, torn renames, a crash at any I/O point — exercises exactly
 //! the code production runs.
 //!

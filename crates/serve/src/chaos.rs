@@ -1,271 +1,65 @@
-//! Protocol chaos hooks: adversarial clients for the soak test.
+//! Protocol chaos: the adversarial clients the soak test throws at a
+//! live daemon.
 //!
-//! `MEMBW_SERVE_FAULT` selects which misbehaviors the soak harness
-//! throws at a daemon (comma-separated; unset means *all* of them):
-//!
-//! * `torn` — half a request frame, then hang up;
-//! * `disconnect` — a full request, then hang up before the reply
-//!   (the render still completes server-side and lands in the store);
-//! * `slowloris` — drip bytes slower than any human typist until the
-//!   server's frame deadline closes the connection;
-//! * `dupburst[:N]` — N concurrent identical requests (default 8),
-//!   which must coalesce onto one computation and produce N
-//!   byte-identical response lines;
-//! * `enospc` — while one full request runs, every durable write in
-//!   the daemon's process fails with an injected ENOSPC
-//!   ([`faultio`]); the render must still be served and the loss must
-//!   surface as a `save_failures` stats counter, never a wrong byte;
-//! * `fsyncfail` — same, but the injected failure is at fsync, the
-//!   classic silently-swallowed error
-//!   (satellite 6's regression trap).
-//!
-//! The first four are *client-side* faults: the daemon under test runs
+//! Both are *client-side* faults: the daemon under test runs
 //! completely unmodified, which is the point — the soak criterion is
 //! that no client behavior, however broken, changes a well-formed
-//! client's bytes or brings the process down. The last two are
-//! *server-side* I/O faults, installed through the process-global
-//! [`faultio`] plan (the soak daemon runs in-process) for the duration
-//! of one exchange.
+//! client's bytes or brings the process down. Server-side faults are
+//! `MEMBW_FAULT` plans ([`membw_core::runner::fault`]).
+//!
+//! Neither returns an error: a connection the daemon slams shut *is*
+//! the expected outcome, so transport failures are swallowed — the soak
+//! test's assertions live on the daemon side (still alive, well-formed
+//! clients unaffected).
 
 use crate::net::Endpoint;
-use membw_core::runner::faultio;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::time::Duration;
 
-/// Environment variable selecting chaos modes for the soak harness.
-pub const SERVE_FAULT_ENV: &str = "MEMBW_SERVE_FAULT";
-
-/// One adversarial client behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMode {
-    /// Send half a frame, disconnect.
-    Torn,
-    /// Send a full request, disconnect before the reply.
-    Disconnect,
-    /// Drip bytes slower than the server's frame deadline.
-    SlowLoris,
-    /// N concurrent identical requests.
-    DupBurst(usize),
-    /// Every durable write in the daemon fails with injected ENOSPC
-    /// for one exchange.
-    Enospc,
-    /// Every fsync in the daemon fails for one exchange.
-    FsyncFail,
-}
-
-/// Every mode, at default intensities (the unset-env default).
-pub const ALL_MODES: [FaultMode; 6] = [
-    FaultMode::Torn,
-    FaultMode::Disconnect,
-    FaultMode::SlowLoris,
-    FaultMode::DupBurst(8),
-    FaultMode::Enospc,
-    FaultMode::FsyncFail,
-];
-
-/// Strictly parse a [`SERVE_FAULT_ENV`] spec.
-///
-/// # Errors
-///
-/// Names the variable and the offending entry, like the engine's other
-/// fault-env validators.
-pub fn parse_spec(spec: &str) -> Result<Vec<FaultMode>, String> {
-    let mut modes = Vec::new();
-    for entry in spec.split(',') {
-        let entry = entry.trim();
-        let mode = match entry {
-            "torn" => FaultMode::Torn,
-            "disconnect" => FaultMode::Disconnect,
-            "slowloris" => FaultMode::SlowLoris,
-            "dupburst" => FaultMode::DupBurst(8),
-            "enospc" => FaultMode::Enospc,
-            "fsyncfail" => FaultMode::FsyncFail,
-            _ => match entry.strip_prefix("dupburst:") {
-                Some(n) => match n.parse::<usize>() {
-                    Ok(n) if n > 0 => FaultMode::DupBurst(n),
-                    _ => {
-                        return Err(format!(
-                            "invalid {SERVE_FAULT_ENV} entry {entry:?}: dupburst needs a positive count"
-                        ))
-                    }
-                },
-                None => {
-                    return Err(format!(
-                        "invalid {SERVE_FAULT_ENV} entry {entry:?} \
-                         (expected torn|disconnect|slowloris|dupburst[:N]|enospc|fsyncfail)"
-                    ))
-                }
-            },
-        };
-        modes.push(mode);
-    }
-    Ok(modes)
-}
-
-/// The chaos modes the environment selects: unset → [`ALL_MODES`].
-///
-/// # Errors
-///
-/// A malformed spec (strict, like every other fault env).
-pub fn modes_from_env() -> Result<Vec<FaultMode>, String> {
-    match std::env::var(SERVE_FAULT_ENV) {
-        Ok(spec) => parse_spec(&spec),
-        Err(_) => Ok(ALL_MODES.to_vec()),
-    }
-}
-
-/// This layer's entry in the consolidated fault-env registry
-/// ([`membw_core::runner::faultenv`]).
-pub fn fault_var() -> membw_core::runner::faultenv::FaultVar {
-    membw_core::runner::faultenv::FaultVar {
-        name: SERVE_FAULT_ENV,
-        grammar: "torn|disconnect|slowloris|dupburst[:N]|enospc|fsyncfail \
-                  — soak-harness chaos modes",
-        validate: |spec| parse_spec(spec).map(|_| ()),
-    }
-}
-
-/// Validate every fault variable a serve-layer driver honors: the four
-/// runner-layer hooks plus [`SERVE_FAULT_ENV`] and the wire-level
-/// [`crate::netfault::NET_FAULT_ENV`].
-///
-/// # Errors
-///
-/// The first validator failure, naming the variable.
-pub fn validate_env() -> Result<(), String> {
-    let runner_vars = membw_core::runner::faultenv::vars();
-    let mut all: Vec<membw_core::runner::faultenv::FaultVar> = runner_vars.to_vec();
-    all.push(fault_var());
-    all.push(crate::netfault::fault_var());
-    membw_core::runner::faultenv::validate(&all)
-}
-
-/// Throw one chaos client at the daemon. Returns any response lines
-/// received (`dupburst` returns one per burst client that got an
-/// answer; the hang-up modes return none).
-///
-/// Never returns an error: a connection the daemon slams shut *is* the
-/// expected outcome for several modes, so transport failures are
-/// swallowed — the soak test's assertions live on the daemon side
-/// (still alive, well-formed clients unaffected).
-pub fn apply(endpoint: &Endpoint, mode: FaultMode, request_line: &str) -> Vec<String> {
-    match mode {
-        FaultMode::Torn => {
-            if let Ok(mut s) = endpoint.connect() {
-                let half = &request_line.as_bytes()[..request_line.len() / 2];
-                let _ = s.write_all(half);
-                let _ = s.flush();
-            }
-            Vec::new()
+/// Drip `request_line` one byte at a time, slower than any human
+/// typist, until the server's frame deadline closes the connection (or
+/// after bounded effort).
+pub fn slowloris(endpoint: &Endpoint, request_line: &str) {
+    let Ok(mut s) = endpoint.connect() else {
+        return;
+    };
+    let _ = s.set_read_timeout(Some(Duration::from_millis(100)));
+    for b in request_line.as_bytes().iter().take(32) {
+        if s.write_all(std::slice::from_ref(b)).is_err() {
+            break;
         }
-        FaultMode::Disconnect => {
-            if let Ok(mut s) = endpoint.connect() {
-                let _ = s.write_all(request_line.as_bytes());
-                let _ = s.write_all(b"\n");
-                let _ = s.flush();
-            }
-            Vec::new()
-        }
-        FaultMode::SlowLoris => {
-            if let Ok(mut s) = endpoint.connect() {
-                let _ = s.set_read_timeout(Some(Duration::from_millis(100)));
-                // Drip one byte at a time; stop when the server closes
-                // on us (write error) or after bounded effort.
-                for b in request_line.as_bytes().iter().take(32) {
-                    if s.write_all(std::slice::from_ref(b)).is_err() {
-                        break;
-                    }
-                    let _ = s.flush();
-                    std::thread::sleep(Duration::from_millis(40));
-                    // Probe for the server closing the connection.
-                    let mut probe = [0u8; 1];
-                    if let Ok(0) = s.read(&mut probe) {
-                        break; // server hung up: defense worked
-                    }
-                }
-            }
-            Vec::new()
-        }
-        FaultMode::Enospc | FaultMode::FsyncFail => {
-            let spec = match mode {
-                FaultMode::Enospc => "enospc",
-                _ => "fsyncfail",
-            };
-            let plan = faultio::FaultPlan::parse(spec).expect("built-in spec parses");
-            faultio::set_plan(Some(plan));
-            let mut lines = Vec::new();
-            if let Ok(mut s) = endpoint.connect() {
-                let _ = s.set_read_timeout(Some(Duration::from_secs(60)));
-                if s.write_all(request_line.as_bytes()).is_ok()
-                    && s.write_all(b"\n").is_ok()
-                    && s.flush().is_ok()
-                {
-                    let mut reader = BufReader::new(s);
-                    let mut reply = String::new();
-                    if reader.read_line(&mut reply).is_ok() && !reply.is_empty() {
-                        lines.push(reply.trim_end().to_string());
-                    }
-                }
-            }
-            faultio::set_plan(None);
-            lines
-        }
-        FaultMode::DupBurst(n) => {
-            let handles: Vec<_> = (0..n)
-                .map(|_| {
-                    let ep = endpoint.clone();
-                    let line = request_line.to_string();
-                    std::thread::spawn(move || -> Option<String> {
-                        let mut s = ep.connect().ok()?;
-                        s.write_all(line.as_bytes()).ok()?;
-                        s.write_all(b"\n").ok()?;
-                        s.flush().ok()?;
-                        let mut reader = BufReader::new(s);
-                        let mut reply = String::new();
-                        reader.read_line(&mut reply).ok()?;
-                        (!reply.is_empty()).then(|| reply.trim_end().to_string())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().ok().flatten())
-                .collect()
+        let _ = s.flush();
+        std::thread::sleep(Duration::from_millis(40));
+        // Probe for the server closing the connection.
+        let mut probe = [0u8; 1];
+        if let Ok(0) = s.read(&mut probe) {
+            break; // server hung up: defense worked
         }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn specs_parse_strictly() {
-        assert_eq!(
-            parse_spec("torn,disconnect,slowloris,dupburst,enospc,fsyncfail").unwrap(),
-            ALL_MODES.to_vec()
-        );
-        assert_eq!(
-            parse_spec("dupburst:3").unwrap(),
-            vec![FaultMode::DupBurst(3)]
-        );
-        for bad in [
-            "",
-            "tornn",
-            "dupburst:0",
-            "dupburst:x",
-            "torn;disconnect",
-            "enospc:3",
-        ] {
-            let e = parse_spec(bad).unwrap_err();
-            assert!(e.contains(SERVE_FAULT_ENV), "{bad:?} -> {e}");
-        }
-    }
-
-    #[test]
-    fn serve_fault_var_keeps_the_registry_contract() {
-        let var = fault_var();
-        membw_core::runner::faultenv::assert_rejects_garbage(&var);
-        (var.validate)("torn,dupburst:4,fsyncfail").expect("canonical spec passes");
-    }
+/// Send `n` concurrent identical requests, which must coalesce onto one
+/// computation. Returns one response line per burst client that got an
+/// answer.
+pub fn dupburst(endpoint: &Endpoint, n: usize, request_line: &str) -> Vec<String> {
+    let handles: Vec<_> = (0..n)
+        .map(|_| {
+            let ep = endpoint.clone();
+            let line = request_line.to_string();
+            std::thread::spawn(move || -> Option<String> {
+                let mut s = ep.connect().ok()?;
+                s.write_all(line.as_bytes()).ok()?;
+                s.write_all(b"\n").ok()?;
+                s.flush().ok()?;
+                let mut reader = BufReader::new(s);
+                let mut reply = String::new();
+                reader.read_line(&mut reply).ok()?;
+                (!reply.is_empty()).then(|| reply.trim_end().to_string())
+            })
+        })
+        .collect();
+    handles
+        .into_iter()
+        .filter_map(|h| h.join().ok().flatten())
+        .collect()
 }

@@ -13,8 +13,8 @@
 //! | dedupe | identical in-flight `(target, scale, sweep)` coalesce onto one [`membw_core::runner::JobHandle`] |
 //! | crash safety | [`store::ResultStore`]: tmp→fsync→rename + FNV-sealed entries |
 //! | graceful drain | SIGTERM → engine cancel tokens → checkpointed partial work |
-//! | chaos | [`chaos`]: adversarial clients driven by `MEMBW_SERVE_FAULT` |
-//! | wire faults | [`netfault`]: deterministic `MEMBW_NET_FAULT` plans under every socket op in [`net`] |
+//! | chaos | [`chaos`]: the soak test's adversarial clients (slow-loris, duplicate bursts) |
+//! | wire faults | `MEMBW_FAULT` `net:` directives under every socket op in [`net`] |
 //! | self-healing | [`supervisor`]: `serve --supervise` restarts a crashed daemon with bounded backoff |
 //!
 //! Protocol types live in [`membw_core::service`]; rendering goes
@@ -25,13 +25,11 @@
 pub mod chaos;
 pub mod client;
 pub mod net;
-pub mod netfault;
 pub mod server;
 pub mod store;
 pub mod supervisor;
 
 pub use net::{Endpoint, Listener, Stream};
-pub use netfault::{NetFaultPlan, NET_FAULT_ENV};
 pub use server::{serve, ServeConfig, Server};
 pub use store::ResultStore;
 pub use supervisor::{supervise, SupervisorConfig};

@@ -5,13 +5,12 @@
 //! tell a live daemon's files from a dead one's.
 //!
 //! Every socket operation here — accept, read, write — consults the
-//! [`crate::netfault`] plan first, making this facade the single
-//! injection surface for `MEMBW_NET_FAULT` exactly as
-//! `runner::faultio` is for `MEMBW_IO_FAULT`. With the plan unset each
-//! hook is one relaxed atomic load.
+//! `net:` domain of the [`fault`] plan first, making this facade the
+//! single wire injection surface exactly as `runner::faultio` is the
+//! storage one. With no `net:` directive each hook is one relaxed atomic
+//! load.
 
-use crate::netfault::{self, WireAction};
-use membw_core::runner::faultio;
+use membw_core::runner::{fault, faultio};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -211,30 +210,17 @@ impl Stream {
 
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match netfault::on_read() {
-            WireAction::Proceed { .. } => self.raw_read(buf),
-            WireAction::Sever(e) => {
-                self.sever();
-                Err(e)
-            }
-        }
+        fault::net_read().inspect_err(|_| self.sever())?;
+        self.raw_read(buf)
     }
 }
 
 impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match netfault::on_write(buf.len()) {
-            WireAction::Proceed { limit } => {
-                let take = buf.len().min(limit.max(1));
-                let n = self.raw_write(&buf[..take])?;
-                netfault::wrote(n);
-                Ok(n)
-            }
-            WireAction::Sever(e) => {
-                self.sever();
-                Err(e)
-            }
-        }
+        let limit = fault::net_write(buf.len()).inspect_err(|_| self.sever())?;
+        let n = self.raw_write(&buf[..buf.len().min(limit.max(1))])?;
+        fault::net_wrote(n);
+        Ok(n)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
@@ -270,7 +256,7 @@ impl Listener {
     /// Accept one connection (the accepted stream is switched back to
     /// blocking; per-read timeouts bound it instead).
     ///
-    /// The `MEMBW_NET_FAULT` hook fires *after* a connection actually
+    /// The `net:` fault hook fires *after* a connection actually
     /// arrived, never on an idle `WouldBlock` poll — so `acceptfail:N`
     /// and net-point ordinals count real connections and stay
     /// deterministic under the serve loop's eager polling. An injected
@@ -286,7 +272,7 @@ impl Listener {
             Listener::Unix(l) => Stream::Unix(l.accept()?.0),
             Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
         };
-        netfault::on_accept()?;
+        fault::net_accept()?;
         match &stream {
             Stream::Unix(s) => s.set_nonblocking(false)?,
             Stream::Tcp(s) => s.set_nonblocking(false)?,

@@ -1,7 +1,7 @@
 //! `membw serve --supervise`: a parent that keeps the daemon alive.
 //!
 //! The wire-consistency proof aborts the daemon mid-request
-//! (`MEMBW_NET_FAULT=crash@K`, or an operator's stray SIGKILL); the
+//! (`MEMBW_FAULT=net:crash@K`, or an operator's stray SIGKILL); the
 //! result store already guarantees no answer is lost or half-served
 //! across that. What was missing is *who restarts the process*. This
 //! supervisor is deliberately small and deterministic:
@@ -155,7 +155,7 @@ fn backoff_sleep(total: Duration, cancel: &CancelToken) -> bool {
 /// `make_cmd` builds the child command for restart generation `n`
 /// (0 = first spawn); the supervisor adds [`RESTARTS_ENV`] itself. A
 /// closure (rather than a fixed `Command`) keeps the hook the wire
-/// proof needs: its generation-0 child carries `MEMBW_NET_FAULT=crash@K`
+/// proof needs: its generation-0 child carries `MEMBW_FAULT=net:crash@K`
 /// while generation 1+ runs clean, which is exactly "the fault was
 /// transient, the supervisor healed the service".
 ///

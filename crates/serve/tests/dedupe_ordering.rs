@@ -9,7 +9,7 @@
 //!
 //! Determinism scheme: the server gets one dispatcher worker, and a
 //! blocker request (whose first inner job is slowed via
-//! `MEMBW_FAULT_SLOW`) occupies it while the burst arrives. Every
+//! a `job:slow@` fault plan) occupies it while the burst arrives. Every
 //! burst request therefore passes the dedupe map while the shared
 //! computation is still queued, so coalescing is guaranteed rather
 //! than raced for.
@@ -97,7 +97,7 @@ fn run_phase(phase: &str) {
     let server = Arc::new(Server::new(config, store));
 
     // Occupy the lone worker: the blocker's first inner job sleeps (see
-    // MEMBW_FAULT_SLOW below), so the burst's shared computation stays
+    // the `job:slow@` plan below), so the burst's shared computation stays
     // queued while all N requests coalesce onto it.
     let before = runner::metrics();
     let blocker = {
@@ -150,10 +150,11 @@ fn run_phase(phase: &str) {
 fn concurrent_identical_requests_coalesce_at_jobs_1_and_8() {
     // The whole proof lives in one #[test]: the job counter is
     // process-global, so concurrent tests would pollute the deltas.
-    std::env::set_var(runner::FAULT_SLOW_ENV, format!("{BLOCKER_TARGET}:0:700"));
+    let plan = runner::fault::FaultPlan::parse(&format!("job:slow@{BLOCKER_TARGET}:0:700"));
+    runner::fault::set_plan(Some(plan.expect("fault plan")));
     runner::set_jobs(1);
     run_phase("jobs1");
     runner::set_jobs(8);
     run_phase("jobs8");
-    std::env::remove_var(runner::FAULT_SLOW_ENV);
+    runner::fault::set_plan(None);
 }

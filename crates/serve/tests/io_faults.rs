@@ -7,15 +7,16 @@
 //! published, and every loss is visible — `save_failures` moves for
 //! failed saves, `quarantined` moves for entries that rot on disk.
 //! This lives in its own test binary because the fault plan is
-//! process-global ([`faultio::set_plan`]); sharing a process with the
+//! process-global ([`fault::set_plan`]); sharing a process with the
 //! chaos soak would race the plans.
 
+use membw_core::runner::fault::{self, FaultPlan};
 use membw_core::runner::{persist, CancelReason, CancelToken};
 use membw_core::service::{ServiceRequest, ServiceResponse, STATS_TARGET};
 use membw_core::sweep::SweepMode;
 use membw_core::targets;
 use membw_core::workloads::Scale;
-use membw_serve::{chaos, client, serve, Endpoint, ResultStore, ServeConfig, Server};
+use membw_serve::{client, serve, Endpoint, ResultStore, ServeConfig, Server};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,10 +32,9 @@ fn reference(target: &str) -> String {
         .stdout
 }
 
-/// The one Ok reply a faulted exchange must still produce, byte-exact.
-fn assert_ok_exact(replies: &[String], expected: &str, what: &str) {
-    assert_eq!(replies.len(), 1, "{what}: one reply expected");
-    match serde_json::from_str::<ServiceResponse>(&replies[0]).expect("reply parses") {
+/// The Ok reply a faulted exchange must still produce, byte-exact.
+fn assert_ok_exact(resp: ServiceResponse, expected: &str, what: &str) {
+    match resp {
         ServiceResponse::Ok { stdout, .. } => {
             assert_eq!(stdout, expected, "{what}: bytes must survive the fault");
         }
@@ -86,15 +86,22 @@ fn storage_faults_move_counters_never_bytes() {
     };
     assert_eq!(stats("baseline").save_failures, 0);
 
+    // One exchange while `spec` fails durable writes in the whole
+    // (in-process) daemon.
+    let faulted = |spec: &str, target: &str| -> ServiceResponse {
+        fault::set_plan(Some(FaultPlan::parse(spec).expect("fault plan")));
+        let resp = client::query(&endpoint, &request(target), Some(Duration::from_secs(60)));
+        fault::set_plan(None);
+        resp.expect("faulted exchange")
+    };
+
     // --- ENOSPC during a full exchange: answer served, save lost. ----
-    let line2 = serde_json::to_string(&request("table2")).unwrap();
-    let replies = chaos::apply(&endpoint, chaos::FaultMode::Enospc, &line2);
-    assert_ok_exact(&replies, &reference("table2"), "enospc");
+    let resp = faulted("io:enospc", "table2");
+    assert_ok_exact(resp, &reference("table2"), "enospc");
 
     // --- fsyncfail: the classic silently-swallowed error must not be.
-    let line3 = serde_json::to_string(&request("table3")).unwrap();
-    let replies = chaos::apply(&endpoint, chaos::FaultMode::FsyncFail, &line3);
-    assert_ok_exact(&replies, &reference("table3"), "fsyncfail");
+    let resp = faulted("io:fsyncfail", "table3");
+    assert_ok_exact(resp, &reference("table3"), "fsyncfail");
 
     let after = stats("after faults");
     assert_eq!(

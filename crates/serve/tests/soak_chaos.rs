@@ -5,13 +5,14 @@
 //! structured error; the daemon never crashes; the drain completes
 //! with completed work durably persisted and no stray `.tmp` files.
 //!
-//! `MEMBW_SERVE_FAULT` narrows the chaos modes (default: all of them);
-//! `MEMBW_FAULT_INJECT` is aimed at one target (`table8`) so the
+//! The adversaries are slow-loris drips and duplicate bursts; a
+//! `job:panic@` fault plan is aimed at one target (`table8`) so the
 //! request-level fault-isolation pillar is exercised end to end: that
 //! target's render fails with a structured `jobs-failed` error while
 //! every other request — on the same daemon, some at the same moment —
 //! stays byte-perfect.
 
+use membw_core::runner::fault::{self, FaultPlan};
 use membw_core::runner::{self, CancelReason, CancelToken};
 use membw_core::service::{error_kind, ServiceRequest, ServiceResponse};
 use membw_core::sweep::SweepMode;
@@ -34,7 +35,7 @@ const GOOD_TARGETS: [&str; 6] = [
 ];
 /// The render the chaos clients keep poking at.
 const CHAOS_TARGET: &str = "table7";
-/// The render `MEMBW_FAULT_INJECT` makes panic inside the engine.
+/// The render a `job:panic@` directive makes panic inside the engine.
 const FAILING_TARGET: &str = "table8";
 
 fn request(target: &str) -> ServiceRequest {
@@ -110,7 +111,8 @@ fn raw_exchange(endpoint: &Endpoint, line: &str) -> ServiceResponse {
 fn soak_daemon_survives_chaos_and_drains_clean() {
     // Engine-level fault injection on one target only: its requests
     // must fail structurally, nobody else's.
-    std::env::set_var(runner::FAULT_INJECT_ENV, format!("{FAILING_TARGET}:*"));
+    let plan = FaultPlan::parse(&format!("job:panic@{FAILING_TARGET}:*")).expect("fault plan");
+    fault::set_plan(Some(plan));
     let expected = expected_stdout();
 
     let base = std::env::temp_dir().join(format!("membw_soak_{}", std::process::id()));
@@ -143,21 +145,16 @@ fn soak_daemon_survives_chaos_and_drains_clean() {
 
     // --- Chaos + well-formed traffic, concurrently. -------------------
     let chaos_line = serde_json::to_string(&request(CHAOS_TARGET)).unwrap();
-    let modes = chaos::modes_from_env().expect("chaos spec");
     let chaos_thread = {
         let ep = endpoint.clone();
         let line = chaos_line.clone();
         std::thread::spawn(move || {
-            let mut dup_replies = Vec::new();
-            for round in 0..3 {
-                for mode in &modes {
-                    let replies = chaos::apply(&ep, *mode, &line);
-                    if let chaos::FaultMode::DupBurst(_) = mode {
-                        dup_replies.push((round, replies));
-                    }
-                }
-            }
-            dup_replies
+            (0..3)
+                .map(|round| {
+                    chaos::slowloris(&ep, &line);
+                    (round, chaos::dupburst(&ep, 8, &line))
+                })
+                .collect::<Vec<_>>()
         })
     };
     let good_threads: Vec<_> = GOOD_TARGETS
@@ -250,7 +247,7 @@ fn soak_daemon_survives_chaos_and_drains_clean() {
     )
     .unwrap();
     check_well_formed(CHAOS_TARGET, &resp, &expected);
-    std::env::remove_var(runner::FAULT_INJECT_ENV);
+    fault::set_plan(None);
 
     // --- Drain. -------------------------------------------------------
     cancel.cancel(CancelReason::Interrupted);

@@ -10,7 +10,7 @@
 //!
 //! Mirrors `tests/crash_consistency.rs`: the daemon runs as a real
 //! subprocess (this test binary re-executed with the `child_daemon`
-//! test selected and driver env vars set), `MEMBW_NET_FAULT=count:PATH`
+//! test selected and driver env vars set), `MEMBW_FAULT=count:PATH`
 //! enumerates the exchange's net points, then each directive explores
 //! them. The fault plan lives only in the daemon's environment, so the
 //! parent's client sockets stay pass-through and the enumeration is
@@ -20,13 +20,13 @@
 //! compared against `targets::render_target` — the same renderer the
 //! CLI prints from — so "correct bytes" means CLI-identical bytes.
 
-use membw_core::runner::faultio;
+use membw_core::runner::fault::{self, Domain, FAULT_ENV};
 use membw_core::service::{ServiceRequest, ServiceResponse, STATS_TARGET};
 use membw_core::sweep::SweepMode;
 use membw_core::targets;
 use membw_core::workloads::Scale;
 use membw_serve::supervisor::{supervise, SupervisorConfig};
-use membw_serve::{client, Endpoint, ResultStore, NET_FAULT_ENV};
+use membw_serve::{client, Endpoint, ResultStore};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -101,7 +101,7 @@ struct DaemonSpec {
     socket: PathBuf,
     store: PathBuf,
     jobs: usize,
-    net_fault: Option<String>,
+    fault: Option<String>,
 }
 
 impl DaemonSpec {
@@ -123,9 +123,7 @@ impl DaemonSpec {
             SOCKET_ENV,
             STORE_ENV,
             JOBS_ENV,
-            NET_FAULT_ENV,
-            faultio::IO_FAULT_ENV,
-            membw_serve::chaos::SERVE_FAULT_ENV,
+            FAULT_ENV,
             membw_serve::supervisor::RESTARTS_ENV,
         ] {
             cmd.env_remove(var);
@@ -133,8 +131,8 @@ impl DaemonSpec {
         cmd.env(SOCKET_ENV, &self.socket);
         cmd.env(STORE_ENV, &self.store);
         cmd.env(JOBS_ENV, self.jobs.to_string());
-        if let Some(plan) = &self.net_fault {
-            cmd.env(NET_FAULT_ENV, plan);
+        if let Some(plan) = &self.fault {
+            cmd.env(FAULT_ENV, plan);
         }
         cmd.stdout(std::process::Stdio::null());
         cmd.stderr(std::process::Stdio::piped());
@@ -208,7 +206,7 @@ fn enumerate_points(tag: &str, jobs: usize, warm: bool, reference: &str) -> u64 
         socket: base.join("d.sock"),
         store: base.join("store"),
         jobs,
-        net_fault: Some(format!("count:{}", count_file.display())),
+        fault: Some(format!("count:{}", count_file.display())),
     };
     if warm {
         seed_store(&spec.store, reference);
@@ -227,13 +225,7 @@ fn enumerate_points(tag: &str, jobs: usize, warm: bool, reference: &str) -> u64 
     // before stopping the count.
     std::thread::sleep(Duration::from_millis(300));
     terminate(&spec, &mut child);
-    let recorded = std::fs::read_to_string(&count_file).expect("count file written");
-    let n: u64 = recorded
-        .split_whitespace()
-        .next()
-        .expect("count file records the last point")
-        .parse()
-        .expect("net point number");
+    let n = fault::read_count(&count_file, Domain::Net).expect("count file holds the net total");
     let _ = std::fs::remove_dir_all(&base);
     assert!(n >= 4, "an exchange has at least accept+read+write+eof: {n}");
     n
@@ -249,7 +241,7 @@ fn assert_converges(tag: &str, jobs: usize, warm: bool, plan: &str, reference: &
         socket: base.join("d.sock"),
         store: base.join("store"),
         jobs,
-        net_fault: Some(plan.to_string()),
+        fault: Some(plan.to_string()),
     };
     if warm {
         seed_store(&spec.store, reference);
@@ -316,7 +308,7 @@ fn explore_disconnects(jobs: usize) {
                             &format!("disc_{heat}_j{jobs}_k{k}"),
                             jobs,
                             warm,
-                            &format!("disconnect@{k}"),
+                            &format!("net:disconnect@{k}"),
                             reference,
                         );
                     }),
@@ -362,14 +354,14 @@ fn torn_frames_accept_failures_and_stalls_converge() {
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (i, (plan, jobs, warm)) in [
-            ("tornframe@1", 1, false),
-            ("tornframe@30", 1, true),
-            ("tornframe@150", 8, false),
-            ("tornframe@150", 1, true),
-            ("acceptfail:1", 1, false),
-            ("acceptfail:1", 8, true),
-            ("stallwrite:10", 1, true),
-            ("stallwrite:10", 8, false),
+            ("net:tornframe@1", 1, false),
+            ("net:tornframe@30", 1, true),
+            ("net:tornframe@150", 8, false),
+            ("net:tornframe@150", 1, true),
+            ("net:acceptfail:1", 1, false),
+            ("net:acceptfail:1", 8, true),
+            ("net:stallwrite:10", 1, true),
+            ("net:stallwrite:10", 8, false),
         ]
         .into_iter()
         .enumerate()
@@ -433,7 +425,7 @@ fn supervised_crash_converges(k: u64, jobs: usize, warm: bool, reference: &str) 
         socket: base.join("d.sock"),
         store: base.join("store"),
         jobs,
-        net_fault: None,
+        fault: None,
     };
     if warm {
         seed_store(&spec.store, reference);
@@ -455,7 +447,7 @@ fn supervised_crash_converges(k: u64, jobs: usize, warm: bool, reference: &str) 
             socket: spec.socket.clone(),
             store: spec.store.clone(),
             jobs,
-            net_fault: None,
+            fault: None,
         };
         let cancel = cancel.clone();
         std::thread::spawn(move || {
@@ -465,8 +457,8 @@ fn supervised_crash_converges(k: u64, jobs: usize, warm: bool, reference: &str) 
                         socket: spec.socket.clone(),
                         store: spec.store.clone(),
                         jobs: spec.jobs,
-                        net_fault: if restarts == 0 {
-                            Some(format!("crash@{k}"))
+                        fault: if restarts == 0 {
+                            Some(format!("net:crash@{k}"))
                         } else {
                             None
                         },

@@ -6,8 +6,8 @@
 //! output.
 
 use membw::runner::{
-    with_cancel_token, with_checkpoint, with_governor, with_jobs, CancelToken, CheckpointConfig,
-    Governor, FAULT_CANCEL_ENV,
+    fault, with_cancel_token, with_checkpoint, with_governor, with_jobs, CancelToken,
+    CheckpointConfig, Governor,
 };
 use membw::workloads::Scale;
 use membw::{run_table7, run_table8};
@@ -16,23 +16,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// `MEMBW_FAULT_*` are process-global; tests that set them must not
+/// The fault plan is process-global; tests that install one must not
 /// overlap.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
-/// Set an env var for the guard's lifetime.
-struct EnvGuard(&'static str);
+/// Install a `MEMBW_FAULT` plan for the guard's lifetime.
+struct PlanGuard;
 
-impl EnvGuard {
-    fn set(key: &'static str, value: &str) -> Self {
-        std::env::set_var(key, value);
-        EnvGuard(key)
+impl PlanGuard {
+    fn set(spec: &str) -> Self {
+        fault::set_plan(Some(fault::FaultPlan::parse(spec).expect("fault plan")));
+        PlanGuard
     }
 }
 
-impl Drop for EnvGuard {
+impl Drop for PlanGuard {
     fn drop(&mut self) {
-        std::env::remove_var(self.0);
+        fault::set_plan(None);
     }
 }
 
@@ -67,7 +67,7 @@ impl Drop for TempCheckpoint {
 
 #[test]
 fn cancelled_run_resumes_byte_identically_at_any_jobs_setting() {
-    let _lock = ENV_LOCK.lock().unwrap();
+    let _lock = PLAN_LOCK.lock().unwrap();
     let (_, clean_table) =
         with_jobs(1, || run_table7::run(Scale::Test)).expect("clean run succeeds");
     let clean = clean_table.render();
@@ -79,7 +79,7 @@ fn cancelled_run_resumes_byte_identically_at_any_jobs_setting() {
         // dispatches; the batch drains, completed jobs land in the
         // checkpoint, and the failure table names the cancellation.
         {
-            let _env = EnvGuard::set(FAULT_CANCEL_ENV, "table7:1");
+            let _plan = PlanGuard::set("job:cancel@table7:1");
             let token = CancelToken::new();
             let err = with_cancel_token(token.clone(), || {
                 with_checkpoint(ckpt.config(false), || {
@@ -117,7 +117,7 @@ fn cancelled_run_resumes_byte_identically_at_any_jobs_setting() {
 
 #[test]
 fn deadline_cancels_with_its_own_reason_and_rerun_is_identical() {
-    let _lock = ENV_LOCK.lock().unwrap();
+    let _lock = PLAN_LOCK.lock().unwrap();
     let (_, clean_table) =
         with_jobs(1, || run_table8::run(Scale::Test)).expect("clean run succeeds");
     let clean = clean_table.render();
@@ -152,7 +152,7 @@ fn deadline_cancels_with_its_own_reason_and_rerun_is_identical() {
 
 #[test]
 fn zero_mem_budget_degrades_without_changing_output() {
-    let _lock = ENV_LOCK.lock().unwrap();
+    let _lock = PLAN_LOCK.lock().unwrap();
     let (_, clean7) = with_jobs(1, || run_table7::run(Scale::Test)).expect("clean table7");
     let (_, clean8) = with_jobs(1, || run_table8::run(Scale::Test)).expect("clean table8");
 

@@ -4,8 +4,8 @@
 //!
 //! The fault-injecting I/O layer (`membw_runner::faultio`) numbers
 //! every durable-write step — create, write, fsync, rename, directory
-//! fsync — process-wide. `MEMBW_IO_FAULT=count:PATH` enumerates them;
-//! `crash@K` calls `abort()` immediately before point K, which is the
+//! fsync — process-wide. `MEMBW_FAULT=count:PATH` enumerates them;
+//! `io:crash@K` calls `abort()` immediately before point K, which is the
 //! strongest crash model short of pulling power: no destructors, no
 //! flushes, no unwinding.
 //!
@@ -23,6 +23,7 @@
 //!   never serves a half-visible one.
 
 use membw_core::run_fig3;
+use membw_core::runner::fault::{self, Domain, FAULT_ENV};
 use membw_core::runner::{self, persist, CheckpointConfig};
 use membw_core::sim::Experiment;
 use membw_core::workloads::{Scale, Suite};
@@ -36,8 +37,6 @@ const FIG3_DIR_ENV: &str = "MEMBW_CRASH_FIG3_DIR";
 const STORE_DIR_ENV: &str = "MEMBW_CRASH_STORE_DIR";
 const JOBS_ENV: &str = "MEMBW_CRASH_JOBS";
 const RESUME_ENV: &str = "MEMBW_CRASH_RESUME";
-
-const IO_FAULT_ENV: &str = membw_core::runner::faultio::IO_FAULT_ENV;
 
 fn base_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("membw_crash_{tag}_{}", std::process::id()));
@@ -107,13 +106,7 @@ fn run_child(test_name: &str, envs: &[(&str, String)]) -> (std::process::ExitSta
     ]);
     // A clean slate: nothing from the outer environment may leak a
     // fault plan or driver var into the child.
-    for var in [
-        FIG3_DIR_ENV,
-        STORE_DIR_ENV,
-        JOBS_ENV,
-        RESUME_ENV,
-        IO_FAULT_ENV,
-    ] {
+    for var in [FIG3_DIR_ENV, STORE_DIR_ENV, JOBS_ENV, RESUME_ENV, FAULT_ENV] {
         cmd.env_remove(var);
     }
     for (k, v) in envs {
@@ -146,7 +139,7 @@ fn crashed_at_injection(status: std::process::ExitStatus, stderr: &str) -> bool 
         "child must die at the injected abort, not otherwise ({status:?}):\n{stderr}"
     );
     assert!(
-        stderr.contains("faultio: injected crash at I/O point"),
+        stderr.contains("MEMBW_FAULT: injected crash at io point"),
         "abort must announce its point:\n{stderr}"
     );
     true
@@ -223,15 +216,11 @@ fn count_points(test_name: &str, dir_env: &str, dir: &Path) -> u64 {
         &[
             (dir_env, dir.join("work").display().to_string()),
             (JOBS_ENV, "1".to_string()),
-            (IO_FAULT_ENV, format!("count:{}", count_file.display())),
+            (FAULT_ENV, format!("count:{}", count_file.display())),
         ],
     );
     assert_clean_exit(test_name, status, &stderr);
-    let text = std::fs::read_to_string(&count_file).expect("count file written");
-    text.split_whitespace()
-        .next()
-        .and_then(|t| t.parse().ok())
-        .expect("count file records the last point number")
+    fault::read_count(&count_file, Domain::Io).expect("count file records the io total")
 }
 
 #[test]
@@ -317,7 +306,7 @@ fn fig3_recovers_from_a_crash_at_every_io_point() {
         &[
             (FIG3_DIR_ENV, beyond_dir.display().to_string()),
             (JOBS_ENV, "1".to_string()),
-            (IO_FAULT_ENV, format!("crash@{}", total + 1000)),
+            (FAULT_ENV, format!("io:crash@{}", total + 1000)),
         ],
     );
     assert_clean_exit("crash beyond the last point", status, &stderr);
@@ -339,7 +328,7 @@ fn explore_crash_point(base: &Path, k: u64, reference: &[u8]) {
         &[
             (FIG3_DIR_ENV, dir.display().to_string()),
             (JOBS_ENV, "1".to_string()),
-            (IO_FAULT_ENV, format!("crash@{k}")),
+            (FAULT_ENV, format!("io:crash@{k}")),
         ],
     );
     assert!(
@@ -399,7 +388,7 @@ fn serve_store_survives_a_crash_at_every_io_point() {
             "child_store",
             &[
                 (STORE_DIR_ENV, dir.display().to_string()),
-                (IO_FAULT_ENV, format!("crash@{k}")),
+                (FAULT_ENV, format!("io:crash@{k}")),
             ],
         );
         assert!(

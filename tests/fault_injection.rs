@@ -4,36 +4,36 @@
 //! fault at any `--jobs` setting, and the failure is reported as a
 //! typed error naming the job.
 
-use membw::runner::{with_job_timeout, with_jobs};
+use membw::runner::{fault, with_job_timeout, with_jobs};
 use membw::workloads::Scale;
 use membw::{run_table7, run_table8};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// `MEMBW_FAULT_*` are process-global; tests that set them must not
+/// The fault plan is process-global; tests that install one must not
 /// overlap.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
-/// Set an env var for the guard's lifetime.
-struct EnvGuard(&'static str);
+/// Install a `MEMBW_FAULT` plan for the guard's lifetime.
+struct PlanGuard;
 
-impl EnvGuard {
-    fn set(key: &'static str, value: &str) -> Self {
-        std::env::set_var(key, value);
-        EnvGuard(key)
+impl PlanGuard {
+    fn set(spec: &str) -> Self {
+        fault::set_plan(Some(fault::FaultPlan::parse(spec).expect("fault plan")));
+        PlanGuard
     }
 }
 
-impl Drop for EnvGuard {
+impl Drop for PlanGuard {
     fn drop(&mut self) {
-        std::env::remove_var(self.0);
+        fault::set_plan(None);
     }
 }
 
 #[test]
 fn injected_panic_fails_one_job_and_names_it() {
-    let _lock = ENV_LOCK.lock().unwrap();
-    let _env = EnvGuard::set("MEMBW_FAULT_INJECT", "table7:2");
+    let _lock = PLAN_LOCK.lock().unwrap();
+    let _plan = PlanGuard::set("job:panic@table7:2");
     for jobs in [1, 8] {
         let err = with_jobs(jobs, || run_table7::run(Scale::Test))
             .expect_err("the injected fault must surface");
@@ -54,14 +54,14 @@ fn injected_panic_fails_one_job_and_names_it() {
 
 #[test]
 fn unaffected_batches_render_byte_identically_under_a_fault() {
-    let _lock = ENV_LOCK.lock().unwrap();
+    let _lock = PLAN_LOCK.lock().unwrap();
     let (_, clean_serial) =
         with_jobs(1, || run_table8::run(Scale::Test)).expect("clean run succeeds");
     let clean = clean_serial.render();
 
     // A fault in table7 must not perturb table8's output in any way,
     // serial or parallel — the injection hooks key on the batch label.
-    let _env = EnvGuard::set("MEMBW_FAULT_INJECT", "table7:0");
+    let _plan = PlanGuard::set("job:panic@table7:0");
     assert!(
         with_jobs(1, || run_table7::run(Scale::Test)).is_err(),
         "the fault is live"
@@ -79,10 +79,10 @@ fn unaffected_batches_render_byte_identically_under_a_fault() {
 
 #[test]
 fn injected_stall_trips_the_job_deadline() {
-    let _lock = ENV_LOCK.lock().unwrap();
+    let _lock = PLAN_LOCK.lock().unwrap();
     // Job 1 sleeps 1.2 s against a 300 ms deadline; healthy Test-scale
     // jobs finish well inside it.
-    let _env = EnvGuard::set("MEMBW_FAULT_SLOW", "table7:1:1200");
+    let _plan = PlanGuard::set("job:slow@table7:1:1200");
     let err = with_job_timeout(Some(Duration::from_millis(300)), || {
         with_jobs(4, || run_table7::run(Scale::Test))
     })

@@ -10,10 +10,10 @@
 //!   half-visible prefix, for any payload.
 //!
 //! The torn-rename properties install a process-global fault plan
-//! ([`faultio::set_plan`]), so this lives in its own test binary and
+//! ([`fault::set_plan`]), so this lives in its own test binary and
 //! plan users serialize on one mutex.
 
-use membw::runner::{faultio, persist};
+use membw::runner::{fault, persist};
 use membw_serve::ResultStore;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -42,9 +42,9 @@ fn case_dir(tag: &str) -> PathBuf {
 /// including any seeding I/O — so another case's plan can never tear
 /// this case's setup writes.
 fn with_plan<R>(spec: &str, f: impl FnOnce() -> R) -> R {
-    faultio::set_plan(Some(faultio::FaultPlan::parse(spec).expect("spec parses")));
+    fault::set_plan(Some(fault::FaultPlan::parse(spec).expect("spec parses")));
     let out = f();
-    faultio::set_plan(None);
+    fault::set_plan(None);
     out
 }
 
@@ -99,7 +99,7 @@ proptest! {
         let old = persist::seal("{\"v\": \"old\"}");
         persist::write_atomic(&fin, old.as_bytes()).expect("seed");
         let new = persist::seal(&format!("{{\"v\": {payload:?}}}"));
-        let err = with_plan("tornrename", || {
+        let err = with_plan("io:tornrename", || {
             persist::write_atomic(&fin, new.as_bytes())
         });
         prop_assert!(err.is_err(), "a torn publish must be reported");
@@ -124,7 +124,7 @@ proptest! {
         let dir = case_dir("store");
         let store = ResultStore::open(&dir).expect("open");
         store.save("key", "old payload\n").expect("seed");
-        let err = with_plan("tornrename", || store.save("key", &payload));
+        let err = with_plan("io:tornrename", || store.save("key", &payload));
         prop_assert!(err.is_err(), "the torn save must be reported");
         match store.load("key") {
             None => {} // quarantined: the recompute path replaces it

@@ -19,7 +19,7 @@
 //! reproduces exactly — the same contract as `corruption_fuzz.rs` for
 //! storage artifacts, applied to the wire.
 
-use membw::runner::{persist, CancelReason, CancelToken};
+use membw::runner::{fault, persist, CancelReason, CancelToken};
 use membw::service::{ServiceRequest, ServiceResponse, STATS_TARGET};
 use membw::sweep::SweepMode;
 use membw::targets;
@@ -272,10 +272,10 @@ fn fuzzed_frames_never_panic_never_answer_wrong_never_leak_a_slot() {
     // job — only `reply-aborted` moves, and the same request answers
     // byte-exact right afterwards.
     {
-        let plan = membw_serve::netfault::NetFaultPlan::parse("tornframe@1").expect("plan");
-        membw_serve::netfault::set_plan(Some(plan));
+        let plan = fault::FaultPlan::parse("net:tornframe@1").expect("plan");
+        fault::set_plan(Some(plan));
         let torn = exchange_raw(&socket, &clean);
-        membw_serve::netfault::set_plan(None);
+        fault::set_plan(None);
         assert!(
             !torn.ends_with(b"\n"),
             "tornframe@1 must leave an unterminated reply frame"
