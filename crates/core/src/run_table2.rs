@@ -29,9 +29,8 @@ pub struct Table2Row {
 }
 
 fn mtc_traffic(w: &dyn Workload, capacity_bytes: u64) -> u64 {
-    let refs = w.collect_mem_refs();
     let cfg = MinConfig::new(capacity_bytes, 4, MinWritePolicy::Allocate, true);
-    MinCache::simulate(&cfg, &refs).traffic_below()
+    MinCache::simulate_workload(&cfg, w).traffic_below()
 }
 
 /// Regenerate Table 2: analytic columns plus the empirical check at

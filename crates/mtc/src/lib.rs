@@ -19,12 +19,11 @@
 //! ```
 //! use membw_mtc::{MinCache, MinConfig};
 //! use membw_trace::pattern::Strided;
-//! use membw_trace::Workload;
 //!
 //! // A 256-byte MTC reading a 1 KiB region once: no reuse exists, so
 //! // even optimal management fetches every word exactly once.
 //! let w = Strided::reads(0, 4, 256);
-//! let stats = MinCache::simulate(&MinConfig::mtc(256), &w.collect_mem_refs());
+//! let stats = MinCache::simulate_workload(&MinConfig::mtc(256), &w);
 //! assert_eq!(stats.bytes_fetched, 256 * 4);
 //! assert_eq!(stats.demand_misses(), 256);
 //! ```

@@ -19,11 +19,25 @@
 //! implementations produce identical counters on any trace (enforced by
 //! the `min_equivalence` property test). The residency map itself is
 //! keyed with [`membw_trace::FastHashMap`] rather than SipHash.
+//!
+//! # Memory
+//!
+//! A hit-heavy stream would leave one stale pair per hit in the heap.
+//! Once the heap holds more than `2·resident + 1024` pairs it is
+//! compacted to the live pairs only, so it stays proportional to the
+//! cache, not the trace; the live set (and so every victim) is
+//! unchanged. [`MinCache::simulate_workload`] also keeps the reference
+//! stream itself out of memory: it generates the workload twice and
+//! holds only the 8-byte next-use link per reference in between.
 
 use crate::nextuse::NextUseIndex;
 use membw_cache::CacheStats;
-use membw_trace::{FastHashMap, MemRef};
+use membw_trace::{FastHashMap, MemRef, Workload};
 use std::collections::BinaryHeap;
+
+/// Stale heap pairs tolerated beyond twice the resident count before
+/// [`MinCache`] compacts its heap.
+const HEAP_SLACK: usize = 1024;
 
 /// Write-allocation policy of a **min** cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,10 +112,10 @@ impl MinConfig {
 
 /// A fully-associative cache managed by Belady's **min** policy.
 ///
-/// Use [`MinCache::simulate`] for the common whole-trace case; the
-/// incremental API ([`MinCache::new`] + [`MinCache::access`] +
-/// [`MinCache::flush`]) exists for callers that interleave their own
-/// bookkeeping.
+/// Use [`MinCache::simulate_workload`] for a generated stream and
+/// [`MinCache::simulate`] for one already in memory; the incremental API
+/// ([`MinCache::new`] + [`MinCache::access`] + [`MinCache::flush`])
+/// exists for callers that interleave their own bookkeeping.
 #[derive(Debug)]
 pub struct MinCache {
     cfg: MinConfig,
@@ -110,7 +124,8 @@ pub struct MinCache {
     resident: FastHashMap<u64, (u64, bool)>,
     /// Max-heap of (next_use, block) with lazy deletion: hits and
     /// evictions leave stale entries behind, discarded when they
-    /// surface at the top.
+    /// surface at the top or when the heap outgrows
+    /// `2·resident + HEAP_SLACK`.
     heap: BinaryHeap<(u64, u64)>,
     stats: CacheStats,
 }
@@ -142,6 +157,43 @@ impl MinCache {
     pub fn simulate(cfg: &MinConfig, refs: &[MemRef]) -> CacheStats {
         let index = NextUseIndex::build(refs, cfg.block_size);
         Self::simulate_with_index(cfg, refs, &index)
+    }
+
+    /// Simulate `workload`'s reference stream without holding it: pass 1
+    /// generates it to build the next-use index (8 bytes per reference),
+    /// pass 2 generates it again and replays it through the cache. The
+    /// counters equal [`MinCache::simulate`] over
+    /// [`Workload::collect_mem_refs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two passes yield different numbers of references
+    /// (a [`Workload`] must emit the identical stream every time).
+    pub fn simulate_workload(cfg: &MinConfig, workload: &dyn Workload) -> CacheStats {
+        let index = NextUseIndex::from_stream(cfg.block_size, |f| workload.for_each_mem_ref(f));
+        membw_runner::ambient_governor().observe_arena_bytes(index.len() as u64 * 8);
+        let mut cache = Self::new(*cfg);
+        let cancel = membw_runner::ambient_cancel_token();
+        let mut i = 0usize;
+        workload.for_each_mem_ref(&mut |r| {
+            assert!(
+                i < index.len(),
+                "workload {:?} emitted more references on its second pass",
+                workload.name()
+            );
+            if i.is_multiple_of(8192) {
+                cancel.check();
+            }
+            cache.access(r, r.block(cfg.block_size), index.next_use(i));
+            i += 1;
+        });
+        assert_eq!(
+            i,
+            index.len(),
+            "workload {:?} emitted fewer references on its second pass",
+            workload.name()
+        );
+        cache.flush()
     }
 
     /// Simulate an entire reference stream against a *prebuilt* next-use
@@ -178,7 +230,7 @@ impl MinCache {
             if i.is_multiple_of(8192) {
                 cancel.check();
             }
-            cache.access(*r, index.block(i), index.next_use(i));
+            cache.access(*r, r.block(cfg.block_size), index.next_use(i));
         }
         cache.flush()
     }
@@ -217,10 +269,17 @@ impl MinCache {
     fn insert(&mut self, block: u64, next: u64, dirty: bool) {
         self.resident.insert(block, (next, dirty));
         self.heap.push((next, block));
+        if self.heap.len() > 2 * self.resident.len() + HEAP_SLACK {
+            let resident = &self.resident;
+            self.heap.retain(
+                |&(next, block)| matches!(resident.get(&block), Some(&(cur, _)) if cur == next),
+            );
+        }
     }
 
-    /// Present one access. `block` and `next_use` come from a
-    /// [`NextUseIndex`] built at this cache's block size.
+    /// Present one access. `block` is `r.block(block_size)` and
+    /// `next_use` comes from a [`NextUseIndex`] built at this cache's
+    /// block size.
     ///
     /// Returns `true` on a hit.
     pub fn access(&mut self, r: MemRef, block: u64, next_use: u64) -> bool {
@@ -469,6 +528,26 @@ mod tests {
         let refs = vec![MemRef::read(0, 4), MemRef::write(4, 4)];
         let stats = MinCache::simulate(&MinConfig::mtc(64), &refs);
         assert_eq!(stats.bytes_flushed, 4);
+    }
+
+    #[test]
+    fn heap_stays_bounded_on_hit_heavy_stream() {
+        // 200k hits over an 8-word loop: without compaction every hit
+        // would leave a stale pair behind.
+        let refs: Vec<MemRef> = (0..200_000u64)
+            .map(|i| MemRef::read((i % 8) * 4, 4))
+            .collect();
+        let cfg = MinConfig::new(64, 4, MinWritePolicy::Allocate, true);
+        let index = NextUseIndex::build(&refs, 4);
+        let mut cache = MinCache::new(cfg);
+        let mut max_heap = 0;
+        for (i, r) in refs.iter().enumerate() {
+            cache.access(*r, r.block(4), index.next_use(i));
+            assert!(cache.heap.len() <= 2 * cache.resident.len() + HEAP_SLACK);
+            max_heap = max_heap.max(cache.heap.len());
+        }
+        assert!(max_heap > HEAP_SLACK, "the stream must exercise compaction");
+        assert_eq!(cache.flush(), MinCache::simulate(&cfg, &refs));
     }
 
     #[test]

@@ -88,9 +88,9 @@ pub fn min_sweep(cfgs: &[MinConfig], refs: &[MemRef]) -> Vec<CacheStats> {
         "min_sweep requires a uniform block size (got mixed sizes)"
     );
     let index = NextUseIndex::build(refs, block);
-    // The shared index (next-use + block vectors, 16 bytes per
-    // reference) is the sweep's big allocation; let the governor see it.
-    membw_runner::ambient_governor().observe_arena_bytes(refs.len() as u64 * 16);
+    // The shared next-use index (8 bytes per reference) is the sweep's
+    // big allocation; let the governor see it.
+    membw_runner::ambient_governor().observe_arena_bytes(refs.len() as u64 * 8);
     if cfgs
         .iter()
         .all(|c| c.write == first.write && c.bypass == first.bypass)
@@ -106,11 +106,12 @@ pub fn min_sweep(cfgs: &[MinConfig], refs: &[MemRef]) -> Vec<CacheStats> {
 fn multi_state(cfgs: &[MinConfig], refs: &[MemRef], index: &NextUseIndex) -> Vec<CacheStats> {
     let mut caches: Vec<MinCache> = cfgs.iter().map(|c| MinCache::new(*c)).collect();
     let cancel = membw_runner::ambient_cancel_token();
+    let block_size = index.block_size();
     for (i, r) in refs.iter().enumerate() {
         if i.is_multiple_of(8192) {
             cancel.check();
         }
-        let (b, nu) = (index.block(i), index.next_use(i));
+        let (b, nu) = (r.block(block_size), index.next_use(i));
         for cache in &mut caches {
             cache.access(*r, b, nu);
         }
@@ -210,11 +211,12 @@ impl InclusionSweep {
 
     fn run(mut self, refs: &[MemRef], index: &NextUseIndex) -> Vec<CacheStats> {
         let cancel = membw_runner::ambient_cancel_token();
+        let block_size = index.block_size();
         for (i, r) in refs.iter().enumerate() {
             if i.is_multiple_of(8192) {
                 cancel.check();
             }
-            self.access(*r, index.block(i), index.next_use(i));
+            self.access(*r, r.block(block_size), index.next_use(i));
         }
         self.finish()
     }

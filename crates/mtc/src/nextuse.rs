@@ -8,8 +8,13 @@ pub const NEVER: u64 = u64::MAX;
 /// For each position in a reference stream, the position of the *next*
 /// reference to the same block.
 ///
-/// Built with one reverse pass (the classic two-pass Belady setup
-/// [Belady 1966; Sugumar & Abraham 1993]).
+/// Built with one forward pass (the first of the classic two passes of
+/// Belady **min** [Belady 1966; Sugumar & Abraham 1993]): each reference
+/// closes the chain of the previous reference to its block. Only the
+/// `next` links are stored, 8 bytes per reference; consumers recompute
+/// block numbers from the references they replay. The forward order is
+/// what lets [`NextUseIndex::from_stream`] index a stream that is
+/// generated rather than held in memory.
 ///
 /// # Example
 ///
@@ -26,7 +31,6 @@ pub const NEVER: u64 = u64::MAX;
 #[derive(Debug, Clone)]
 pub struct NextUseIndex {
     next: Vec<u64>,
-    blocks: Vec<u64>,
     block_size: u64,
 }
 
@@ -37,24 +41,30 @@ impl NextUseIndex {
     ///
     /// Panics if `block_size` is not a power of two.
     pub fn build(refs: &[MemRef], block_size: u64) -> Self {
+        Self::from_stream(block_size, |f| refs.iter().for_each(|&r| f(r)))
+    }
+
+    /// Build the index over the references `stream` feeds to its
+    /// callback, at `block_size` granularity, without materializing them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size` is not a power of two.
+    pub fn from_stream(block_size: u64, stream: impl FnOnce(&mut dyn FnMut(MemRef))) -> Self {
         assert!(
             block_size.is_power_of_two(),
             "block size must be a power of two, got {block_size}"
         );
-        let blocks: Vec<u64> = refs.iter().map(|r| r.block(block_size)).collect();
-        let mut next = vec![NEVER; refs.len()];
+        let mut next: Vec<u64> = Vec::new();
         let mut last_seen: FastHashMap<u64, u64> = FastHashMap::default();
-        for (i, &b) in blocks.iter().enumerate().rev() {
-            if let Some(&later) = last_seen.get(&b) {
-                next[i] = later;
+        stream(&mut |r: MemRef| {
+            let i = next.len() as u64;
+            if let Some(prev) = last_seen.insert(r.block(block_size), i) {
+                next[prev as usize] = i;
             }
-            last_seen.insert(b, i as u64);
-        }
-        Self {
-            next,
-            blocks,
-            block_size,
-        }
+            next.push(NEVER);
+        });
+        Self { next, block_size }
     }
 
     /// The block granularity this index was built at.
@@ -76,11 +86,6 @@ impl NextUseIndex {
     /// ([`NEVER`] if none).
     pub fn next_use(&self, i: usize) -> u64 {
         self.next[i]
-    }
-
-    /// Block index accessed at position `i`.
-    pub fn block(&self, i: usize) -> u64 {
-        self.blocks[i]
     }
 }
 
@@ -110,7 +115,6 @@ mod tests {
         let refs = vec![MemRef::read(0, 4), MemRef::read(4, 4)];
         let idx = NextUseIndex::build(&refs, 32);
         assert_eq!(idx.next_use(0), 1);
-        assert_eq!(idx.block(0), idx.block(1));
         let idx4 = NextUseIndex::build(&refs, 4);
         assert_eq!(idx4.next_use(0), NEVER);
     }

@@ -56,8 +56,8 @@ impl OptProfile {
         let mut histogram: HashMap<usize, u64> = HashMap::new();
         let mut cold = 0u64;
 
-        for i in 0..index.len() {
-            let b = index.block(i);
+        for (i, r) in refs.iter().enumerate() {
+            let b = r.block(block_size);
             let nu = index.next_use(i);
             let depth = pos.get(&b).copied();
             match depth {

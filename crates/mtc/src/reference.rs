@@ -45,7 +45,7 @@ impl ReferenceMinCache {
         let index = NextUseIndex::build(refs, cfg.block_size);
         let mut cache = Self::new(*cfg);
         for (i, r) in refs.iter().enumerate() {
-            cache.access(*r, index.block(i), index.next_use(i));
+            cache.access(*r, r.block(cfg.block_size), index.next_use(i));
         }
         cache.flush()
     }

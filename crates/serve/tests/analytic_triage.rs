@@ -11,6 +11,10 @@
 //! * with the fast lane disabled (the default), responses are
 //!   byte-identical to a no-fast-lane server's;
 //! * the `stats` pseudo-target reports the triage counters.
+//!
+//! Replies carry the process-wide `jobs` counter delta, so the tests run
+//! one at a time behind [`serial`]: a concurrent test's jobs would leak
+//! into another's whole-reply comparison.
 
 use membw_core::fastpath;
 use membw_core::service::{source, ServiceRequest, ServiceResponse, STATS_TARGET};
@@ -19,11 +23,19 @@ use membw_core::targets;
 use membw_core::workloads::Scale;
 use membw_serve::{ResultStore, ServeConfig, Server};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 const ANALYTIC_TARGET: &str = "fig4";
 const SIMULATED_TARGET: &str = "table8"; // no analytic model: always simulates
 /// Generous tolerance: every analytic render at test scale fits.
 const WIDE_TOLERANCE: u32 = 100_000;
+
+/// Hold for a whole test: serializes this binary's tests (see the module
+/// docs). A panicking test poisons the lock without invalidating it.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn request(target: &str, tolerance: u32) -> ServiceRequest {
     let mut req = ServiceRequest::new(target);
@@ -56,6 +68,7 @@ fn stats(server: &Server) -> membw_core::service::ServeStats {
 
 #[test]
 fn tolerant_clients_get_analytic_answers_with_provenance() {
+    let _serial = serial();
     let (server, dir) = server("hit", true);
     let expected = fastpath::render_target_analytic(ANALYTIC_TARGET, Scale::Test)
         .expect("supported target")
@@ -98,6 +111,7 @@ fn tolerant_clients_get_analytic_answers_with_provenance() {
 
 #[test]
 fn opt_outs_loose_bounds_and_unmodelled_targets_simulate() {
+    let _serial = serial();
     let (server, dir) = server("fallback", true);
     let reference = targets::render_target(ANALYTIC_TARGET, Scale::Test, SweepMode::Stack)
         .expect("reference render")
@@ -144,6 +158,7 @@ fn opt_outs_loose_bounds_and_unmodelled_targets_simulate() {
 
 #[test]
 fn disabled_fast_lane_is_byte_identical_to_a_plain_server() {
+    let _serial = serial();
     let (plain, plain_dir) = server("plain", false);
     let (disabled, disabled_dir) = server("disabled", false);
     for target in [ANALYTIC_TARGET, SIMULATED_TARGET] {

@@ -80,9 +80,11 @@ pub trait Workload {
 
     /// Collect the data-memory references into a vector.
     ///
-    /// Convenient for tests and for the two-pass optimal-replacement
-    /// simulation; large workloads should prefer streaming via
-    /// [`Workload::for_each_mem_ref`].
+    /// Convenient for tests and for consumers that replay one stream
+    /// many times (sweeps, factor studies). Large workloads should
+    /// prefer streaming via [`Workload::for_each_mem_ref`]; the two-pass
+    /// **min** simulation does (`MinCache::simulate_workload` in
+    /// `membw-mtc` generates the stream once per pass).
     fn collect_mem_refs(&self) -> Vec<MemRef> {
         let mut refs = Vec::new();
         self.for_each_mem_ref(&mut |r| refs.push(r));

@@ -10,11 +10,15 @@
 //! exactly like one too. An optional inaccuracy knob prefetches a wrong
 //! address for a fraction of insertions (the "too early / wrong stream"
 //! failure the paper describes).
+//!
+//! The rewrite streams: it holds only the last `distance` uops, never the
+//! whole inner trace.
 
 use crate::record::MemRef;
-use crate::sink::{CollectSink, TraceSink};
+use crate::sink::TraceSink;
 use crate::uop::{OpClass, Uop};
 use crate::Workload;
+use std::collections::VecDeque;
 
 fn hash(x: u64) -> u64 {
     let mut x = x.wrapping_add(0x9e3779b97f4a7c15);
@@ -67,27 +71,55 @@ impl<W: Workload> Workload for SoftwarePrefetch<W> {
     }
 
     fn generate(&self, sink: &mut dyn TraceSink) {
-        let mut collected = CollectSink::new();
-        self.inner.generate(&mut collected);
-        let uops = collected.into_uops();
-        for (i, &u) in uops.iter().enumerate() {
-            // Insert the prefetch for the load `distance` ahead.
-            if let Some(fut) = uops.get(i + self.distance) {
-                if fut.class == OpClass::Load {
-                    let m = fut.mem.expect("loads carry addresses");
-                    let addr = if self.wrong_per_256 > 0
-                        && hash(self.seed ^ i as u64) % 256 < u64::from(self.wrong_per_256)
-                    {
-                        m.addr.wrapping_add(4096 + ((hash(i as u64) % 4096) & !3))
+        let mut lookahead = Lookahead {
+            rewrite: self,
+            window: VecDeque::new(),
+            next: 0,
+            out: sink,
+        };
+        self.inner.generate(&mut lookahead);
+        for u in lookahead.window {
+            lookahead.out.uop(u);
+        }
+    }
+}
+
+/// The rewrite's sink: delays the inner stream by `distance` uops so
+/// each arriving load can be prefetched ahead of the uop `distance`
+/// positions before it.
+struct Lookahead<'a, W> {
+    rewrite: &'a SoftwarePrefetch<W>,
+    /// The last `distance` inner uops, oldest first.
+    window: VecDeque<Uop>,
+    /// Position of the next inner uop.
+    next: u64,
+    out: &'a mut dyn TraceSink,
+}
+
+impl<W> TraceSink for Lookahead<'_, W> {
+    fn uop(&mut self, fut: Uop) {
+        let p = self.rewrite;
+        if self.window.len() == p.distance {
+            // `fut` is `distance` ahead of position `i`: insert its
+            // prefetch before uop `i`.
+            let i = self.next - p.distance as u64;
+            if fut.class == OpClass::Load {
+                let m = fut.mem.expect("loads carry addresses");
+                let addr =
+                    if p.wrong_per_256 > 0 && hash(p.seed ^ i) % 256 < u64::from(p.wrong_per_256) {
+                        m.addr.wrapping_add(4096 + ((hash(i) % 4096) & !3))
                     } else {
                         m.addr
                     };
-                    // Non-binding: no destination, nothing depends on it.
-                    sink.uop(Uop::load(MemRef::read(addr, m.size), None, [None, None]));
-                }
+                // Non-binding: no destination, nothing depends on it.
+                self.out
+                    .uop(Uop::load(MemRef::read(addr, m.size), None, [None, None]));
             }
-            sink.uop(u);
+            let u = self.window.pop_front().expect("window is full");
+            self.out.uop(u);
         }
+        self.window.push_back(fut);
+        self.next += 1;
     }
 }
 
@@ -154,6 +186,80 @@ mod tests {
             fp_sloppy > fp_accurate,
             "wrong prefetches widen the footprint: {fp_sloppy} vs {fp_accurate}"
         );
+    }
+
+    /// A fixed uop stream mixing loads, stores, ALU ops and branches.
+    struct Mixed(Vec<Uop>);
+
+    impl Workload for Mixed {
+        fn name(&self) -> &str {
+            "mixed"
+        }
+        fn generate(&self, sink: &mut dyn TraceSink) {
+            self.0.iter().for_each(|&u| sink.uop(u));
+        }
+    }
+
+    fn mixed(len: u64) -> Mixed {
+        let mut x = 17u64;
+        Mixed(
+            (0..len)
+                .map(|i| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let addr = (x >> 40) & !3;
+                    match (x >> 33) % 4 {
+                        0 | 1 => Uop::load(MemRef::read(addr, 4), Some(1), [Some(2), None]),
+                        2 => Uop::store(MemRef::write(addr, 8), [Some(1), None]),
+                        _ if i % 2 == 0 => Uop::compute(OpClass::IntAlu, Some(2), [Some(1), None]),
+                        _ => Uop::branch(i, x & 1 == 0, [Some(2), None]),
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// The original rewrite: collect the whole inner stream, then look
+    /// `distance` ahead by index. The streaming rewrite must match it.
+    fn collect_then_rewrite<W: Workload>(p: &SoftwarePrefetch<W>) -> Vec<Uop> {
+        let uops = p.inner.collect_uops();
+        let mut out = Vec::new();
+        for (i, &u) in uops.iter().enumerate() {
+            if let Some(fut) = uops.get(i + p.distance) {
+                if fut.class == OpClass::Load {
+                    let m = fut.mem.expect("loads carry addresses");
+                    let addr = if p.wrong_per_256 > 0
+                        && hash(p.seed ^ i as u64) % 256 < u64::from(p.wrong_per_256)
+                    {
+                        m.addr.wrapping_add(4096 + ((hash(i as u64) % 4096) & !3))
+                    } else {
+                        m.addr
+                    };
+                    out.push(Uop::load(MemRef::read(addr, m.size), None, [None, None]));
+                }
+            }
+            out.push(u);
+        }
+        out
+    }
+
+    #[test]
+    fn streaming_rewrite_matches_collect_then_rewrite() {
+        let len = 500;
+        for distance in [1, 4, 64, len as usize, len as usize + 7] {
+            for (wrong, seed) in [(0, 0), (64, 5), (256, 9)] {
+                let p = SoftwarePrefetch::with_inaccuracy(mixed(len), distance, wrong, seed);
+                assert_eq!(
+                    p.collect_uops(),
+                    collect_then_rewrite(&p),
+                    "distance {distance}, {wrong}/256 wrong"
+                );
+            }
+        }
+        // An empty inner stream stays empty.
+        let p = SoftwarePrefetch::new(mixed(0), 4);
+        assert!(p.collect_uops().is_empty());
     }
 
     #[test]

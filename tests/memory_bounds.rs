@@ -1,0 +1,152 @@
+//! Whole-trace consumers hold memory proportional to the cache, not the
+//! trace.
+//!
+//! A counting `#[global_allocator]` records the peak of live heap bytes
+//! (allocated capacity, not touched pages) while one call runs. The
+//! counts are deterministic, not timings, so the bounds are tight enough
+//! to catch a consumer that starts materializing its trace again.
+//! Measured peaks, collect-then-simulate before and streaming after:
+//!
+//! | call | before | after |
+//! |---|---|---|
+//! | `run_table2::run(1024)` | 165.1 MiB | 33.1 MiB |
+//! | `run_swprefetch::run()` | 81.5 MiB | 1.8 MiB |
+//! | 1 Mi-load rewrite, distance 1 / 64 / 4096 | 40.2 MiB | 208 B / 2.5 KiB / 160 KiB |
+//!
+//! Table 2's largest kernel is the time-tiled stencil at its 1 KiB cache
+//! (2.43 M references). Before, it held the collected references, a
+//! block vector, the next-use links and one stale heap pair per hit;
+//! after, only the 8-byte next-use links.
+
+use membw::trace::sink::CountSink;
+use membw::trace::{SoftwarePrefetch, Workload};
+use membw::workloads::kernels::TimeTiledStencil;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Forwards to the system allocator, tracking live and peak-live bytes.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// the counters never affect the returned pointers.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grow(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grow(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        shrink(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            if new_size > layout.size() {
+                grow(new_size - layout.size());
+            } else {
+                shrink(layout.size() - new_size);
+            }
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const MIB: usize = 1 << 20;
+
+/// Run `f` alone and return its result with the peak live heap bytes it
+/// added. Tests in this binary serialize here so none counts another's
+/// allocations.
+fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed) - base)
+}
+
+fn count_refs(w: &dyn Workload) -> usize {
+    let mut n = 0;
+    w.for_each_mem_ref(&mut |_| n += 1);
+    n
+}
+
+#[test]
+fn table2_peak_is_bounded_by_its_largest_kernel() {
+    // The stencil tiled for table2's 1 KiB cache. Its next-use links
+    // take 8 B per reference, up to 16 B with `Vec` doubling; the 4 MiB
+    // covers the footprint-sized `last_seen` map and the cache itself.
+    let refs = count_refs(&TimeTiledStencil::new(128, 8, 5));
+    let (result, peak) = peak_during(|| membw::run_table2::run(1024));
+    result.expect("table2 audit passes");
+    let bound = 16 * refs + 4 * MIB;
+    assert!(
+        peak <= bound,
+        "table2 peaked at {:.1} MiB (bound {:.1} MiB, {refs} references)",
+        peak as f64 / MIB as f64,
+        bound as f64 / MIB as f64
+    );
+}
+
+#[test]
+fn prefetch_rewrite_window_is_independent_of_trace_length() {
+    let inner = membw::trace::pattern::Strided::reads(0, 4, 1 << 20);
+    for distance in [1, 64, 4096] {
+        let w = SoftwarePrefetch::with_inaccuracy(inner.clone(), distance, 64, 3);
+        let (count, peak) = peak_during(|| {
+            let mut sink = CountSink::new();
+            w.generate(&mut sink);
+            sink
+        });
+        assert_eq!(count.loads, 2 * (1 << 20) - distance as u64);
+        // The window holds `distance` uops; a whole-trace buffer would
+        // be 1 Mi of them.
+        let bound = 2 * distance * std::mem::size_of::<membw::trace::Uop>() + 4096;
+        assert!(
+            peak <= bound,
+            "distance {distance}: rewrite peaked at {peak} B (bound {bound} B)"
+        );
+    }
+}
+
+#[test]
+fn swprefetch_peak_stays_small() {
+    let (result, peak) = peak_during(membw::run_swprefetch::run);
+    result.expect("swprefetch audit passes");
+    assert!(
+        peak <= 4 * MIB,
+        "swprefetch peaked at {:.1} MiB",
+        peak as f64 / MIB as f64
+    );
+}

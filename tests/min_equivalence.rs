@@ -10,9 +10,14 @@
 //! Any divergence means the heap's stale-entry discipline or its
 //! `(next_use, block)` tie-break no longer reproduces the ordered-set
 //! maximum.
+//!
+//! The streaming entry `MinCache::simulate_workload` (two generation
+//! passes, nothing but the next-use links held in between) must agree
+//! with both on the Table 2 kernels and on arbitrary traces.
 
 use membw::mtc::{MinCache, MinConfig, MinWritePolicy, ReferenceMinCache};
-use membw::trace::MemRef;
+use membw::trace::{MemRef, VecWorkload, Workload};
+use membw::workloads::kernels::{Fft, MergeSort, TiledMatMul, TimeTiledStencil};
 use proptest::prelude::*;
 
 /// Arbitrary word-granular read/write traces over a bounded address
@@ -30,6 +35,27 @@ fn trace_strategy(max_len: usize, words: u64) -> impl Strategy<Value = Vec<MemRe
             })
             .collect()
     })
+}
+
+/// A small instance of one of the four Table 2 kernels.
+fn table2_kernel(which: u8, size: u64) -> Box<dyn Workload> {
+    match which {
+        0 => Box::new(TiledMatMul::new(8 + 4 * size, 2 + size)),
+        1 => Box::new(TimeTiledStencil::new(12 + 4 * size, 2, 2 + size)),
+        2 => Box::new(Fft::new(5 + size as u32)),
+        _ => Box::new(MergeSort::new(64 << size, 2)),
+    }
+}
+
+/// A min configuration on the paper's grid: write-validate (one-word
+/// blocks) or write-allocate at 4- or 32-byte blocks, bypass on or off.
+fn min_config(cap_pow: u32, validate: bool, wide_blocks: bool, bypass: bool) -> MinConfig {
+    if validate {
+        MinConfig::new(4u64 << cap_pow, 4, MinWritePolicy::Validate, bypass)
+    } else {
+        let block = if wide_blocks { 32 } else { 4 };
+        MinConfig::new(4u64 << cap_pow, block, MinWritePolicy::Allocate, bypass)
+    }
 }
 
 proptest! {
@@ -70,6 +96,45 @@ proptest! {
         let heap = MinCache::simulate(&cfg, &refs);
         let reference = ReferenceMinCache::simulate(&cfg, &refs);
         prop_assert_eq!(heap, reference);
+    }
+
+    /// The streaming entry on arbitrary traces, every configuration
+    /// family.
+    #[test]
+    fn streamed_matches_reference_on_arbitrary_traces(
+        refs in trace_strategy(600, 96),
+        cap_pow in 3u32..9,
+        validate in prop::bool::ANY,
+        wide_blocks in prop::bool::ANY,
+        bypass in prop::bool::ANY,
+    ) {
+        let cfg = min_config(cap_pow, validate, wide_blocks, bypass);
+        let streamed = MinCache::simulate_workload(&cfg, &VecWorkload::new("t", refs.clone()));
+        prop_assert_eq!(streamed, ReferenceMinCache::simulate(&cfg, &refs));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The streaming entry on the Table 2 kernels (the workloads that
+    /// use it in production) equals the collected simulation and the
+    /// reference, counter for counter.
+    #[test]
+    fn streamed_matches_collected_and_reference_on_table2_kernels(
+        which in 0u8..4,
+        size in 0u64..3,
+        cap_pow in 4u32..11,
+        validate in prop::bool::ANY,
+        wide_blocks in prop::bool::ANY,
+        bypass in prop::bool::ANY,
+    ) {
+        let w = table2_kernel(which, size);
+        let cfg = min_config(cap_pow, validate, wide_blocks, bypass);
+        let refs = w.collect_mem_refs();
+        let streamed = MinCache::simulate_workload(&cfg, &*w);
+        prop_assert_eq!(streamed, MinCache::simulate(&cfg, &refs));
+        prop_assert_eq!(streamed, ReferenceMinCache::simulate(&cfg, &refs));
     }
 }
 
