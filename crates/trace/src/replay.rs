@@ -5,12 +5,13 @@
 //! experiments per benchmark (Figure 3), plus the trace-driven cache and
 //! MTC passes. Regenerating a synthetic workload for every run wastes
 //! most of a figure's wall clock on redundant generation work. This
-//! module captures a workload's stream once into a compact
-//! structure-of-arrays arena ([`RecordedTrace`]) and replays it as a
-//! [`Workload`] with O(1) per-uop dispatch, and provides a process-wide
-//! [`TraceCache`] so one recording is shared across the three
-//! decomposition runs, across all experiments of a benchmark, and across
-//! runner threads.
+//! module captures a workload's stream once into a compact arena
+//! ([`RecordedTrace`]: a table of the trace's distinct uop shapes, one
+//! variable-length shape id per uop and one variable-length address
+//! delta per memory reference) and replays it as a [`Workload`], and
+//! provides a process-wide [`TraceCache`] so one recording is shared
+//! across the three decomposition runs, across all experiments of a
+//! benchmark, and across runner threads.
 //!
 //! Replay is *exact*: the recorded stream is bit-for-bit the stream the
 //! generator emitted, so simulation results are byte-identical whether a
@@ -30,30 +31,40 @@
 //! assert_eq!(recorded.len(), 512);
 //! ```
 
-use crate::record::{AccessKind, MemRef};
+use crate::record::MemRef;
 use crate::sink::TraceSink;
 use crate::uop::{BranchInfo, OpClass, Reg, Uop};
 use crate::Workload;
 use membw_runner::{ambient_cancel_token, ambient_governor, CancelToken};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-// Packed per-uop metadata layout (one u32 per uop):
-//   bits 0-2   operation class (8 variants)
-//   bit  3     dest register present
-//   bit  4     src0 register present
-//   bit  5     src1 register present
-//   bit  6     branch info present
-//   bit  7     branch taken
-//   bits 8-15  dest register
-//   bits 16-23 src0 register
-//   bits 24-31 src1 register
-const CLASS_MASK: u32 = 0b111;
-const HAS_DEST: u32 = 1 << 3;
-const HAS_SRC0: u32 = 1 << 4;
-const HAS_SRC1: u32 = 1 << 5;
-const HAS_BRANCH: u32 = 1 << 6;
-const BRANCH_TAKEN: u32 = 1 << 7;
+// Packed uop shape (one u128 per distinct shape): everything about a
+// uop except its memory address.
+//   bits 0-2    operation class (8 variants)
+//   bit  3      dest register present
+//   bit  4      src0 register present
+//   bit  5      src1 register present
+//   bit  6      branch info present
+//   bit  7      branch taken
+//   bits 8-15   dest register
+//   bits 16-23  src0 register
+//   bits 24-31  src1 register
+//   bits 32-47  memory reference size (0 for non-memory uops)
+//   bits 64-127 branch pc (0 without branch info)
+const CLASS_MASK: u128 = 0b111;
+const HAS_DEST: u128 = 1 << 3;
+const HAS_SRC0: u128 = 1 << 4;
+const HAS_SRC1: u128 = 1 << 5;
+const HAS_BRANCH: u128 = 1 << 6;
+const BRANCH_TAKEN: u128 = 1 << 7;
+const SIZE_SHIFT: u32 = 32;
+const PC_SHIFT: u32 = 64;
+
+/// How many uops the recorder and both replay walks handle between
+/// polls of the ambient cancel token.
+const CANCEL_POLL_UOPS: usize = 8192;
 
 /// Fold `bytes` into a running 64-bit FNV-1a hash.
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
@@ -63,39 +74,26 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Content checksum of a trace arena: FNV-1a over the name and every
-/// side array, each prefixed by its length so boundary shifts between
-/// arrays cannot cancel out.
-fn arena_checksum(
-    name: &str,
-    meta: &[u32],
-    mem_addr: &[u64],
-    mem_size: &[u16],
-    branch_pc: &[u64],
-) -> u64 {
+/// Content checksum of a trace arena: FNV-1a over the name, the uop and
+/// reference counts, and every payload region, each region prefixed by
+/// its length so boundary shifts between regions cannot cancel out.
+fn arena_checksum(t: &RecordedTrace) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    fnv1a(&mut h, &(name.len() as u64).to_le_bytes());
-    fnv1a(&mut h, name.as_bytes());
-    fnv1a(&mut h, &(meta.len() as u64).to_le_bytes());
-    for v in meta {
-        fnv1a(&mut h, &v.to_le_bytes());
+    for n in [t.name.len(), t.len, t.mem_refs, t.shapes.len()] {
+        fnv1a(&mut h, &(n as u64).to_le_bytes());
     }
-    fnv1a(&mut h, &(mem_addr.len() as u64).to_le_bytes());
-    for v in mem_addr {
-        fnv1a(&mut h, &v.to_le_bytes());
+    fnv1a(&mut h, t.name.as_bytes());
+    for s in &t.shapes {
+        fnv1a(&mut h, &s.to_le_bytes());
     }
-    fnv1a(&mut h, &(mem_size.len() as u64).to_le_bytes());
-    for v in mem_size {
-        fnv1a(&mut h, &v.to_le_bytes());
-    }
-    fnv1a(&mut h, &(branch_pc.len() as u64).to_le_bytes());
-    for v in branch_pc {
-        fnv1a(&mut h, &v.to_le_bytes());
+    for region in [&t.ids, &t.addrs] {
+        fnv1a(&mut h, &(region.len() as u64).to_le_bytes());
+        fnv1a(&mut h, region);
     }
     h
 }
 
-fn class_code(c: OpClass) -> u32 {
+fn class_code(c: OpClass) -> u128 {
     match c {
         OpClass::IntAlu => 0,
         OpClass::IntMul => 1,
@@ -108,7 +106,7 @@ fn class_code(c: OpClass) -> u32 {
     }
 }
 
-fn code_class(code: u32) -> OpClass {
+fn code_class(code: u128) -> OpClass {
     match code {
         0 => OpClass::IntAlu,
         1 => OpClass::IntMul,
@@ -121,22 +119,152 @@ fn code_class(code: u32) -> OpClass {
     }
 }
 
-/// A workload's uop stream, captured once into a structure-of-arrays
-/// arena: one packed `u32` per uop plus side arrays for memory
-/// references and branch PCs, indexed by sequential cursors during
-/// replay. No per-record heap boxes; the whole trace is four flat
-/// vectors.
+/// Append `v` as unsigned LEB128: seven bits per byte, low bits first,
+/// the high bit set on every byte but the last.
+fn push_leb128(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Zigzag-map a signed delta so small magnitudes of either sign get
+/// small codes (0, -1, 1, -2, … → 0, 1, 2, 3, …).
+fn zigzag(d: i64) -> u64 {
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
+}
+
+/// Sequential LEB128 reader over one payload region.
+struct Leb128<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Leb128<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0 }
+    }
+
+    #[inline]
+    fn next(&mut self) -> u64 {
+        let mut v = 0;
+        // A u64 needs at most ten bytes; stop at the tenth so a damaged
+        // stream cannot overflow the shift.
+        for shift in (0..64).step_by(7) {
+            let b = self.bytes[self.pos];
+            self.pos += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+        }
+        v
+    }
+}
+
+/// The uop a packed shape describes, with a zero address if it is a
+/// memory uop.
+fn unpack(s: u128) -> Uop {
+    let class = code_class(s & CLASS_MASK);
+    let reg = |present: u128, shift: u32| (s & present != 0).then_some((s >> shift) as Reg);
+    Uop {
+        class,
+        dest: reg(HAS_DEST, 8),
+        srcs: [reg(HAS_SRC0, 16), reg(HAS_SRC1, 24)],
+        mem: match class {
+            OpClass::Load => Some(MemRef::read(0, (s >> SIZE_SHIFT) as u16)),
+            OpClass::Store => Some(MemRef::write(0, (s >> SIZE_SHIFT) as u16)),
+            _ => None,
+        },
+        branch: (s & HAS_BRANCH != 0).then_some(BranchInfo {
+            pc: (s >> PC_SHIFT) as u64,
+            taken: s & BRANCH_TAKEN != 0,
+        }),
+    }
+}
+
+/// Walks a trace's shape ids and address deltas in program order.
+struct Decoder<'a> {
+    /// `shapes`, unpacked once per walk so each uop is a table copy.
+    templates: Vec<Uop>,
+    ids: Leb128<'a>,
+    addrs: Leb128<'a>,
+    addr: u64,
+}
+
+impl<'a> Decoder<'a> {
+    fn new(t: &'a RecordedTrace) -> Self {
+        Self {
+            templates: t.shapes.iter().map(|&s| unpack(s)).collect(),
+            ids: Leb128::new(&t.ids),
+            addrs: Leb128::new(&t.addrs),
+            addr: 0,
+        }
+    }
+
+    /// The next uop's template: its address is still zero.
+    #[inline]
+    fn template(&mut self) -> &Uop {
+        &self.templates[self.ids.next() as usize]
+    }
+
+    /// The next memory reference's address.
+    #[inline]
+    fn addr(&mut self) -> u64 {
+        self.addr = self.addr.wrapping_add(unzigzag(self.addrs.next()) as u64);
+        self.addr
+    }
+
+    #[inline]
+    fn uop(&mut self) -> Uop {
+        let mut u = *self.template();
+        if let Some(m) = &mut u.mem {
+            m.addr = self.addr();
+        }
+        u
+    }
+
+    #[inline]
+    fn mem_ref(&mut self) -> Option<MemRef> {
+        let mut m = self.template().mem?;
+        m.addr = self.addr();
+        Some(m)
+    }
+}
+
+/// A workload's uop stream, captured once into a compact arena of three
+/// payload regions:
+///
+/// - `shapes`: the trace's distinct uop shapes (class, registers,
+///   memory size, branch pc and outcome), one packed `u128` each, in
+///   first-seen order;
+/// - `ids`: one LEB128 index into `shapes` per uop, so a trace with
+///   fewer than 128 shapes spends one byte per uop and the scheme has
+///   no cap on the shape count;
+/// - `addrs`: one zigzag-LEB128 delta per memory reference, from the
+///   previous reference's address (the first from 0).
+///
+/// Loop kernels are few static instructions over strided streams, so
+/// the suite's test-scale traces cost 1.8–3.2 bytes per uop (DESIGN.md
+/// §9.1).
 #[derive(Debug, Clone)]
 pub struct RecordedTrace {
     name: String,
-    /// One packed word per uop (see the layout constants above).
-    meta: Vec<u32>,
-    /// Address of the i-th memory uop (loads and stores, in order).
-    mem_addr: Vec<u64>,
-    /// Size of the i-th memory uop.
-    mem_size: Vec<u16>,
-    /// PC of the i-th branch-info-carrying uop.
-    branch_pc: Vec<u64>,
+    /// Distinct packed shapes (see the layout constants above).
+    shapes: Vec<u128>,
+    /// One LEB128 shape index per uop.
+    ids: Vec<u8>,
+    /// One zigzag-LEB128 address delta per memory reference.
+    addrs: Vec<u8>,
+    /// Number of uops (`ids` holds one code each).
+    len: usize,
+    /// Number of memory references (`addrs` holds one code each).
+    mem_refs: usize,
     /// FNV-1a content checksum sealed at recording time; [`verify`]
     /// recomputes it to detect in-memory corruption of a cached arena
     /// before it is replayed into results.
@@ -159,26 +287,25 @@ impl RecordedTrace {
 
     /// Number of uops recorded.
     pub fn len(&self) -> usize {
-        self.meta.len()
+        self.len
     }
 
     /// `true` if the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+        self.len == 0
     }
 
     /// Number of data-memory references recorded.
     pub fn num_mem_refs(&self) -> usize {
-        self.mem_addr.len()
+        self.mem_refs
     }
 
-    /// Approximate resident size of the arena in bytes (used for the
-    /// [`TraceCache`] budget).
+    /// Resident size of the arena in bytes (used for the [`TraceCache`]
+    /// budget).
     pub fn arena_bytes(&self) -> u64 {
-        (self.meta.capacity() * size_of::<u32>()
-            + self.mem_addr.capacity() * size_of::<u64>()
-            + self.mem_size.capacity() * size_of::<u16>()
-            + self.branch_pc.capacity() * size_of::<u64>()
+        (self.shapes.capacity() * size_of::<u128>()
+            + self.ids.capacity()
+            + self.addrs.capacity()
             + self.name.capacity()
             + size_of::<Self>()) as u64
     }
@@ -192,87 +319,35 @@ impl RecordedTrace {
     /// one. `false` means the arena was altered after recording and
     /// must not be replayed.
     pub fn verify(&self) -> bool {
-        arena_checksum(
-            &self.name,
-            &self.meta,
-            &self.mem_addr,
-            &self.mem_size,
-            &self.branch_pc,
-        ) == self.checksum
+        arena_checksum(self) == self.checksum
     }
 
-    /// Flip one bit of the arena's payload, leaving the sealed checksum
-    /// untouched — a corruption injector for integrity tests and the
-    /// mutation-fuzz harness. `bit` is reduced modulo the payload size,
-    /// so any `u64` seed indexes a valid bit. No-op on an empty trace.
+    /// Flip one bit of the arena's payload (shape table, id stream or
+    /// address stream), leaving the sealed checksum untouched — a
+    /// corruption injector for integrity tests and the mutation-fuzz
+    /// harness. `bit` is reduced modulo the payload size, so any `u64`
+    /// seed indexes a valid bit. No-op on an empty trace.
     #[doc(hidden)]
     pub fn corrupt_bit(&mut self, bit: u64) {
-        let meta_bits = self.meta.len() as u64 * 32;
-        let addr_bits = self.mem_addr.len() as u64 * 64;
-        let size_bits = self.mem_size.len() as u64 * 16;
-        let pc_bits = self.branch_pc.len() as u64 * 64;
-        let total = meta_bits + addr_bits + size_bits + pc_bits;
+        let shape_bits = self.shapes.len() as u64 * 128;
+        let id_bits = self.ids.len() as u64 * 8;
+        let addr_bits = self.addrs.len() as u64 * 8;
+        let total = shape_bits + id_bits + addr_bits;
         if total == 0 {
             return;
         }
         let mut bit = bit % total;
-        if bit < meta_bits {
-            self.meta[(bit / 32) as usize] ^= 1 << (bit % 32);
+        if bit < shape_bits {
+            self.shapes[(bit / 128) as usize] ^= 1 << (bit % 128);
             return;
         }
-        bit -= meta_bits;
-        if bit < addr_bits {
-            self.mem_addr[(bit / 64) as usize] ^= 1 << (bit % 64);
+        bit -= shape_bits;
+        if bit < id_bits {
+            self.ids[(bit / 8) as usize] ^= 1 << (bit % 8);
             return;
         }
-        bit -= addr_bits;
-        if bit < size_bits {
-            self.mem_size[(bit / 16) as usize] ^= 1 << (bit % 16);
-            return;
-        }
-        bit -= size_bits;
-        self.branch_pc[(bit / 64) as usize] ^= 1 << (bit % 64);
-    }
-
-    #[inline]
-    fn unpack(&self, i: usize, mem_cursor: &mut usize, branch_cursor: &mut usize) -> Uop {
-        let m = self.meta[i];
-        let class = code_class(m & CLASS_MASK);
-        let dest: Option<Reg> = (m & HAS_DEST != 0).then_some((m >> 8) as Reg);
-        let src0: Option<Reg> = (m & HAS_SRC0 != 0).then_some((m >> 16) as Reg);
-        let src1: Option<Reg> = (m & HAS_SRC1 != 0).then_some((m >> 24) as Reg);
-        let mem = if class.is_mem() {
-            let k = *mem_cursor;
-            *mem_cursor += 1;
-            Some(MemRef {
-                addr: self.mem_addr[k],
-                size: self.mem_size[k],
-                kind: if class == OpClass::Load {
-                    AccessKind::Read
-                } else {
-                    AccessKind::Write
-                },
-            })
-        } else {
-            None
-        };
-        let branch = if m & HAS_BRANCH != 0 {
-            let k = *branch_cursor;
-            *branch_cursor += 1;
-            Some(BranchInfo {
-                pc: self.branch_pc[k],
-                taken: m & BRANCH_TAKEN != 0,
-            })
-        } else {
-            None
-        };
-        Uop {
-            class,
-            dest,
-            srcs: [src0, src1],
-            mem,
-            branch,
-        }
+        bit -= id_bits;
+        self.addrs[(bit / 8) as usize] ^= 1 << (bit % 8);
     }
 }
 
@@ -285,46 +360,71 @@ impl Workload for RecordedTrace {
         // Poll the ambient cancel token so replay into sinks that do
         // not poll themselves still stops promptly under a drain.
         let cancel = ambient_cancel_token();
-        let mut mem_cursor = 0;
-        let mut branch_cursor = 0;
-        for i in 0..self.meta.len() {
-            if i.is_multiple_of(8192) {
+        let mut d = Decoder::new(self);
+        for i in 0..self.len {
+            if i.is_multiple_of(CANCEL_POLL_UOPS) {
                 cancel.check();
             }
-            sink.uop(self.unpack(i, &mut mem_cursor, &mut branch_cursor));
+            sink.uop(d.uop());
         }
-        debug_assert_eq!(mem_cursor, self.mem_addr.len());
-        debug_assert_eq!(branch_cursor, self.branch_pc.len());
+        debug_assert_eq!(d.ids.pos, self.ids.len());
+        debug_assert_eq!(d.addrs.pos, self.addrs.len());
     }
 
     fn for_each_mem_ref(&self, f: &mut dyn FnMut(MemRef)) {
-        // Skip the full Uop reconstruction: only the class bits and the
-        // memory side arrays matter here.
-        let mut mem_cursor = 0;
-        for &m in &self.meta {
-            let class = code_class(m & CLASS_MASK);
-            if class.is_mem() {
-                let k = mem_cursor;
-                mem_cursor += 1;
-                f(MemRef {
-                    addr: self.mem_addr[k],
-                    size: self.mem_size[k],
-                    kind: if class == OpClass::Load {
-                        AccessKind::Read
-                    } else {
-                        AccessKind::Write
-                    },
-                });
+        // Skip the full Uop copy: only each template's reference and
+        // the address stream matter here.
+        let cancel = ambient_cancel_token();
+        let mut d = Decoder::new(self);
+        for i in 0..self.len {
+            if i.is_multiple_of(CANCEL_POLL_UOPS) {
+                cancel.check();
+            }
+            if let Some(m) = d.mem_ref() {
+                f(m);
             }
         }
     }
 }
 
-/// A [`TraceSink`] that packs the incoming stream into a
+/// Hasher for packed shapes: one folded multiply. Shapes come from this
+/// program's own generators, so the default hasher's defence against
+/// crafted collisions buys nothing, and it would cost a SipHash round
+/// per recorded uop.
+#[derive(Default)]
+struct ShapeHasher(u64);
+
+impl Hasher for ShapeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let m = u128::from(self.0 ^ v) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m >> 64) as u64 ^ m as u64;
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.write_u64(v as u64);
+        self.write_u64((v >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A [`TraceSink`] that encodes the incoming stream into a
 /// [`RecordedTrace`] arena.
 #[derive(Debug, Clone)]
 pub struct RecordingSink {
     trace: RecordedTrace,
+    /// Index of each shape in `trace.shapes`.
+    shape_ids: HashMap<u128, u64, BuildHasherDefault<ShapeHasher>>,
+    /// Address of the last recorded memory reference (0 before any).
+    last_addr: u64,
     /// Ambient cancel token, captured at construction and polled every
     /// 8192 recorded uops: a drain or deadline stops a long recording
     /// within milliseconds (the partial arena unwinds away unused).
@@ -337,37 +437,34 @@ impl RecordingSink {
         Self {
             trace: RecordedTrace {
                 name: name.into(),
-                meta: Vec::new(),
-                mem_addr: Vec::new(),
-                mem_size: Vec::new(),
-                branch_pc: Vec::new(),
+                shapes: Vec::new(),
+                ids: Vec::new(),
+                addrs: Vec::new(),
+                len: 0,
+                mem_refs: 0,
                 checksum: 0,
             },
+            shape_ids: HashMap::default(),
+            last_addr: 0,
             cancel: ambient_cancel_token(),
         }
     }
 
-    /// Finish recording, returning the packed trace with capacity
+    /// Finish recording, returning the encoded trace with capacity
     /// trimmed to length and its content checksum sealed.
     pub fn finish(mut self) -> RecordedTrace {
-        self.trace.meta.shrink_to_fit();
-        self.trace.mem_addr.shrink_to_fit();
-        self.trace.mem_size.shrink_to_fit();
-        self.trace.branch_pc.shrink_to_fit();
-        self.trace.checksum = arena_checksum(
-            &self.trace.name,
-            &self.trace.meta,
-            &self.trace.mem_addr,
-            &self.trace.mem_size,
-            &self.trace.branch_pc,
-        );
+        self.trace.shapes.shrink_to_fit();
+        self.trace.ids.shrink_to_fit();
+        self.trace.addrs.shrink_to_fit();
+        self.trace.checksum = arena_checksum(&self.trace);
         self.trace
     }
 }
 
 impl TraceSink for RecordingSink {
     fn uop(&mut self, uop: Uop) {
-        if self.trace.meta.len().is_multiple_of(8192) {
+        let t = &mut self.trace;
+        if t.len.is_multiple_of(CANCEL_POLL_UOPS) {
             self.cancel.check();
         }
         debug_assert_eq!(
@@ -375,15 +472,15 @@ impl TraceSink for RecordingSink {
             uop.class.is_mem(),
             "memory uops (and only memory uops) carry a MemRef"
         );
-        let mut m = class_code(uop.class);
+        let mut s = class_code(uop.class);
         if let Some(d) = uop.dest {
-            m |= HAS_DEST | (u32::from(d) << 8);
+            s |= HAS_DEST | u128::from(d) << 8;
         }
-        if let Some(s) = uop.srcs[0] {
-            m |= HAS_SRC0 | (u32::from(s) << 16);
+        if let Some(r) = uop.srcs[0] {
+            s |= HAS_SRC0 | u128::from(r) << 16;
         }
-        if let Some(s) = uop.srcs[1] {
-            m |= HAS_SRC1 | (u32::from(s) << 24);
+        if let Some(r) = uop.srcs[1] {
+            s |= HAS_SRC1 | u128::from(r) << 24;
         }
         if let Some(r) = uop.mem {
             debug_assert_eq!(
@@ -391,17 +488,27 @@ impl TraceSink for RecordingSink {
                 uop.class == OpClass::Load,
                 "MemRef kind must match the uop class"
             );
-            self.trace.mem_addr.push(r.addr);
-            self.trace.mem_size.push(r.size);
+            s |= u128::from(r.size) << SIZE_SHIFT;
+            push_leb128(
+                &mut t.addrs,
+                zigzag(r.addr.wrapping_sub(self.last_addr) as i64),
+            );
+            self.last_addr = r.addr;
+            t.mem_refs += 1;
         }
         if let Some(b) = uop.branch {
-            m |= HAS_BRANCH;
+            s |= HAS_BRANCH | u128::from(b.pc) << PC_SHIFT;
             if b.taken {
-                m |= BRANCH_TAKEN;
+                s |= BRANCH_TAKEN;
             }
-            self.trace.branch_pc.push(b.pc);
         }
-        self.trace.meta.push(m);
+        let next = t.shapes.len() as u64;
+        let id = *self.shape_ids.entry(s).or_insert_with(|| {
+            t.shapes.push(s);
+            next
+        });
+        push_leb128(&mut t.ids, id);
+        t.len += 1;
     }
 }
 
@@ -751,6 +858,118 @@ mod tests {
         assert_eq!(rec.collect_uops(), rec.collect_uops());
     }
 
+    /// A uop of `class` carrying the registers `present` selects (bit 0
+    /// dest, bit 1 src0, bit 2 src1), a reference when `class` is a
+    /// memory class, and `branch`.
+    fn arbitrary_uop(
+        class: OpClass,
+        present: u8,
+        regs: [Reg; 3],
+        (addr, size): (u64, u16),
+        branch: Option<BranchInfo>,
+    ) -> Uop {
+        let reg = |bit: u8, r: Reg| (present & bit != 0).then_some(r);
+        Uop {
+            class,
+            dest: reg(1, regs[0]),
+            srcs: [reg(2, regs[1]), reg(4, regs[2])],
+            mem: match class {
+                OpClass::Load => Some(MemRef::read(addr, size)),
+                OpClass::Store => Some(MemRef::write(addr, size)),
+                _ => None,
+            },
+            branch,
+        }
+    }
+
+    /// Record `uops`, then check that replay returns them exactly and
+    /// that the reference walk equals the references `generate` yields.
+    fn assert_roundtrip(uops: Vec<Uop>) -> RecordedTrace {
+        let w = UopListWorkload(uops);
+        let rec = RecordedTrace::record(&w);
+        let replayed = rec.collect_uops();
+        assert_eq!(replayed, w.0);
+        let refs: Vec<MemRef> = replayed.iter().filter_map(|u| u.mem).collect();
+        assert_eq!(rec.collect_mem_refs(), refs);
+        assert_eq!((rec.len(), rec.num_mem_refs()), (w.0.len(), refs.len()));
+        rec
+    }
+
+    /// Every class with every register-presence combination, with and
+    /// without branch info, then references at the size and address
+    /// extremes (0 → u64::MAX → 0).
+    fn edge_uops() -> Vec<Uop> {
+        let mut uops = Vec::new();
+        for code in 0..8 {
+            for present in 0..8 {
+                for branch in [
+                    None,
+                    Some(BranchInfo {
+                        pc: u64::MAX,
+                        taken: true,
+                    }),
+                ] {
+                    let regs = [present, 255 - present, code as Reg];
+                    let mem = (u64::from(present) * 8, 4);
+                    uops.push(arbitrary_uop(code_class(code), present, regs, mem, branch));
+                }
+            }
+        }
+        for (addr, size) in [(0, 1), (u64::MAX, u16::MAX), (0, u16::MAX), (u64::MAX, 1)] {
+            uops.push(Uop::load(MemRef::read(addr, size), None, [None, None]));
+            uops.push(Uop::store(MemRef::write(addr, size), [None, None]));
+        }
+        uops
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn arbitrary_uop_streams_roundtrip_exactly(
+            raw in proptest::prop::collection::vec(
+                (
+                    (0u8..8, 0u8..8, 0u8..=255, 0u8..=255),
+                    (0u8..=255, 0u8..4, 0u64..=u64::MAX, 1u16..=u16::MAX),
+                    (proptest::prop::bool::ANY, proptest::prop::bool::ANY, 0u64..=u64::MAX),
+                ),
+                0..300,
+            ),
+        ) {
+            let mut uops = edge_uops();
+            for ((code, present, dest, src0), (src1, jump, addr, size), (has_branch, taken, pc)) in raw {
+                // Jumps to either end of the address space, anywhere in
+                // it, or a short stride near zero.
+                let addr = match jump {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => addr,
+                    _ => addr % 4096,
+                };
+                let branch = has_branch.then_some(BranchInfo { pc, taken });
+                let class = code_class(u128::from(code));
+                uops.push(arbitrary_uop(class, present, [dest, src0, src1], (addr, size), branch));
+            }
+            assert_roundtrip(uops);
+        }
+    }
+
+    #[test]
+    fn shape_ids_are_uncapped() {
+        // Every branch PC is its own shape; interleaved loads keep the
+        // address stream in play.
+        let uops: Vec<Uop> = (0..70_000u64)
+            .flat_map(|pc| {
+                [
+                    Uop::branch(pc * 4, pc % 3 == 0, [Some(1), None]),
+                    Uop::load(MemRef::read(pc * 64, 8), Some(2), [None, None]),
+                ]
+            })
+            .collect();
+        let rec = assert_roundtrip(uops);
+        assert!(rec.shapes.len() > 65_536, "{} shapes", rec.shapes.len());
+    }
+
     #[test]
     fn mem_ref_fast_path_matches_generate() {
         let w = mixed_workload();
@@ -825,13 +1044,60 @@ mod tests {
         assert!(rec.verify(), "freshly recorded arenas verify");
         // Re-recording the same stream yields the same checksum.
         assert_eq!(rec.checksum(), RecordedTrace::record(&w).checksum());
-        // Every payload region is covered: probe bits landing in meta,
-        // mem_addr, mem_size and branch_pc.
-        for bit in [0u64, 6 * 32 + 3, 6 * 32 + 2 * 64 + 5, u64::MAX] {
+        // Every payload region is covered: probe the first and last bit
+        // of the shape table, the id stream and the address stream.
+        let shape_bits = rec.shapes.len() as u64 * 128;
+        let id_bits = rec.ids.len() as u64 * 8;
+        let addr_bits = rec.addrs.len() as u64 * 8;
+        assert!(shape_bits > 0 && id_bits > 0 && addr_bits > 0);
+        let ids_start = shape_bits;
+        let addrs_start = ids_start + id_bits;
+        let probes = [
+            (0, "shape table"),
+            (ids_start - 1, "shape table"),
+            (ids_start, "id stream"),
+            (addrs_start - 1, "id stream"),
+            (addrs_start, "address stream"),
+            (addrs_start + addr_bits - 1, "address stream"),
+            (u64::MAX, "any region"),
+        ];
+        for (bit, region) in probes {
             let mut bad = rec.clone();
             bad.corrupt_bit(bit);
-            assert!(!bad.verify(), "bit {bit} flip must fail verification");
+            assert!(
+                !bad.verify(),
+                "bit {bit} flip in the {region} must fail verification"
+            );
         }
+        let mut bad = rec.clone();
+        bad.corrupt_bit(ids_start + 3);
+        assert_ne!(bad.ids, rec.ids, "probe lands in the id stream");
+        let mut bad = rec.clone();
+        bad.corrupt_bit(addrs_start + 5);
+        assert_ne!(bad.addrs, rec.addrs, "probe lands in the address stream");
+    }
+
+    #[test]
+    fn cancelled_token_stops_a_mem_ref_walk() {
+        let w = Strided::reads(0, 4, 10 * CANCEL_POLL_UOPS as u64);
+        let rec = RecordedTrace::record(&w);
+        let token = CancelToken::new();
+        let mut seen = 0usize;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            membw_runner::with_cancel_token(token.clone(), || {
+                rec.for_each_mem_ref(&mut |_| {
+                    seen += 1;
+                    if seen == 100 {
+                        token.cancel(membw_runner::CancelReason::Interrupted);
+                    }
+                });
+            });
+        }))
+        .expect_err("a cancelled walk unwinds");
+        assert!(unwound
+            .downcast_ref::<membw_runner::CancelUnwind>()
+            .is_some());
+        assert_eq!(seen, CANCEL_POLL_UOPS, "the walk stops at the next poll");
     }
 
     #[test]

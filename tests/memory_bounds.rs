@@ -5,25 +5,30 @@
 //! (allocated capacity, not touched pages) while one call runs. The
 //! counts are deterministic, not timings, so the bounds are tight enough
 //! to catch a consumer that starts materializing its trace again.
-//! Measured peaks, collect-then-simulate before and streaming after:
+//! Measured peaks, collect-then-simulate before and streaming after,
+//! and the live heap the resident trace arenas retain, fixed-width
+//! before and shape-table encoded after:
 //!
 //! | call | before | after |
 //! |---|---|---|
 //! | `run_table2::run(1024)` | 165.1 MiB | 33.1 MiB |
 //! | `run_swprefetch::run()` | 81.5 MiB | 1.8 MiB |
 //! | 1 Mi-load rewrite, distance 1 / 64 / 4096 | 40.2 MiB | 208 B / 2.5 KiB / 160 KiB |
+//! | 14 `Scale::Test` arenas in a `TraceCache` (retained) | 21.0 MiB | 4.9 MiB |
 //!
 //! Table 2's largest kernel is the time-tiled stencil at its 1 KiB cache
 //! (2.43 M references). Before, it held the collected references, a
 //! block vector, the next-use links and one stale heap pair per hit;
 //! after, only the 8-byte next-use links.
 
+use membw::trace::replay::TraceCache;
 use membw::trace::sink::CountSink;
 use membw::trace::{SoftwarePrefetch, Workload};
 use membw::workloads::kernels::TimeTiledStencil;
+use membw::workloads::{suite92, suite95, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Forwards to the system allocator, tracking live and peak-live bytes.
 struct Counting;
@@ -83,17 +88,32 @@ static ALLOC: Counting = Counting;
 const MIB: usize = 1 << 20;
 
 /// Run `f` alone and return its result with the peak live heap bytes it
-/// added. Tests in this binary serialize here so none counts another's
-/// allocations.
+/// added.
 fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    let _serial = SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _serial = serial();
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
     let out = f();
     (out, PEAK.load(Ordering::Relaxed) - base)
+}
+
+/// Run `f` alone and return its result with the live heap bytes still
+/// allocated when it returns: what the result (and any global `f`
+/// touched) keeps resident.
+fn retained_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let _serial = serial();
+    let base = LIVE.load(Ordering::Relaxed);
+    let out = f();
+    (out, LIVE.load(Ordering::Relaxed).saturating_sub(base))
+}
+
+/// The lock every measuring helper holds, so no test counts another's
+/// allocations.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn count_refs(w: &dyn Workload) -> usize {
@@ -148,5 +168,42 @@ fn swprefetch_peak_stays_small() {
         peak <= 4 * MIB,
         "swprefetch peaked at {:.1} MiB",
         peak as f64 / MIB as f64
+    );
+}
+
+#[test]
+fn resident_test_scale_arenas_are_compact_and_honestly_sized() {
+    let benchmarks: Vec<_> = suite92(Scale::Test)
+        .into_iter()
+        .chain(suite95(Scale::Test))
+        .collect();
+    assert_eq!(benchmarks.len(), 14);
+    let ((_cache, arena), retained) = retained_by(|| {
+        let cache = TraceCache::with_budget(u64::MAX);
+        let arena: u64 = benchmarks
+            .iter()
+            .map(|b| {
+                cache
+                    .get_or_record(b.name(), b.variant(), b.workload())
+                    .expect("cache enabled")
+                    .arena_bytes()
+            })
+            .sum();
+        (cache, arena)
+    });
+    let mib = |b: f64| b / MIB as f64;
+    assert!(
+        retained <= 8 * MIB,
+        "14 arenas retain {:.2} MiB (bound 8 MiB)",
+        mib(retained as f64)
+    );
+    // The cache budget and the memory governor charge `arena_bytes`;
+    // it must match what the arenas really hold.
+    let gap = (arena as f64 - retained as f64).abs() / retained as f64;
+    assert!(
+        gap <= 0.05,
+        "arena_bytes sums to {:.2} MiB but the arenas retain {:.2} MiB",
+        mib(arena as f64),
+        mib(retained as f64)
     );
 }
