@@ -30,9 +30,11 @@
 //! `table8`, `table9`) cover their capacity axes: `stack` (default)
 //! runs the one-pass multi-configuration sweep engine, `direct` runs
 //! one independent simulation per configuration. Output is
-//! byte-identical between the modes; `direct` exists as the cross-check
-//! oracle and the `MEMBW_SWEEP_VERIFY=1` environment variable makes a
-//! `stack` run recompute every swept cell directly and report any
+//! byte-identical between the modes; `direct` is the cross-check
+//! oracle (`SweepMode` in `crates/sweep`, the one place an engine is
+//! chosen), and the `MEMBW_SWEEP_VERIFY=1` environment variable makes
+//! a `stack` run recheck every job in direct mode through the one
+//! cross-check helper, `membw_core::error::sweep_jobs`, and report any
 //! divergence through the auditor.
 //!
 //! `--analytic` selects the ECM fast path's role: `off` (default)
@@ -96,6 +98,28 @@ struct Options {
     deadline: Option<Duration>,
     sweep: SweepMode,
     analytic: AnalyticMode,
+}
+
+/// Reject malformed environment configuration up front, before any
+/// target runs or the daemon binds: the lazy readers would otherwise
+/// only warn and fall back, or silently read a bad value as off.
+/// `repro` and `repro serve` both call this, so their checks cannot
+/// drift apart. Returns the `MEMBW_MEM_BUDGET_MB` budget, if set.
+fn validate_env() -> Result<Option<u64>, String> {
+    if let Ok(v) = std::env::var(membw_core::trace::replay::TRACE_CACHE_MB_ENV) {
+        membw_core::trace::replay::parse_cache_budget_mb(&v)?;
+    }
+    if let Ok(v) = std::env::var(runner::JOBS_ENV) {
+        runner::parse_jobs(&v)?;
+    }
+    if let Ok(v) = std::env::var(membw_core::sweep::SWEEP_VERIFY_ENV) {
+        membw_core::sweep::parse_verify(&v)?;
+    }
+    runner::validate_fault_env()?;
+    std::env::var(runner::MEM_BUDGET_MB_ENV)
+        .ok()
+        .map(|v| runner::parse_mem_budget_mb(&v))
+        .transpose()
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -218,12 +242,14 @@ fn parse_args() -> Result<Options, String> {
                 println!("strict fails the target; a summary lands on stderr either way.");
                 println!("--sweep MODE picks the traffic suites' capacity-axis engine:");
                 println!("stack (default) = one-pass multi-configuration sweep engine,");
-                println!("direct = one simulation per configuration; output is");
+                println!("direct = one simulation per configuration (the one oracle,");
+                println!("SweepMode in crates/sweep); output is byte-identical either way.");
                 println!(
-                    "byte-identical either way, and {}=1 makes a stack",
+                    "{}=1 makes a stack run recheck every job in direct mode",
                     membw_core::sweep::SWEEP_VERIFY_ENV
                 );
-                println!("run recompute every swept cell directly through the auditor.");
+                println!("through the one cross-check helper, membw_core::error::sweep_jobs:");
+                println!("one bit-exact sweep-exact audit check per job.");
                 println!("--analytic MODE sets the ECM fast path's role: off (default) never");
                 println!("consults the model; assist also checks each simulated fig3/table7/fig4");
                 println!("cell against the model's bound (analytic-bound invariant, fatal under");
@@ -246,26 +272,9 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    // Reject malformed environment configuration up front, before any
-    // target runs: the lazy readers would otherwise only warn and fall
-    // back (or in the fault-injection case, silently no-op).
-    if let Ok(v) = std::env::var(membw_core::trace::replay::TRACE_CACHE_MB_ENV) {
-        membw_core::trace::replay::parse_cache_budget_mb(&v)?;
-    }
-    if let Ok(v) = std::env::var(runner::JOBS_ENV) {
-        runner::parse_jobs(&v)?;
-    }
-    if let Ok(v) = std::env::var(membw_core::sweep::SWEEP_VERIFY_ENV) {
-        membw_core::sweep::parse_verify(&v)?;
-    }
-    runner::validate_fault_env()?;
-    if let Ok(v) = std::env::var(runner::MEM_BUDGET_MB_ENV) {
-        let mb = runner::parse_mem_budget_mb(&v)?;
-        // The flag wins over the environment when both are present.
-        if mem_budget_mb.is_none() {
-            mem_budget_mb = Some(mb);
-        }
-    }
+    // The flag wins over the environment when both are present.
+    let env_mb = validate_env()?;
+    let mem_budget_mb = mem_budget_mb.or(env_mb);
     if let Some(mb) = mem_budget_mb {
         runner::set_mem_budget(Some(mb));
     }
@@ -546,16 +555,8 @@ fn cmd_serve(argv: &[String]) -> i32 {
                 other => return Err(format!("unknown serve flag {other}")),
             }
         }
-        if let Ok(v) = std::env::var(runner::JOBS_ENV) {
-            runner::parse_jobs(&v)?;
-        }
-        runner::validate_fault_env()?;
-        if let Ok(v) = std::env::var(runner::MEM_BUDGET_MB_ENV) {
-            let mb = runner::parse_mem_budget_mb(&v)?;
-            if mem_budget_mb.is_none() {
-                mem_budget_mb = Some(mb);
-            }
-        }
+        let env_mb = validate_env()?;
+        mem_budget_mb = mem_budget_mb.or(env_mb);
         Ok(())
     })();
     if let Err(e) = parsed {

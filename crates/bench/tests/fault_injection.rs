@@ -5,7 +5,8 @@
 //! `--resume` produces byte-identical JSON archives.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 /// Run the `repro` binary with `args` and extra environment `envs`,
 /// pointing its checkpoint store at `ckpt`.
@@ -171,6 +172,47 @@ fn unknown_target_suggests_the_nearest_name() {
         err.contains("did you mean 'table8'"),
         "suggestion rendered: {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_rejects_malformed_environment_like_the_cli() {
+    let dir = scratch("serve_env");
+    for (var, bad) in [
+        ("MEMBW_SWEEP_VERIFY", "yes"),
+        ("MEMBW_TRACE_CACHE_MB", "lots"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("serve")
+            .arg("--socket")
+            .arg(dir.join("membw.sock"))
+            .arg("--store")
+            .arg(dir.join("store"))
+            .arg("--checkpoint-dir")
+            .arg(dir.join("ckpt"))
+            .env_remove("MEMBW_FAULT")
+            .env_remove("MEMBW_JOBS")
+            .env(var, bad)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("repro serve spawns");
+        // A daemon that accepted the value would serve forever: give it
+        // a generous bound, then kill it and fail.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while child.try_wait().expect("wait").is_none() {
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("repro serve started with {var}={bad} instead of exiting");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect stderr");
+        assert_eq!(out.status.code(), Some(2), "{var}={bad} is a usage error");
+        let err = stderr_str(&out);
+        assert!(err.contains(var), "error names {var}: {err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,7 +6,11 @@
 //! so a campaign driver (`repro`) can finish the healthy targets,
 //! summarize what failed, and exit nonzero.
 
-use membw_runner::JobFailure;
+use crate::audit::Auditor;
+use membw_runner::{JobFailure, Runner};
+use membw_sweep::SweepMode;
+use serde::json::Value;
+use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
 /// One job that ultimately failed (after the retry budget), resolved
@@ -169,6 +173,87 @@ pub fn collect_jobs<T>(
     }
 }
 
+/// Run a traffic suite's checkpointed job matrix with the sweep engine
+/// `mode` chooses, and collect it like [`collect_jobs`]. `job(i, mode)`
+/// computes cell `i`; `cell(i)` names it.
+///
+/// This is the one place stack-mode output is checked against the
+/// direct-simulation oracle: when `mode` is [`SweepMode::Stack`] and
+/// [`membw_sweep::verify_requested`], every job is rerun serially under
+/// [`SweepMode::Direct`] and recorded as a `sweep-exact` audit check
+/// that passes only if the two results are bit-identical.
+///
+/// # Errors
+///
+/// Returns [`MembwError::Jobs`] if any job failed.
+pub(crate) fn sweep_jobs<T, F>(
+    label: &str,
+    key: &str,
+    n: usize,
+    mode: SweepMode,
+    audit: &mut Auditor,
+    job: F,
+    cell: impl Fn(usize) -> String,
+) -> Result<Vec<T>, MembwError>
+where
+    T: Send + Serialize + Deserialize,
+    F: Fn(usize, SweepMode) -> T + Sync,
+{
+    let verify = mode == SweepMode::Stack && membw_sweep::verify_requested();
+    checked_jobs(label, key, n, mode, verify, audit, job, cell)
+}
+
+/// [`sweep_jobs`] with the cross-check switch passed in.
+#[allow(clippy::too_many_arguments)]
+fn checked_jobs<T, F>(
+    label: &str,
+    key: &str,
+    n: usize,
+    mode: SweepMode,
+    verify: bool,
+    audit: &mut Auditor,
+    job: F,
+    cell: impl Fn(usize) -> String,
+) -> Result<Vec<T>, MembwError>
+where
+    T: Send + Serialize + Deserialize,
+    F: Fn(usize, SweepMode) -> T + Sync,
+{
+    let raw = Runner::from_env().checkpointed(label, key, n, |i| job(i, mode));
+    let out = collect_jobs(label, raw, &cell)?;
+    if verify {
+        for (i, got) in out.iter().enumerate() {
+            let (got, want) = (got.to_value(), job(i, SweepMode::Direct).to_value());
+            audit.sweep_exact(&cell(i), bit_identical(&got, &want), || {
+                format!(
+                    "stack sweep diverged from direct simulation: {} vs {}",
+                    serde_json::to_string(&got).unwrap_or_default(),
+                    serde_json::to_string(&want).unwrap_or_default()
+                )
+            });
+        }
+    }
+    Ok(out)
+}
+
+/// Structural equality that compares every float by its bit pattern.
+fn bit_identical(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Array(xs), Value::Array(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| bit_identical(x, y))
+        }
+        (Value::Object(xs), Value::Object(ys)) => {
+            xs.len() == ys.len()
+                && xs
+                    .iter()
+                    .zip(ys)
+                    .all(|((kx, x), (ky, y))| kx == ky && bit_identical(x, y))
+        }
+        _ => a == b,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +309,84 @@ mod tests {
         assert!(msg.contains("compress @ 16KB"), "{msg}");
         assert_eq!(e.invariant_violations().len(), 1);
         assert!(e.failed_jobs().is_empty());
+    }
+
+    /// A fake sweep job: cell `i` is `[i, i / 3]`, except that direct
+    /// mode answers one ulp away at cell `bad`.
+    fn fake_job(bad: Option<usize>) -> impl Fn(usize, SweepMode) -> Vec<f64> + Sync {
+        move |i, mode| {
+            let x = i as f64 / 3.0;
+            let x = if mode == SweepMode::Direct && Some(i) == bad {
+                f64::from_bits(x.to_bits() + 1)
+            } else {
+                x
+            };
+            vec![i as f64, x]
+        }
+    }
+
+    #[test]
+    fn cross_check_flags_a_one_ulp_divergence_by_cell() {
+        let mut audit = crate::audit::Auditor::strict("unit");
+        let out = checked_jobs(
+            "unit-diverge",
+            "unit/diverge",
+            4,
+            SweepMode::Stack,
+            true,
+            &mut audit,
+            fake_job(Some(2)),
+            |i| format!("cell{i}"),
+        )
+        .expect("no job fails");
+        assert_eq!(out[2], vec![2.0, 2.0 / 3.0], "stack results are returned");
+        let err = audit.finish().unwrap_err();
+        let v = err.invariant_violations();
+        assert_eq!(v.len(), 1, "{err}");
+        assert_eq!(v[0].invariant, "sweep-exact");
+        assert_eq!(v[0].cell, "cell2");
+    }
+
+    #[test]
+    fn agreeing_cross_check_adds_one_check_per_job() {
+        let mut audit = crate::audit::Auditor::strict("unit");
+        let before = audit.checks();
+        checked_jobs(
+            "unit-agree",
+            "unit/agree",
+            5,
+            SweepMode::Stack,
+            true,
+            &mut audit,
+            fake_job(None),
+            |i| format!("cell{i}"),
+        )
+        .expect("no job fails");
+        assert_eq!(audit.checks(), before + 5);
+        assert!(audit.finish().is_ok());
+    }
+
+    #[test]
+    fn direct_mode_runs_no_cross_check() {
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let job = fake_job(Some(1));
+        let mut audit = crate::audit::Auditor::strict("unit");
+        let out = sweep_jobs(
+            "unit-direct",
+            "unit/direct",
+            3,
+            SweepMode::Direct,
+            &mut audit,
+            |i, mode| {
+                calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                job(i, mode)
+            },
+            |i| format!("cell{i}"),
+        )
+        .expect("no job fails");
+        assert_eq!(out.len(), 3);
+        assert_eq!(calls.into_inner(), 3, "each job runs once");
+        assert_eq!(audit.checks(), 0);
     }
 
     #[test]

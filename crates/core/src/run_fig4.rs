@@ -3,12 +3,11 @@
 //! sizes 4 B – 128 B, plus the write-allocate and write-validate MTCs.
 
 use crate::audit::Auditor;
-use crate::error::{collect_jobs, MembwError};
+use crate::error::{sweep_jobs, MembwError};
 use crate::report::{size_label, Table};
-use membw_cache::{Associativity, Cache, CacheConfig};
-use membw_mtc::{min_sweep, MinCache, MinConfig, MinWritePolicy};
-use membw_runner::Runner;
-use membw_sweep::{sweep_lru, SweepMode, SweepSpec};
+use membw_cache::Associativity;
+use membw_mtc::{MinConfig, MinWritePolicy};
+use membw_sweep::{SweepMode, SweepSpec};
 use membw_trace::{MemRef, Workload};
 use membw_workloads::{suite92, Scale};
 use serde::{Deserialize, Serialize};
@@ -40,60 +39,25 @@ pub fn sizes() -> Vec<u64> {
     (6..=22).map(|p| 1u64 << p).collect()
 }
 
-fn cache_traffic(refs: &[MemRef], size: u64, block: u64) -> Option<u64> {
-    let cfg = match CacheConfig::builder(size, block)
-        .associativity(Associativity::Ways(4))
-        .build()
-    {
-        Ok(cfg) => cfg,
-        // Block × 4 ways exceeding the size is the figure's expected
-        // reason to omit a point; anything else is a real bug and must
-        // not be silently dropped as "invalid geometry".
-        Err(e) if e.is_geometry_limit() => return None,
-        Err(e) => {
-            eprintln!("fig4: unexpected config error at size {size}, block {block}: {e}");
-            return None;
-        }
-    };
-    let mut c = Cache::new(cfg);
-    for &r in refs {
-        c.access(r);
-    }
-    Some(c.flush().traffic_below())
-}
-
-/// The `(capacity, traffic)` points of one curve, by either engine.
-/// Both paths derive every byte count from the same integer counters,
-/// so the results are identical (the stack engine is validated against
-/// direct simulation cell by cell).
+/// The `(capacity, traffic)` points of one curve, by the engine `mode`
+/// chooses; capacities whose geometry is invalid are omitted.
 fn curve_points(refs: &[MemRef], spec: &CurveSpec, mode: SweepMode) -> Vec<(u64, u64)> {
     let caps = sizes();
-    match (*spec, mode) {
-        (CurveSpec::Cache { block }, SweepMode::Direct) => caps
-            .into_iter()
-            .filter_map(|s| cache_traffic(refs, s, block).map(|t| (s, t)))
-            .collect(),
-        (CurveSpec::Cache { block }, SweepMode::Stack) => {
+    match *spec {
+        CurveSpec::Cache { block } => {
             let sweep = SweepSpec::new(block).associativity(Associativity::Ways(4));
-            sweep_lru(&sweep, &caps, refs)
+            mode.lru(&sweep, &caps, refs)
                 .into_iter()
                 .zip(caps)
                 .filter_map(|(stats, s)| stats.map(|st| (s, st.traffic_below())))
                 .collect()
         }
-        (CurveSpec::Mtc { write }, SweepMode::Direct) => caps
-            .into_iter()
-            .map(|s| {
-                let cfg = MinConfig::new(s, 4, write, true);
-                (s, MinCache::simulate(&cfg, refs).traffic_below())
-            })
-            .collect(),
-        (CurveSpec::Mtc { write }, SweepMode::Stack) => {
+        CurveSpec::Mtc { write } => {
             let cfgs: Vec<MinConfig> = caps
                 .iter()
                 .map(|&s| MinConfig::new(s, 4, write, true))
                 .collect();
-            min_sweep(&cfgs, refs)
+            mode.min(&cfgs, refs)
                 .into_iter()
                 .zip(caps)
                 .map(|(st, s)| (s, st.traffic_below()))
@@ -154,10 +118,10 @@ pub fn run(scale: Scale) -> Result<(Vec<Fig4Panel>, Vec<Table>), MembwError> {
 /// One run-engine job per (panel, curve) — 3 × 8 — each regenerating
 /// the panel's trace; curves merge back panel-major in the figure's
 /// fixed curve order. Jobs are fault-isolated and checkpointed under
-/// the batch label `fig4` (the key encodes the sweep mode). Under
-/// [`SweepMode::Stack`] each cache curve is one [`sweep_lru`] pass and
-/// each MTC curve one [`min_sweep`] pass instead of seventeen
-/// independent simulations; stdout and the returned values are
+/// the batch label `fig4` (the key encodes the sweep mode). In stack
+/// mode each cache curve is one [`membw_sweep::sweep_lru`] pass and
+/// each MTC curve one [`membw_mtc::min_sweep`] pass instead of
+/// seventeen independent simulations; stdout and the returned values are
 /// byte-identical between modes.
 ///
 /// # Errors
@@ -170,26 +134,14 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Vec<Fig4Panel>, Vec<Ta
     let curve_specs = CurveSpec::all();
     let n_c = curve_specs.len();
     let key = format!("v2/fig4/{scale:?}/{mode}/{}x{}", panel_names.len(), n_c);
-    let raw = Runner::from_env().checkpointed("fig4", &key, panel_names.len() * n_c, |k| {
-        let name = panel_names[k / n_c];
-        let spec = &curve_specs[k % n_c];
-        let b = suite
-            .iter()
-            .find(|b| b.name() == name)
-            .expect("panel benchmark exists in SPEC92 suite");
-        let refs = b.replayable().collect_mem_refs();
-        Curve {
-            label: spec.label(),
-            points: curve_points(&refs, spec, mode),
-        }
-    });
-    let all_curves: Vec<Curve> = collect_jobs("fig4", raw, |k| {
-        format!("{}/{}", panel_names[k / n_c], curve_specs[k % n_c].label())
-    })?;
-
     let mut audit = Auditor::new("fig4");
-    if mode == SweepMode::Stack && membw_sweep::verify_requested() {
-        for (k, curve) in all_curves.iter().enumerate() {
+    let all_curves: Vec<Curve> = sweep_jobs(
+        "fig4",
+        &key,
+        panel_names.len() * n_c,
+        mode,
+        &mut audit,
+        |k, mode| {
             let name = panel_names[k / n_c];
             let spec = &curve_specs[k % n_c];
             let b = suite
@@ -197,28 +149,13 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Vec<Fig4Panel>, Vec<Ta
                 .find(|b| b.name() == name)
                 .expect("panel benchmark exists in SPEC92 suite");
             let refs = b.replayable().collect_mem_refs();
-            let direct = curve_points(&refs, spec, SweepMode::Direct);
-            audit.sweep_exact(
-                &format!("{name}/{}", curve.label),
-                direct == curve.points,
-                || {
-                    let diff = direct
-                        .iter()
-                        .zip(&curve.points)
-                        .find(|(d, s)| d != s)
-                        .map(|(d, s)| format!("direct {d:?} vs swept {s:?}"))
-                        .unwrap_or_else(|| {
-                            format!(
-                                "{} direct vs {} swept points",
-                                direct.len(),
-                                curve.points.len()
-                            )
-                        });
-                    format!("stack sweep diverged from direct simulation: {diff}")
-                },
-            );
-        }
-    }
+            Curve {
+                label: spec.label(),
+                points: curve_points(&refs, spec, mode),
+            }
+        },
+        |k| format!("{}/{}", panel_names[k / n_c], curve_specs[k % n_c].label()),
+    )?;
     let mut panels = Vec::new();
     let mut tables = Vec::new();
     for (pi, name) in panel_names.iter().enumerate() {
@@ -325,21 +262,6 @@ mod tests {
         let t4 = at("4B blocks", size).expect("point");
         let t128 = at("128B blocks", size).expect("point");
         assert!(t128 > 2 * t4, "128B should waste traffic: {t128} vs {t4}");
-    }
-
-    #[test]
-    fn stack_and_direct_modes_agree() {
-        let (stack, _) = run_with(Scale::Test, SweepMode::Stack).expect("no faults injected");
-        let (direct, _) = run_with(Scale::Test, SweepMode::Direct).expect("no faults injected");
-        assert_eq!(stack.len(), direct.len());
-        for (a, b) in stack.iter().zip(&direct) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.curves.len(), b.curves.len());
-            for (ca, cb) in a.curves.iter().zip(&b.curves) {
-                assert_eq!(ca.label, cb.label);
-                assert_eq!(ca.points, cb.points, "{}/{}", a.name, ca.label);
-            }
-        }
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //! pin bandwidth they imply.
 
 use crate::audit::Auditor;
-use crate::error::{collect_jobs, MembwError};
+use crate::error::{sweep_jobs, MembwError};
 use crate::report::{size_label, Table};
 use membw_analytic::effective_pin_bandwidth;
-use membw_cache::{Cache, CacheConfig, CacheStats};
-use membw_runner::Runner;
-use membw_sweep::{sweep_lru, SweepMode, SweepSpec};
+use membw_sweep::{SweepMode, SweepSpec};
 use membw_trace::{MemRef, Workload};
 use membw_workloads::{suite92, Scale};
 use serde::{Deserialize, Serialize};
@@ -53,36 +51,12 @@ pub struct Table7Result {
     pub effective_pin_bandwidth_mb_s: f64,
 }
 
-/// Full per-size [`CacheStats`] for the table's 32-byte-block
-/// direct-mapped sweep, by either engine. All twelve geometries are
-/// representable, so the stack path yields a stat for every size.
-fn sweep_stats(refs: &[MemRef], mode: SweepMode) -> Vec<CacheStats> {
-    match mode {
-        SweepMode::Direct => SIZES
-            .iter()
-            .map(|&size| {
-                let cfg = CacheConfig::builder(size, 32)
-                    .build()
-                    .expect("valid geometry");
-                let mut cache = Cache::new(cfg);
-                for &r in refs {
-                    cache.access(r);
-                }
-                cache.flush()
-            })
-            .collect(),
-        SweepMode::Stack => sweep_lru(&SweepSpec::new(32), &SIZES, refs)
-            .into_iter()
-            .map(|s| s.expect("1KB-2MB direct-mapped 32B-block geometries are valid"))
-            .collect(),
-    }
-}
-
 fn row_for(b: &membw_workloads::Benchmark, refs: &[MemRef], mode: SweepMode) -> Table7Row {
     let ratios = SIZES
         .iter()
-        .zip(sweep_stats(refs, mode))
+        .zip(mode.lru(&SweepSpec::new(32), &SIZES, refs))
         .map(|(&size, stats)| {
+            let stats = stats.expect("1KB-2MB direct-mapped 32B-block geometries are valid");
             let oversized = size >= b.footprint_bytes;
             (
                 size,
@@ -115,11 +89,10 @@ pub fn run(scale: Scale) -> Result<(Table7Result, Table), MembwError> {
 /// Regenerate Table 7 at `scale` with an explicit sweep engine.
 ///
 /// One run-engine job per benchmark; each replays the shared trace and
-/// owns the whole size sweep — one trace pass under
-/// [`SweepMode::Stack`], twelve under [`SweepMode::Direct`], identical
-/// output either way. Rows merge in suite order. Jobs are
-/// fault-isolated and checkpointed under the batch label `table7` (the
-/// key encodes the sweep mode).
+/// owns the whole size sweep — one trace pass in stack mode, twelve in
+/// direct mode, identical output either way. Rows merge in suite order.
+/// Jobs are fault-isolated and checkpointed under the batch label
+/// `table7` (the key encodes the sweep mode).
 ///
 /// # Errors
 ///
@@ -128,34 +101,21 @@ pub fn run(scale: Scale) -> Result<(Table7Result, Table), MembwError> {
 pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table7Result, Table), MembwError> {
     let suite = suite92(scale);
     let key = format!("v2/table7/{scale:?}/{mode}/{}", suite.len());
-    let rows = Runner::from_env().checkpointed("table7", &key, suite.len(), |i| {
-        let b = &suite[i];
-        // Replay the shared recording once into a flat vector, then sweep.
-        let refs: Vec<MemRef> = b.replayable().collect_mem_refs();
-        row_for(b, &refs, mode)
-    });
-    let rows: Vec<Table7Row> = collect_jobs("table7", rows, |i| suite[i].name().to_string())?;
-
     let mut audit = Auditor::new("table7");
-    if mode == SweepMode::Stack && membw_sweep::verify_requested() {
-        for (i, row) in rows.iter().enumerate() {
+    let rows: Vec<Table7Row> = sweep_jobs(
+        "table7",
+        &key,
+        suite.len(),
+        mode,
+        &mut audit,
+        |i, mode| {
             let b = &suite[i];
-            let refs = b.replayable().collect_mem_refs();
-            let want = row_for(b, &refs, SweepMode::Direct);
-            let ok = want.ratios.len() == row.ratios.len()
-                && want
-                    .ratios
-                    .iter()
-                    .zip(&row.ratios)
-                    .all(|(w, g)| w.0 == g.0 && w.1.map(f64::to_bits) == g.1.map(f64::to_bits));
-            audit.sweep_exact(&row.name, ok, || {
-                format!(
-                    "stack sweep diverged from direct simulation: {:?} vs {:?}",
-                    want.ratios, row.ratios
-                )
-            });
-        }
-    }
+            // Replay the shared recording once into a flat vector, then sweep.
+            let refs: Vec<MemRef> = b.replayable().collect_mem_refs();
+            row_for(b, &refs, mode)
+        },
+        |i| suite[i].name().to_string(),
+    )?;
     for r in &rows {
         for (size, ratio) in &r.ratios {
             if let Some(ratio) = ratio {
@@ -248,27 +208,5 @@ mod tests {
             }
         }
         assert!(res.mean_reasonable_ratio >= 0.0);
-    }
-
-    #[test]
-    fn stack_and_direct_modes_agree() {
-        let (stack, _) = run_with(Scale::Test, SweepMode::Stack).expect("no faults injected");
-        let (direct, _) = run_with(Scale::Test, SweepMode::Direct).expect("no faults injected");
-        assert_eq!(
-            stack.mean_reasonable_ratio.to_bits(),
-            direct.mean_reasonable_ratio.to_bits()
-        );
-        for (a, b) in stack.rows.iter().zip(&direct.rows) {
-            assert_eq!(a.name, b.name);
-            for ((sa, ra), (sb, rb)) in a.ratios.iter().zip(&b.ratios) {
-                assert_eq!(sa, sb);
-                assert_eq!(
-                    ra.map(f64::to_bits),
-                    rb.map(f64::to_bits),
-                    "{} @ {sa}",
-                    a.name
-                );
-            }
-        }
     }
 }

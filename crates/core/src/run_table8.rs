@@ -3,14 +3,12 @@
 //! bound on effective pin bandwidth.
 
 use crate::audit::Auditor;
-use crate::error::{collect_jobs, MembwError};
+use crate::error::{sweep_jobs, MembwError};
 use crate::report::{size_label, Table};
 use crate::run_table7::SIZES;
 use membw_analytic::upper_bound_epin;
-use membw_cache::{Cache, CacheConfig};
-use membw_mtc::{min_sweep, MinCache, MinConfig};
-use membw_runner::Runner;
-use membw_sweep::{sweep_lru, SweepMode, SweepSpec};
+use membw_mtc::MinConfig;
+use membw_sweep::{SweepMode, SweepSpec};
 use membw_trace::{MemRef, Workload};
 use membw_workloads::{suite92, Scale};
 use serde::{Deserialize, Serialize};
@@ -40,40 +38,19 @@ pub struct Table8Result {
 }
 
 /// `(cache_traffic, mtc_traffic)` per *included* size (below the
-/// footprint), by either engine. Under [`SweepMode::Stack`] the cache
-/// side is one [`sweep_lru`] pass and the MTC side one [`min_sweep`]
-/// pass over all included capacities.
+/// footprint), by the engines `mode` chooses.
 fn row_traffic(refs: &[MemRef], included: &[u64], mode: SweepMode) -> Vec<(u64, u64)> {
-    match mode {
-        SweepMode::Direct => included
-            .iter()
-            .map(|&size| {
-                let cfg = CacheConfig::builder(size, 32)
-                    .build()
-                    .expect("valid geometry");
-                let mut cache = Cache::new(cfg);
-                for &r in refs {
-                    cache.access(r);
-                }
-                let cache_traffic = cache.flush().traffic_below();
-                let mtc_traffic = MinCache::simulate(&MinConfig::mtc(size), refs).traffic_below();
-                (cache_traffic, mtc_traffic)
-            })
-            .collect(),
-        SweepMode::Stack => {
-            let cache = sweep_lru(&SweepSpec::new(32), included, refs);
-            let cfgs: Vec<MinConfig> = included.iter().map(|&s| MinConfig::mtc(s)).collect();
-            let mtc = min_sweep(&cfgs, refs);
-            cache
-                .into_iter()
-                .zip(mtc)
-                .map(|(c, m)| {
-                    let c = c.expect("1KB-2MB direct-mapped 32B-block geometries are valid");
-                    (c.traffic_below(), m.traffic_below())
-                })
-                .collect()
-        }
-    }
+    let cache = mode.lru(&SweepSpec::new(32), included, refs);
+    let cfgs: Vec<MinConfig> = included.iter().map(|&s| MinConfig::mtc(s)).collect();
+    let mtc = mode.min(&cfgs, refs);
+    cache
+        .into_iter()
+        .zip(mtc)
+        .map(|(c, m)| {
+            let c = c.expect("1KB-2MB direct-mapped 32B-block geometries are valid");
+            (c.traffic_below(), m.traffic_below())
+        })
+        .collect()
 }
 
 fn row_for(b: &membw_workloads::Benchmark, refs: &[MemRef], mode: SweepMode) -> Table8Row {
@@ -119,12 +96,11 @@ pub fn run(scale: Scale) -> Result<(Table8Result, Table), MembwError> {
 /// Regenerate Table 8 at `scale` with an explicit sweep engine.
 ///
 /// One run-engine job per benchmark (trace regenerated per job, the
-/// whole size sweep inside — two trace passes under
-/// [`SweepMode::Stack`], two per size under [`SweepMode::Direct`],
-/// identical output either way); `all_g` is rebuilt from the merged
-/// rows in canonical benchmark-major, size-major order. Jobs are
-/// fault-isolated and checkpointed under the batch label `table8` (the
-/// key encodes the sweep mode).
+/// whole size sweep inside — two trace passes in stack mode, two per
+/// size in direct mode, identical output either way); `all_g` is
+/// rebuilt from the merged rows in canonical benchmark-major,
+/// size-major order. Jobs are fault-isolated and checkpointed under
+/// the batch label `table8` (the key encodes the sweep mode).
 ///
 /// # Errors
 ///
@@ -133,33 +109,20 @@ pub fn run(scale: Scale) -> Result<(Table8Result, Table), MembwError> {
 pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table8Result, Table), MembwError> {
     let suite = suite92(scale);
     let key = format!("v2/table8/{scale:?}/{mode}/{}", suite.len());
-    let rows = Runner::from_env().checkpointed("table8", &key, suite.len(), |i| {
-        let b = &suite[i];
-        let refs: Vec<MemRef> = b.replayable().collect_mem_refs();
-        row_for(b, &refs, mode)
-    });
-    let rows: Vec<Table8Row> = collect_jobs("table8", rows, |i| suite[i].name().to_string())?;
-
     let mut audit = Auditor::new("table8");
-    if mode == SweepMode::Stack && membw_sweep::verify_requested() {
-        for (i, row) in rows.iter().enumerate() {
+    let rows: Vec<Table8Row> = sweep_jobs(
+        "table8",
+        &key,
+        suite.len(),
+        mode,
+        &mut audit,
+        |i, mode| {
             let b = &suite[i];
-            let refs = b.replayable().collect_mem_refs();
-            let want = row_for(b, &refs, SweepMode::Direct);
-            let ok = want.inefficiencies.len() == row.inefficiencies.len()
-                && want
-                    .inefficiencies
-                    .iter()
-                    .zip(&row.inefficiencies)
-                    .all(|(w, g)| w.0 == g.0 && w.1.map(f64::to_bits) == g.1.map(f64::to_bits));
-            audit.sweep_exact(&row.name, ok, || {
-                format!(
-                    "stack sweep diverged from direct simulation: {:?} vs {:?}",
-                    want.inefficiencies, row.inefficiencies
-                )
-            });
-        }
-    }
+            let refs: Vec<MemRef> = b.replayable().collect_mem_refs();
+            row_for(b, &refs, mode)
+        },
+        |i| suite[i].name().to_string(),
+    )?;
     for r in &rows {
         for (size, g) in &r.inefficiencies {
             if let Some(g) = g {
@@ -228,28 +191,5 @@ mod tests {
         }
         // The gap should be substantial somewhere (paper: 2–100).
         assert!(res.max_g > 3.0, "max G = {}", res.max_g);
-    }
-
-    #[test]
-    fn stack_and_direct_modes_agree() {
-        let (stack, _) = run_with(Scale::Test, SweepMode::Stack).expect("no faults injected");
-        let (direct, _) = run_with(Scale::Test, SweepMode::Direct).expect("no faults injected");
-        assert_eq!(stack.max_g.to_bits(), direct.max_g.to_bits());
-        assert_eq!(
-            stack.oe_pin_at_median_g.to_bits(),
-            direct.oe_pin_at_median_g.to_bits()
-        );
-        for (a, b) in stack.rows.iter().zip(&direct.rows) {
-            assert_eq!(a.name, b.name);
-            for ((sa, ga), (sb, gb)) in a.inefficiencies.iter().zip(&b.inefficiencies) {
-                assert_eq!(sa, sb);
-                assert_eq!(
-                    ga.map(f64::to_bits),
-                    gb.map(f64::to_bits),
-                    "{} @ {sa}",
-                    a.name
-                );
-            }
-        }
     }
 }

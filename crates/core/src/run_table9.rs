@@ -2,10 +2,9 @@
 //! gap (associativity, replacement, block size ×2, write-validate).
 
 use crate::audit::Auditor;
-use crate::error::{collect_jobs, MembwError};
+use crate::error::{sweep_jobs, MembwError};
 use crate::report::Table;
-use membw_mtc::factors::{factor_gap, factor_gaps, FactorGap, TABLE10_FACTORS};
-use membw_runner::Runner;
+use membw_mtc::factors::{FactorGap, TABLE10_FACTORS};
 use membw_sweep::SweepMode;
 use membw_workloads::{suite92, Scale};
 use serde::{Deserialize, Serialize};
@@ -44,15 +43,14 @@ pub fn run(scale: Scale) -> Result<(Table9Result, Vec<Table>), MembwError> {
 /// including the Table 10 experiment definitions in the rendered
 /// output.
 ///
-/// Under [`SweepMode::Direct`] there is one job per (benchmark, factor)
-/// cell, each replaying the trace and simulating both experiments plus
-/// the reference MTC from scratch. Under [`SweepMode::Stack`] there is
-/// one job per benchmark, computing all five factors in one
-/// [`factor_gaps`] shot (shared trace collection, shared next-use
-/// indices, each of the six unique experiments simulated once). The
-/// merged `gaps` come out benchmark-major, factor-minor, with identical
-/// values, in both modes. Jobs are fault-isolated and checkpointed
-/// under the batch label `table9` (the key encodes the sweep mode).
+/// One job per benchmark. In stack mode it computes all five factors in
+/// one [`membw_mtc::factors::factor_gaps`] shot (shared trace
+/// collection, shared next-use indices, each of the six unique
+/// experiments simulated once); in direct mode it measures each factor
+/// from scratch. The merged `gaps` come out benchmark-major,
+/// factor-minor, with identical values, in both modes. Jobs are
+/// fault-isolated and checkpointed under the batch label `table9` (the
+/// key encodes the sweep mode).
 ///
 /// # Errors
 ///
@@ -64,63 +62,25 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table9Result, Vec<Tabl
         .iter()
         .map(|b| (b.name().to_string(), capacity_for(b.name())))
         .collect();
-    let n_f = TABLE10_FACTORS.len();
-    let gaps: Vec<FactorGap> = match mode {
-        SweepMode::Direct => {
-            let key = format!("v2/table9/{scale:?}/{mode}/{}x{}", suite.len(), n_f);
-            let raw = Runner::from_env().checkpointed("table9", &key, suite.len() * n_f, |k| {
-                let b = &suite[k / n_f];
-                let spec = &TABLE10_FACTORS[k % n_f];
-                factor_gap(spec, &b.replayable(), capacity_for(b.name()))
-            });
-            collect_jobs("table9", raw, |k| {
-                format!(
-                    "{}/{}",
-                    suite[k / n_f].name(),
-                    TABLE10_FACTORS[k % n_f].name
-                )
-            })?
-            .into_iter()
-            .flatten()
-            .collect()
-        }
-        SweepMode::Stack => {
-            let key = format!("v2/table9/{scale:?}/{mode}/{}", suite.len());
-            let raw = Runner::from_env().checkpointed("table9", &key, suite.len(), |i| {
-                let b = &suite[i];
-                factor_gaps(&b.replayable(), capacity_for(b.name()))
-            });
-            collect_jobs("table9", raw, |i| suite[i].name().to_string())?
-                .into_iter()
-                .flatten()
-                .flatten()
-                .collect()
-        }
-    };
-
+    let key = format!("v2/table9/{scale:?}/{mode}/{}", suite.len());
     let mut audit = Auditor::new("table9");
-    if mode == SweepMode::Stack && membw_sweep::verify_requested() {
-        for g in &gaps {
-            let spec = TABLE10_FACTORS
-                .iter()
-                .find(|s| s.name == g.factor)
-                .expect("gap names a Table 10 factor");
-            let b = suite
-                .iter()
-                .find(|b| b.name() == g.workload)
-                .expect("gap names a suite benchmark");
-            let want = factor_gap(spec, &b.replayable(), g.capacity_bytes);
-            let ok = want.as_ref().is_some_and(|w| {
-                w.g_exp1.to_bits() == g.g_exp1.to_bits() && w.g_exp2.to_bits() == g.g_exp2.to_bits()
-            });
-            audit.sweep_exact(&format!("{}/{}", g.workload, g.factor), ok, || {
-                format!(
-                    "one-shot factor sweep diverged from per-cell measurement: {want:?} vs ({}, {})",
-                    g.g_exp1, g.g_exp2
-                )
-            });
-        }
-    }
+    let gaps: Vec<FactorGap> = sweep_jobs(
+        "table9",
+        &key,
+        suite.len(),
+        mode,
+        &mut audit,
+        |i, mode| {
+            let b = &suite[i];
+            mode.factor_gaps(&b.replayable(), capacity_for(b.name()))
+        },
+        |i| suite[i].name().to_string(),
+    )?
+    .into_iter()
+    .flatten()
+    .flatten()
+    .collect();
+
     for g in &gaps {
         let cell = format!("{}/{}", g.workload, g.factor);
         // Both endpoints of a factor gap are Eq. 6 inefficiencies.
@@ -197,26 +157,6 @@ mod tests {
             block > replacement,
             "block-size gap ({block}) should exceed replacement ({replacement})"
         );
-    }
-
-    #[test]
-    fn stack_and_direct_modes_agree() {
-        let (stack, _) = run_with(Scale::Test, SweepMode::Stack).expect("no faults injected");
-        let (direct, _) = run_with(Scale::Test, SweepMode::Direct).expect("no faults injected");
-        assert_eq!(stack.gaps.len(), direct.gaps.len());
-        for (a, b) in stack.gaps.iter().zip(&direct.gaps) {
-            assert_eq!(a.factor, b.factor);
-            assert_eq!(a.workload, b.workload);
-            assert_eq!(a.capacity_bytes, b.capacity_bytes);
-            assert_eq!(
-                a.g_exp1.to_bits(),
-                b.g_exp1.to_bits(),
-                "{}/{}",
-                a.workload,
-                a.factor
-            );
-            assert_eq!(a.g_exp2.to_bits(), b.g_exp2.to_bits());
-        }
     }
 
     #[test]

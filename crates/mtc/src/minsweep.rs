@@ -52,8 +52,11 @@
 //! flushes), and a suffix histogram (write-through bytes), so no
 //! per-level work is done per access. Every counter equals
 //! [`MinCache::simulate`] field for field at the matching capacity
-//! (enforced by unit and property tests, and by `MEMBW_SWEEP_VERIFY`
-//! at suite level).
+//! (enforced by unit and property tests, and at suite level by
+//! `MEMBW_SWEEP_VERIFY`: `membw_sweep::SweepMode::min` is the one
+//! engine switch, and core's one cross-check helper,
+//! `membw_core::error::sweep_jobs`, reruns stack-mode jobs through its
+//! direct arm).
 
 use crate::min::{MinCache, MinConfig, MinWritePolicy};
 use crate::nextuse::NextUseIndex;

@@ -14,15 +14,21 @@
 //! come out byte-exact, not just miss counts.
 //!
 //! [`sweep_lru`] is the entry point: it consumes one replayed reference
-//! stream and returns a full [`CacheStats`] per capacity, each equal —
-//! counter for counter — to what [`membw_cache::Cache`] produces for
-//! that configuration (property-tested in `tests/sweep_equivalence.rs`
-//! and enforced at runtime by the auditor when
-//! [`verify_requested`] is set). Configurations the stack model cannot
-//! represent exactly (non-LRU replacement, tagged prefetch,
-//! write-validate allocation) **fall back loudly** to per-capacity
-//! direct simulation — correctness never depends on the engine's
-//! coverage.
+//! stream and returns a full [`CacheStats`](membw_cache::CacheStats)
+//! per capacity, each equal — counter for counter — to what
+//! [`membw_cache::Cache`] produces for that configuration
+//! (property-tested in `tests/sweep_equivalence.rs`). Configurations
+//! the stack model cannot represent exactly (non-LRU replacement,
+//! tagged prefetch, write-validate allocation) **fall back loudly** to
+//! per-capacity direct simulation — correctness never depends on the
+//! engine's coverage.
+//!
+//! [`SweepMode`] is the one place a traffic suite's engine is chosen:
+//! its `lru`, `min` and `factor_gaps` methods run either the one-pass
+//! engines or the direct-simulation oracle ([`direct_reference`],
+//! `MinCache::simulate`, `factor_gap`). Core's one cross-check helper,
+//! `membw_core::error::sweep_jobs`, reruns stack-mode jobs in direct
+//! mode when [`verify_requested`] and audits them bit for bit.
 //!
 //! Sweep state registers with the ambient memory governor and the hot
 //! loop polls the ambient [`membw_runner::CancelToken`], so sweeps
@@ -31,5 +37,5 @@
 mod lru;
 mod mode;
 
-pub use lru::{direct_reference, sweep_lru, sweep_workload, LruSweep, SweepSpec, SweepUnsupported};
+pub use lru::{direct_reference, sweep_lru, LruSweep, SweepSpec, SweepUnsupported};
 pub use mode::{parse_verify, verify_requested, SweepMode, SWEEP_VERIFY_ENV};

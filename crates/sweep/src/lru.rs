@@ -13,7 +13,7 @@ use membw_cache::{
     Associativity, CacheConfig, CacheStats, ConfigError, ReplacementPolicy, WriteAllocate,
     WritePolicy,
 };
-use membw_trace::{MemRef, Workload};
+use membw_trace::MemRef;
 
 /// Empty-slot marker. Real block numbers are `addr / block_size`, which
 /// cannot reach `u64::MAX` for any addressable byte.
@@ -384,9 +384,10 @@ fn config_or_skip(spec: &SweepSpec, capacity: u64) -> Option<CacheConfig> {
     }
 }
 
-/// Direct per-capacity simulation of `spec` — the fallback and the
-/// cross-check oracle.
-fn direct_point(spec: &SweepSpec, capacity: u64, refs: &[MemRef]) -> Option<CacheStats> {
+/// Direct per-capacity simulation of `spec`: the stack engine's
+/// fallback and, through [`SweepMode::Direct`](crate::SweepMode), the
+/// cross-check oracle (`None` where the geometry is invalid).
+pub fn direct_reference(spec: &SweepSpec, capacity: u64, refs: &[MemRef]) -> Option<CacheStats> {
     let cfg = config_or_skip(spec, capacity)?;
     let mut c = membw_cache::Cache::new(cfg);
     for &r in refs {
@@ -409,25 +410,10 @@ pub fn sweep_lru(spec: &SweepSpec, capacities: &[u64], refs: &[MemRef]) -> Vec<O
             eprintln!("sweep: {unsupported}; falling back to direct simulation");
             capacities
                 .iter()
-                .map(|&cap| direct_point(spec, cap, refs))
+                .map(|&cap| direct_reference(spec, cap, refs))
                 .collect()
         }
     }
-}
-
-/// Direct-simulation oracle for one capacity of a sweep (public for the
-/// suites' runtime cross-check and the property tests).
-pub fn direct_reference(spec: &SweepSpec, capacity: u64, refs: &[MemRef]) -> Option<CacheStats> {
-    direct_point(spec, capacity, refs)
-}
-
-/// Convenience for tests: sweep a [`Workload`]'s collected refs.
-pub fn sweep_workload<W: Workload + ?Sized>(
-    spec: &SweepSpec,
-    capacities: &[u64],
-    workload: &W,
-) -> Vec<Option<CacheStats>> {
-    sweep_lru(spec, capacities, &workload.collect_mem_refs())
 }
 
 #[cfg(test)]

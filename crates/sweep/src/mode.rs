@@ -1,6 +1,17 @@
-//! Sweep-mode selection and the runtime cross-check switch.
+//! Sweep-mode selection — the one place a traffic suite's engine is
+//! chosen — and the runtime cross-check switch.
+
+use crate::lru::{direct_reference, sweep_lru, SweepSpec};
+use membw_cache::CacheStats;
+use membw_mtc::factors::{factor_gap, factor_gaps, FactorGap, TABLE10_FACTORS};
+use membw_mtc::{min_sweep, MinCache, MinConfig};
+use membw_trace::{MemRef, Workload};
 
 /// How a traffic suite computes its capacity axis.
+///
+/// The suites never branch on the mode themselves: they call
+/// [`SweepMode::lru`], [`SweepMode::min`] and [`SweepMode::factor_gaps`],
+/// so the direct-simulation oracle exists once, here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepMode {
     /// One-pass stack-distance sweep engine (default): one trace pass
@@ -35,6 +46,54 @@ impl SweepMode {
             )),
         }
     }
+
+    /// LRU cache statistics for `spec` at every capacity (`None` where
+    /// the geometry is invalid): one [`sweep_lru`] pass, or one
+    /// [`direct_reference`] simulation per capacity.
+    pub fn lru(
+        self,
+        spec: &SweepSpec,
+        capacities: &[u64],
+        refs: &[MemRef],
+    ) -> Vec<Option<CacheStats>> {
+        match self {
+            SweepMode::Stack => sweep_lru(spec, capacities, refs),
+            SweepMode::Direct => capacities
+                .iter()
+                .map(|&cap| direct_reference(spec, cap, refs))
+                .collect(),
+        }
+    }
+
+    /// **min** cache statistics for every configuration: one
+    /// [`min_sweep`] pass, or one [`MinCache::simulate`] per
+    /// configuration.
+    pub fn min(self, cfgs: &[MinConfig], refs: &[MemRef]) -> Vec<CacheStats> {
+        match self {
+            SweepMode::Stack => min_sweep(cfgs, refs),
+            SweepMode::Direct => cfgs
+                .iter()
+                .map(|cfg| MinCache::simulate(cfg, refs))
+                .collect(),
+        }
+    }
+
+    /// Every Table 10 factor gap for `workload` at `capacity_bytes`, one
+    /// entry per [`TABLE10_FACTORS`] row: one shared-index
+    /// [`factor_gaps`] shot, or one [`factor_gap`] measurement per row.
+    pub fn factor_gaps<W: Workload + ?Sized>(
+        self,
+        workload: &W,
+        capacity_bytes: u64,
+    ) -> Vec<Option<FactorGap>> {
+        match self {
+            SweepMode::Stack => factor_gaps(workload, capacity_bytes),
+            SweepMode::Direct => TABLE10_FACTORS
+                .iter()
+                .map(|spec| factor_gap(spec, workload, capacity_bytes))
+                .collect(),
+        }
+    }
 }
 
 impl std::fmt::Display for SweepMode {
@@ -44,9 +103,10 @@ impl std::fmt::Display for SweepMode {
 }
 
 /// Environment variable that turns on the runtime stack-vs-direct
-/// cross-check (`1` = on, `0`/unset = off). When on, the traffic suites
-/// recompute every swept cell with direct simulation and route any
-/// divergence through the auditor as an `InvariantViolation`.
+/// cross-check (`1` = on, `0`/unset = off). When on, core's one
+/// sweep-batch helper (`membw_core::error::sweep_jobs`) reruns every
+/// stack-mode job under [`SweepMode::Direct`] and routes any divergence
+/// through the auditor as an `InvariantViolation`.
 pub const SWEEP_VERIFY_ENV: &str = "MEMBW_SWEEP_VERIFY";
 
 /// Parse a [`SWEEP_VERIFY_ENV`] value.
@@ -63,8 +123,8 @@ pub fn parse_verify(s: &str) -> Result<bool, String> {
 }
 
 /// `true` if the runtime sweep cross-check is requested via
-/// [`SWEEP_VERIFY_ENV`]. Malformed values read as off (the `repro`
-/// binary rejects them up front).
+/// [`SWEEP_VERIFY_ENV`]. Malformed values read as off (`repro` and
+/// `repro serve` reject them up front).
 pub fn verify_requested() -> bool {
     std::env::var(SWEEP_VERIFY_ENV)
         .ok()
