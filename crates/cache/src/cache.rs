@@ -3,7 +3,7 @@
 use crate::config::{CacheConfig, WriteAllocate, WritePolicy};
 use crate::replacement::{PlruBits, VictimPicker};
 use crate::stats::CacheStats;
-use membw_trace::{AccessKind, MemRef};
+use membw_trace::{AccessKind, FastHashMap, MemRef};
 
 /// What a below-cache transfer is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,6 +75,13 @@ impl Default for AccessOutcome {
 }
 
 impl AccessOutcome {
+    /// A hit that moved nothing below.
+    const QUIET_HIT: AccessOutcome = AccessOutcome {
+        hit: true,
+        below: [BelowRequest::EMPTY; MAX_BELOW],
+        len: 0,
+    };
+
     /// Transfers emitted below the cache by this access, in issue order.
     pub fn below(&self) -> &[BelowRequest] {
         &self.below[..usize::from(self.len)]
@@ -128,6 +135,90 @@ struct Line {
     filled_at: u64,
 }
 
+/// Sets with more ways than this find a block through a block index
+/// instead of scanning every way.
+///
+/// The choice is a property of the geometry, not a tuning knob: the
+/// paper's L1/L2 geometries (1- and 4-way) scan, while Table 9's
+/// fully-associative LRU caches (up to 2048 ways at 64 KiB) index.
+/// Both paths produce the same hits, victims and traffic.
+pub const INDEXED_WAYS: u64 = 16;
+
+/// A validated geometry in shift-and-mask form.
+///
+/// [`CacheConfig`]'s builder admits only power-of-two block sizes and
+/// set counts, so `addr / block` is `addr >> block_shift`, `% sets` is
+/// `& set_mask` and `/ sets` is `>> set_bits`: the same numbers without
+/// a division.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    block_size: u64,
+    block_shift: u32,
+    set_bits: u32,
+    set_mask: u64,
+    ways: usize,
+    /// Tree-PLRU bits are kept (power-of-two sets of at most 64 ways).
+    plru: bool,
+}
+
+impl Geometry {
+    fn new(cfg: &CacheConfig) -> Self {
+        let sets = cfg.num_sets();
+        let ways = cfg.ways() as usize;
+        Self {
+            block_size: cfg.block_size(),
+            block_shift: cfg.block_size().trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
+            set_mask: sets - 1,
+            ways,
+            plru: ways.is_power_of_two() && ways <= 64,
+        }
+    }
+
+    /// Block number of a byte address.
+    #[inline]
+    fn block(&self, addr: u64) -> u64 {
+        addr >> self.block_shift
+    }
+
+    #[inline]
+    fn set(&self, block: u64) -> usize {
+        (block & self.set_mask) as usize
+    }
+
+    #[inline]
+    fn tag(&self, block: u64) -> u64 {
+        block >> self.set_bits
+    }
+
+    /// Block number of the line holding `tag` in `set`.
+    #[inline]
+    fn block_of(&self, set: usize, tag: u64) -> u64 {
+        (tag << self.set_bits) | set as u64
+    }
+
+    /// Byte address of the line holding `tag` in `set`.
+    fn addr_of(&self, set: usize, tag: u64) -> u64 {
+        self.block_of(set, tag) << self.block_shift
+    }
+
+    #[inline]
+    fn base(&self, set: usize) -> usize {
+        set * self.ways
+    }
+}
+
+/// Block index of a cache whose sets are wider than [`INDEXED_WAYS`].
+///
+/// Holds exactly the valid lines: block number → line slot, plus each
+/// set's resident count so a full set skips the search for an invalid
+/// way.
+#[derive(Debug)]
+struct WideIndex {
+    slots: FastHashMap<u64, usize>,
+    resident: Vec<usize>,
+}
+
 /// A single-level, functional (untimed) cache.
 ///
 /// See the [crate docs](crate) for the traffic-accounting rules. Accesses
@@ -149,32 +240,42 @@ struct Line {
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
+    geo: Geometry,
     lines: Vec<Line>, // num_sets * ways, set-major
     plru: Vec<PlruBits>,
     picker: VictimPicker,
     clock: u64,
     stats: CacheStats,
     full_mask: u64,
+    /// Present when the sets are wider than [`INDEXED_WAYS`].
+    wide: Option<WideIndex>,
 }
 
 impl Cache {
     /// Build an empty cache for `cfg`.
     pub fn new(cfg: CacheConfig) -> Self {
-        let blocks = (cfg.num_sets() * cfg.ways()) as usize;
+        let geo = Geometry::new(&cfg);
+        let sets = cfg.num_sets() as usize;
         let wpb = cfg.words_per_block();
         let full_mask = if wpb >= 64 {
             u64::MAX
         } else {
             (1u64 << wpb) - 1
         };
+        let wide = (cfg.ways() > INDEXED_WAYS).then(|| WideIndex {
+            slots: FastHashMap::default(),
+            resident: vec![0; sets],
+        });
         Self {
             cfg,
-            lines: vec![Line::default(); blocks],
-            plru: vec![PlruBits::default(); cfg.num_sets() as usize],
+            geo,
+            lines: vec![Line::default(); sets * geo.ways],
+            plru: vec![PlruBits::default(); sets],
             picker: VictimPicker::new(cfg.replacement()),
             clock: 0,
             stats: CacheStats::default(),
             full_mask,
+            wide,
         }
     }
 
@@ -190,66 +291,76 @@ impl Cache {
 
     /// `true` if the block containing `addr` is resident (any validity).
     pub fn is_resident(&self, addr: u64) -> bool {
-        let set = self.cfg.set_of(addr);
-        let tag = self.cfg.tag_of(addr);
-        self.set_lines(set).iter().any(|l| l.valid && l.tag == tag)
+        let block = self.geo.block(addr);
+        self.find(self.geo.set(block), block).is_some()
     }
 
-    fn set_lines(&self, set: u64) -> &[Line] {
-        let ways = self.cfg.ways() as usize;
-        let base = set as usize * ways;
-        &self.lines[base..base + ways]
+    /// The way of `set` holding `block`, if resident.
+    #[inline]
+    fn find(&self, set: usize, block: u64) -> Option<usize> {
+        let base = self.geo.base(set);
+        match &self.wide {
+            Some(w) => w.slots.get(&block).map(|&slot| slot - base),
+            None => {
+                let tag = self.geo.tag(block);
+                self.lines[base..base + self.geo.ways]
+                    .iter()
+                    .position(|l| l.valid && l.tag == tag)
+            }
+        }
     }
 
-    fn line_index(&self, set: u64, way: usize) -> usize {
-        set as usize * self.cfg.ways() as usize + way
-    }
-
-    fn find(&self, set: u64, tag: u64) -> Option<usize> {
-        self.set_lines(set)
-            .iter()
-            .position(|l| l.valid && l.tag == tag)
-    }
-
-    fn touch(&mut self, set: u64, way: usize) {
+    #[inline]
+    fn touch(&mut self, set: usize, way: usize) {
         self.clock += 1;
-        let clock = self.clock;
-        let ways = self.cfg.ways() as usize;
-        let idx = self.line_index(set, way);
-        self.lines[idx].last_touch = clock;
-        if ways.is_power_of_two() && ways <= 64 {
-            self.plru[set as usize].touch(way, ways);
+        self.lines[self.geo.base(set) + way].last_touch = self.clock;
+        if self.geo.plru {
+            self.plru[set].touch(way, self.geo.ways);
         }
     }
 
     /// Pick a victim way in `set`, preferring invalid lines.
-    fn pick_victim(&mut self, set: u64) -> usize {
-        if let Some(w) = self.set_lines(set).iter().position(|l| !l.valid) {
-            return w;
+    fn pick_victim(&mut self, set: usize) -> usize {
+        let base = self.geo.base(set);
+        let lines = &self.lines[base..base + self.geo.ways];
+        let full = match &self.wide {
+            Some(w) => w.resident[set] == self.geo.ways,
+            None => false,
+        };
+        if !full {
+            if let Some(w) = lines.iter().position(|l| !l.valid) {
+                return w;
+            }
         }
-        let meta: Vec<(u64, u64)> = self
-            .set_lines(set)
-            .iter()
-            .map(|l| (l.last_touch, l.filled_at))
-            .collect();
-        self.picker.pick(&meta, &self.plru[set as usize])
+        self.picker.pick_by(self.geo.ways, &self.plru[set], |w| {
+            (lines[w].last_touch, lines[w].filled_at)
+        })
+    }
+
+    /// Invalidate the line in `slot`, dropping it from the block index.
+    fn clear(&mut self, set: usize, slot: usize) {
+        let line = std::mem::take(&mut self.lines[slot]);
+        if let (Some(w), true) = (&mut self.wide, line.valid) {
+            w.slots.remove(&self.geo.block_of(set, line.tag));
+            w.resident[set] -= 1;
+        }
     }
 
     /// Evict `way` of `set` if valid, emitting a write-back when dirty.
-    fn evict<O: PushBelow>(&mut self, set: u64, way: usize, out: &mut O, flush: bool) {
-        let idx = self.line_index(set, way);
-        let line = self.lines[idx];
+    fn evict<O: PushBelow>(&mut self, set: usize, way: usize, out: &mut O, flush: bool) {
+        let slot = self.geo.base(set) + way;
+        let line = self.lines[slot];
         if !line.valid {
             return;
         }
         let dirty = line.dirty_mask & line.valid_mask;
         if dirty != 0 {
-            let addr = self.cfg.addr_of(set, line.tag);
+            let addr = self.geo.addr_of(set, line.tag);
             let bytes = match self.cfg.write_allocate() {
                 // Word-granular memory writes under write-validate.
                 WriteAllocate::Validate => u64::from(dirty.count_ones()) * 4,
                 // Whole-block write-back otherwise.
-                _ => self.cfg.block_size(),
+                _ => self.geo.block_size,
             };
             out.push_below(BelowRequest {
                 addr,
@@ -262,27 +373,32 @@ impl Cache {
                 self.stats.bytes_written_back += bytes;
             }
         }
-        self.lines[idx] = Line::default();
+        self.clear(set, slot);
     }
 
-    /// Fill `way` of `set` with `tag`; the caller sets masks afterwards.
-    fn fill(&mut self, set: u64, way: usize, tag: u64, referenced: bool) {
+    /// Fill `way` of `set` with `block` (replacing whatever the line
+    /// held) and return its slot; the caller sets masks afterwards.
+    fn fill(&mut self, set: usize, way: usize, block: u64, referenced: bool) -> usize {
+        let slot = self.geo.base(set) + way;
+        self.clear(set, slot);
+        if let Some(w) = &mut self.wide {
+            w.slots.insert(block, slot);
+            w.resident[set] += 1;
+        }
         self.clock += 1;
-        let clock = self.clock;
-        let idx = self.line_index(set, way);
-        self.lines[idx] = Line {
+        self.lines[slot] = Line {
             valid: true,
-            tag,
+            tag: self.geo.tag(block),
             valid_mask: 0,
             dirty_mask: 0,
             referenced,
-            last_touch: clock,
-            filled_at: clock,
+            last_touch: self.clock,
+            filled_at: self.clock,
         };
-        let ways = self.cfg.ways() as usize;
-        if ways.is_power_of_two() && ways <= 64 {
-            self.plru[set as usize].touch(way, ways);
+        if self.geo.plru {
+            self.plru[set].touch(way, self.geo.ways);
         }
+        slot
     }
 
     /// Probe for a full-validity hit without any miss handling: touches
@@ -290,25 +406,22 @@ impl Cache {
     ///
     /// [`VictimCache`]: crate::VictimCache
     pub(crate) fn probe_touch(&mut self, r: MemRef) -> bool {
-        let set = self.cfg.set_of(r.addr);
-        let tag = self.cfg.tag_of(r.addr);
+        let block = self.geo.block(r.addr);
+        let set = self.geo.set(block);
         let need = self.word_mask(r);
-        if let Some(way) = self.find(set, tag) {
-            let idx = self.line_index(set, way);
-            if r.kind.is_write() {
-                self.lines[idx].valid_mask |= need;
-                self.lines[idx].dirty_mask |= need;
-                self.lines[idx].referenced = true;
-                self.touch(set, way);
-                return true;
-            }
-            if self.lines[idx].valid_mask & need == need {
-                self.lines[idx].referenced = true;
-                self.touch(set, way);
-                return true;
-            }
+        let Some(way) = self.find(set, block) else {
+            return false;
+        };
+        let line = &mut self.lines[self.geo.base(set) + way];
+        if r.kind.is_write() {
+            line.valid_mask |= need;
+            line.dirty_mask |= need;
+        } else if line.valid_mask & need != need {
+            return false;
         }
-        false
+        line.referenced = true;
+        self.touch(set, way);
+        true
     }
 
     /// Install a block with the given masks, returning the displaced
@@ -321,24 +434,20 @@ impl Cache {
         valid_mask: u64,
         dirty_mask: u64,
     ) -> Option<(u64, u64)> {
-        let set = self.cfg.set_of(block_addr);
-        let tag = self.cfg.tag_of(block_addr);
-        debug_assert!(self.find(set, tag).is_none(), "block already resident");
+        let block = self.geo.block(block_addr);
+        let set = self.geo.set(block);
+        debug_assert!(self.find(set, block).is_none(), "block already resident");
         let way = self.pick_victim(set);
-        let idx = self.line_index(set, way);
-        let old = self.lines[idx];
-        let displaced = if old.valid {
-            Some((
-                self.cfg.addr_of(set, old.tag),
+        let old = self.lines[self.geo.base(set) + way];
+        let displaced = old.valid.then(|| {
+            (
+                self.geo.addr_of(set, old.tag),
                 old.dirty_mask & old.valid_mask,
-            ))
-        } else {
-            None
-        };
-        self.fill(set, way, tag, true);
-        let idx = self.line_index(set, way);
-        self.lines[idx].valid_mask = valid_mask;
-        self.lines[idx].dirty_mask = dirty_mask;
+            )
+        });
+        let slot = self.fill(set, way, block, true);
+        self.lines[slot].valid_mask = valid_mask;
+        self.lines[slot].dirty_mask = dirty_mask;
         displaced
     }
 
@@ -347,17 +456,15 @@ impl Cache {
     /// [`VictimCache`](crate::VictimCache) at flush time.
     pub(crate) fn drain_lines(&mut self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        for set in 0..self.cfg.num_sets() {
-            for way in 0..self.cfg.ways() as usize {
-                let idx = self.line_index(set, way);
-                let line = self.lines[idx];
-                if line.valid {
-                    out.push((
-                        self.cfg.addr_of(set, line.tag),
-                        line.dirty_mask & line.valid_mask,
-                    ));
-                    self.lines[idx] = Line::default();
-                }
+        for slot in 0..self.lines.len() {
+            let line = self.lines[slot];
+            if line.valid {
+                let set = slot / self.geo.ways;
+                out.push((
+                    self.geo.addr_of(set, line.tag),
+                    line.dirty_mask & line.valid_mask,
+                ));
+                self.clear(set, slot);
             }
         }
         out
@@ -365,10 +472,9 @@ impl Cache {
 
     /// Word-mask (within a block) covered by `r`.
     pub(crate) fn word_mask(&self, r: MemRef) -> u64 {
-        let block = self.cfg.block_size();
-        let off = r.addr % block;
-        let first = off / 4;
-        let last = (off + u64::from(r.size).max(1) - 1) / 4;
+        let off = r.addr & (self.geo.block_size - 1);
+        let first = off >> 2;
+        let last = (off + u64::from(r.size).max(1) - 1) >> 2;
         let count = last - first + 1;
         let ones = if count >= 64 {
             u64::MAX
@@ -380,23 +486,22 @@ impl Cache {
 
     /// Issue a tagged prefetch of the block after `block_addr`.
     fn prefetch_next<O: PushBelow>(&mut self, block_addr: u64, out: &mut O) {
-        let next = block_addr + self.cfg.block_size();
-        let set = self.cfg.set_of(next);
-        let tag = self.cfg.tag_of(next);
-        if self.find(set, tag).is_some() {
+        let next = block_addr + self.geo.block_size;
+        let block = self.geo.block(next);
+        let set = self.geo.set(block);
+        if self.find(set, block).is_some() {
             return;
         }
         let way = self.pick_victim(set);
         self.evict(set, way, out, false);
-        self.fill(set, way, tag, false);
-        let idx = self.line_index(set, way);
-        self.lines[idx].valid_mask = self.full_mask;
+        let slot = self.fill(set, way, block, false);
+        self.lines[slot].valid_mask = self.full_mask;
         out.push_below(BelowRequest {
             addr: next,
-            bytes: self.cfg.block_size(),
+            bytes: self.geo.block_size,
             kind: BelowKind::PrefetchFetch,
         });
-        self.stats.bytes_prefetched += self.cfg.block_size();
+        self.stats.bytes_prefetched += self.geo.block_size;
         self.stats.prefetch_fills += 1;
     }
 
@@ -405,11 +510,74 @@ impl Cache {
     /// Returns the combined outcome (`hit` is true only if *all* pieces
     /// hit).
     pub fn access(&mut self, r: MemRef) -> AccessOutcome {
-        if r.fits_in_block(self.cfg.block_size()) {
+        self.access_unless_quiet(r)
+            .unwrap_or(AccessOutcome::QUIET_HIT)
+    }
+
+    /// [`Cache::access`], except that a *quiet hit* — a hit that moves
+    /// nothing below, the common case — answers `None` instead of an
+    /// empty hit outcome, so a hot caller builds and copies no
+    /// [`AccessOutcome`] for it. The cache's state and counters change
+    /// exactly as under [`Cache::access`].
+    #[inline]
+    pub fn access_unless_quiet(&mut self, r: MemRef) -> Option<AccessOutcome> {
+        if self.quiet_hit(r) {
+            None
+        } else {
+            Some(self.access_split(r))
+        }
+    }
+
+    /// Complete `r` if it is a quiet hit and return `true`; otherwise
+    /// change nothing and return `false`. A read hit is quiet unless it
+    /// is the first use of a line under tagged prefetch; a write hit is
+    /// quiet under write-back.
+    #[inline]
+    fn quiet_hit(&mut self, r: MemRef) -> bool {
+        let block = self.geo.block(r.addr);
+        if block != self.geo.block(r.addr + u64::from(r.size) - 1) {
+            return false;
+        }
+        let set = self.geo.set(block);
+        let Some(way) = self.find(set, block) else {
+            return false;
+        };
+        let need = self.word_mask(r);
+        let line = &mut self.lines[self.geo.base(set) + way];
+        match r.kind {
+            AccessKind::Read => {
+                if line.valid_mask & need != need
+                    || (self.cfg.tagged_prefetch() && !line.referenced)
+                {
+                    return false;
+                }
+                self.stats.reads += 1;
+                self.stats.read_hits += 1;
+            }
+            AccessKind::Write => {
+                if self.cfg.write_policy() == WritePolicy::WriteThrough {
+                    return false;
+                }
+                line.valid_mask |= need;
+                line.dirty_mask |= need;
+                self.stats.writes += 1;
+                self.stats.write_hits += 1;
+            }
+        }
+        line.referenced = true;
+        self.stats.accesses += 1;
+        self.stats.request_bytes += u64::from(r.size);
+        self.touch(set, way);
+        true
+    }
+
+    /// The full access path: any hit or miss, split per block.
+    fn access_split(&mut self, r: MemRef) -> AccessOutcome {
+        let last = r.addr + u64::from(r.size) - 1;
+        if self.geo.block(r.addr) == self.geo.block(last) {
             return self.access_within_block(r);
         }
         // Split QPT-style into per-block pieces.
-        let block = self.cfg.block_size();
         let mut outcome = AccessOutcome {
             hit: true,
             ..AccessOutcome::default()
@@ -417,7 +585,7 @@ impl Cache {
         let mut addr = r.addr;
         let end = r.addr + u64::from(r.size);
         while addr < end {
-            let block_end = (addr / block + 1) * block;
+            let block_end = (self.geo.block(addr) + 1) << self.geo.block_shift;
             let piece = (block_end.min(end) - addr) as u16;
             let sub = MemRef {
                 addr,
@@ -434,8 +602,9 @@ impl Cache {
         outcome
     }
 
+    #[inline]
     fn access_within_block(&mut self, r: MemRef) -> AccessOutcome {
-        debug_assert!(r.fits_in_block(self.cfg.block_size()));
+        debug_assert!(r.fits_in_block(self.geo.block_size));
         self.stats.accesses += 1;
         self.stats.request_bytes += u64::from(r.size);
         match r.kind {
@@ -450,21 +619,22 @@ impl Cache {
         }
     }
 
+    #[inline]
     fn read(&mut self, r: MemRef) -> AccessOutcome {
-        let set = self.cfg.set_of(r.addr);
-        let tag = self.cfg.tag_of(r.addr);
+        let block = self.geo.block(r.addr);
+        let set = self.geo.set(block);
         let need = self.word_mask(r);
-        let block_addr = r.addr & !(self.cfg.block_size() - 1);
+        let block_addr = r.addr & !(self.geo.block_size - 1);
         let mut out = AccessOutcome::default();
 
-        if let Some(way) = self.find(set, tag) {
-            let idx = self.line_index(set, way);
-            if self.lines[idx].valid_mask & need == need {
+        if let Some(way) = self.find(set, block) {
+            let slot = self.geo.base(set) + way;
+            if self.lines[slot].valid_mask & need == need {
                 // Full hit.
                 self.stats.read_hits += 1;
                 self.touch(set, way);
-                let first_use = !self.lines[idx].referenced;
-                self.lines[idx].referenced = true;
+                let first_use = !self.lines[slot].referenced;
+                self.lines[slot].referenced = true;
                 if self.cfg.tagged_prefetch() && first_use {
                     self.prefetch_next(block_addr, &mut out);
                 }
@@ -474,7 +644,7 @@ impl Cache {
             // Partial-validity miss (write-validate line): fetch the
             // missing words of the block.
             self.stats.read_misses += 1;
-            let missing = self.full_mask & !self.lines[idx].valid_mask;
+            let missing = self.full_mask & !self.lines[slot].valid_mask;
             let bytes = u64::from(missing.count_ones()) * 4;
             out.push_below(BelowRequest {
                 addr: block_addr,
@@ -482,8 +652,8 @@ impl Cache {
                 kind: BelowKind::Fetch,
             });
             self.stats.bytes_fetched += bytes;
-            self.lines[idx].valid_mask = self.full_mask;
-            self.lines[idx].referenced = true;
+            self.lines[slot].valid_mask = self.full_mask;
+            self.lines[slot].referenced = true;
             self.touch(set, way);
             if self.cfg.tagged_prefetch() {
                 self.prefetch_next(block_addr, &mut out);
@@ -495,37 +665,37 @@ impl Cache {
         self.stats.read_misses += 1;
         let way = self.pick_victim(set);
         self.evict(set, way, &mut out, false);
-        self.fill(set, way, tag, true);
-        let idx = self.line_index(set, way);
-        self.lines[idx].valid_mask = self.full_mask;
+        let slot = self.fill(set, way, block, true);
+        self.lines[slot].valid_mask = self.full_mask;
         out.push_below(BelowRequest {
             addr: block_addr,
-            bytes: self.cfg.block_size(),
+            bytes: self.geo.block_size,
             kind: BelowKind::Fetch,
         });
-        self.stats.bytes_fetched += self.cfg.block_size();
+        self.stats.bytes_fetched += self.geo.block_size;
         if self.cfg.tagged_prefetch() {
             self.prefetch_next(block_addr, &mut out);
         }
         out
     }
 
+    #[inline]
     fn write(&mut self, r: MemRef) -> AccessOutcome {
-        let set = self.cfg.set_of(r.addr);
-        let tag = self.cfg.tag_of(r.addr);
+        let block = self.geo.block(r.addr);
+        let set = self.geo.set(block);
         let need = self.word_mask(r);
-        let block_addr = r.addr & !(self.cfg.block_size() - 1);
+        let block_addr = r.addr & !(self.geo.block_size - 1);
         let mut out = AccessOutcome::default();
 
-        if let Some(way) = self.find(set, tag) {
+        if let Some(way) = self.find(set, block) {
             // Write hit (line presence suffices; we overwrite words).
             self.stats.write_hits += 1;
-            let idx = self.line_index(set, way);
-            self.lines[idx].valid_mask |= need;
-            self.lines[idx].referenced = true;
+            let slot = self.geo.base(set) + way;
+            self.lines[slot].valid_mask |= need;
+            self.lines[slot].referenced = true;
             match self.cfg.write_policy() {
                 WritePolicy::WriteBack => {
-                    self.lines[idx].dirty_mask |= need;
+                    self.lines[slot].dirty_mask |= need;
                 }
                 WritePolicy::WriteThrough => {
                     out.push_below(BelowRequest {
@@ -555,17 +725,16 @@ impl Cache {
             WriteAllocate::Allocate => {
                 let way = self.pick_victim(set);
                 self.evict(set, way, &mut out, false);
-                self.fill(set, way, tag, true);
+                let slot = self.fill(set, way, block, true);
                 out.push_below(BelowRequest {
                     addr: block_addr,
-                    bytes: self.cfg.block_size(),
+                    bytes: self.geo.block_size,
                     kind: BelowKind::Fetch,
                 });
-                self.stats.bytes_fetched += self.cfg.block_size();
-                let idx = self.line_index(set, way);
-                self.lines[idx].valid_mask = self.full_mask;
+                self.stats.bytes_fetched += self.geo.block_size;
+                self.lines[slot].valid_mask = self.full_mask;
                 match self.cfg.write_policy() {
-                    WritePolicy::WriteBack => self.lines[idx].dirty_mask |= need,
+                    WritePolicy::WriteBack => self.lines[slot].dirty_mask |= need,
                     WritePolicy::WriteThrough => {
                         out.push_below(BelowRequest {
                             addr: r.addr,
@@ -580,10 +749,9 @@ impl Cache {
                 // Allocate without fetching; only written words valid.
                 let way = self.pick_victim(set);
                 self.evict(set, way, &mut out, false);
-                self.fill(set, way, tag, true);
-                let idx = self.line_index(set, way);
-                self.lines[idx].valid_mask = need;
-                self.lines[idx].dirty_mask = need;
+                let slot = self.fill(set, way, block, true);
+                self.lines[slot].valid_mask = need;
+                self.lines[slot].dirty_mask = need;
             }
         }
         out
@@ -600,10 +768,9 @@ impl Cache {
     /// Like [`Cache::flush`], also returning the emitted write-backs.
     pub fn flush_collect(&mut self) -> (Vec<BelowRequest>, CacheStats) {
         let mut out = Vec::new();
-        for set in 0..self.cfg.num_sets() {
-            for way in 0..self.cfg.ways() as usize {
-                self.evict(set, way, &mut out, true);
-            }
+        for slot in 0..self.lines.len() {
+            let (set, way) = (slot / self.geo.ways, slot % self.geo.ways);
+            self.evict(set, way, &mut out, true);
         }
         (out, self.stats)
     }
@@ -869,6 +1036,142 @@ mod tests {
                 bytes: 1,
                 kind: BelowKind::Fetch,
             });
+        }
+    }
+
+    /// The block index holds exactly the valid lines, at their slots,
+    /// and each set's resident count matches.
+    fn assert_index_exact(c: &Cache) {
+        let w = c.wide.as_ref().expect("a wide-set cache");
+        let mut valid = 0;
+        for (slot, line) in c.lines.iter().enumerate() {
+            if line.valid {
+                valid += 1;
+                let set = slot / c.geo.ways;
+                let block = c.geo.block_of(set, line.tag);
+                assert_eq!(w.slots.get(&block), Some(&slot), "block {block}");
+            }
+        }
+        assert_eq!(w.slots.len(), valid, "index holds stale blocks");
+        for (set, &n) in w.resident.iter().enumerate() {
+            let base = c.geo.base(set);
+            let live = c.lines[base..base + c.geo.ways]
+                .iter()
+                .filter(|l| l.valid)
+                .count();
+            assert_eq!(n, live, "resident count of set {set}");
+        }
+    }
+
+    #[test]
+    fn wide_sets_keep_the_block_index_exact() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // 64 blocks: fully associative (64 ways) and 2 sets of 32 ways,
+        // both above the index threshold, under every policy.
+        for assoc in [Associativity::Full, Associativity::Ways(32)] {
+            for (seed, policy) in [
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Fifo,
+                ReplacementPolicy::Random(7),
+                ReplacementPolicy::Plru,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let cfg = CacheConfig::builder(64 * 32, 32)
+                    .associativity(assoc)
+                    .replacement(policy)
+                    .tagged_prefetch(matches!(policy, ReplacementPolicy::Fifo))
+                    .build()
+                    .unwrap();
+                assert!(cfg.ways() > INDEXED_WAYS);
+                let mut c = Cache::new(cfg);
+                let mut rng = SmallRng::seed_from_u64(seed as u64);
+                for step in 0..4000u64 {
+                    let addr = rng.gen_range(0..200u64) * 4 * 7;
+                    match rng.gen_range(0..10u32) {
+                        0..=5 => {
+                            let size = [4u16, 8][rng.gen_range(0..2usize)];
+                            if rng.gen_range(0..2u32) == 0 {
+                                c.access(MemRef::read(addr, size));
+                            } else {
+                                c.access(MemRef::write(addr, size));
+                            }
+                        }
+                        6 | 7 => {
+                            let r = MemRef::read(addr, 4);
+                            let hit = c.probe_touch(r);
+                            assert!(!hit || c.is_resident(addr));
+                        }
+                        _ => {
+                            let block_addr = addr & !31;
+                            if !c.is_resident(block_addr) {
+                                let displaced = c.swap_in(block_addr, c.full_mask, 1);
+                                assert!(c.is_resident(block_addr));
+                                if let Some((old, _)) = displaced {
+                                    assert!(!c.is_resident(old), "{old} displaced");
+                                }
+                            }
+                        }
+                    }
+                    if step % 997 == 996 {
+                        let drained = c.drain_lines();
+                        assert!(drained.iter().all(|&(a, _)| !c.is_resident(a)));
+                    } else if step % 1499 == 1498 {
+                        let (wbs, _) = c.flush_collect();
+                        assert!(wbs.iter().all(|b| !c.is_resident(b.addr)));
+                    }
+                    assert_index_exact(&c);
+                }
+                let _ = c.flush();
+                assert_index_exact(&c);
+                assert!(c.wide.as_ref().unwrap().slots.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_sets_scan_and_wide_sets_index() {
+        let ways = |n| {
+            let cfg = CacheConfig::builder(64 * 1024, 32)
+                .associativity(n)
+                .build()
+                .unwrap();
+            Cache::new(cfg).wide.is_some()
+        };
+        assert!(!ways(Associativity::Ways(1)));
+        assert!(!ways(Associativity::Ways(INDEXED_WAYS as u32)));
+        assert!(ways(Associativity::Ways(2 * INDEXED_WAYS as u32)));
+        assert!(ways(Associativity::Full), "Table 9's 2048-way cache");
+    }
+
+    #[test]
+    fn quiet_hits_answer_none_and_count_like_access() {
+        let cfg = CacheConfig::builder(256, 32)
+            .tagged_prefetch(true)
+            .build()
+            .unwrap();
+        let mut quiet = Cache::new(cfg);
+        let mut plain = Cache::new(cfg);
+        let refs = [
+            MemRef::read(0, 4),  // miss
+            MemRef::read(4, 4),  // quiet hit
+            MemRef::read(32, 4), // first use of the prefetched block: loud
+            MemRef::write(8, 4), // write-back write hit: quiet
+            MemRef::read(30, 4), // straddle: loud
+        ];
+        let quiet_at = [false, true, false, true, false];
+        for (r, want) in refs.into_iter().zip(quiet_at) {
+            let o = quiet.access_unless_quiet(r);
+            assert_eq!(o.is_none(), want, "{r:?}");
+            let p = plain.access(r);
+            if let Some(o) = o {
+                assert_eq!((o.hit, o.below()), (p.hit, p.below()));
+            } else {
+                assert!(p.hit && p.below().is_empty());
+            }
+            assert_eq!(quiet.stats(), plain.stats());
         }
     }
 

@@ -44,7 +44,7 @@ pub mod stream;
 pub mod victim;
 
 pub use bypass::BypassCache;
-pub use cache::{AccessOutcome, BelowKind, BelowRequest, Cache, MAX_BELOW};
+pub use cache::{AccessOutcome, BelowKind, BelowRequest, Cache, INDEXED_WAYS, MAX_BELOW};
 pub use config::{
     Associativity, CacheConfig, CacheConfigBuilder, ConfigError, ReplacementPolicy, WriteAllocate,
     WritePolicy,

@@ -93,38 +93,49 @@ impl VictimPicker {
     ///
     /// Panics if `meta` is empty.
     pub fn pick(&mut self, meta: &[(u64, u64)], plru: &PlruBits) -> usize {
-        assert!(!meta.is_empty(), "cannot pick a victim from an empty set");
+        self.pick_by(meta.len(), plru, |w| meta[w])
+    }
+
+    /// [`VictimPicker::pick`] over `ways` ways whose `(last_touch,
+    /// filled_at)` metadata `meta` reads on demand, so a caller need not
+    /// collect it. Ties go to the lowest way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is 0.
+    pub fn pick_by(
+        &mut self,
+        ways: usize,
+        plru: &PlruBits,
+        meta: impl Fn(usize) -> (u64, u64),
+    ) -> usize {
+        assert!(ways > 0, "cannot pick a victim from an empty set");
         match self.policy {
-            ReplacementPolicy::Lru => meta
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (touch, _))| *touch)
-                .map(|(i, _)| i)
-                .expect("non-empty"),
-            ReplacementPolicy::Fifo => meta
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, filled))| *filled)
-                .map(|(i, _)| i)
-                .expect("non-empty"),
+            ReplacementPolicy::Lru => oldest(ways, |w| meta(w).0),
+            ReplacementPolicy::Fifo => oldest(ways, |w| meta(w).1),
             ReplacementPolicy::Random(_) => {
                 let rng = self.rng.as_mut().expect("random picker carries an rng");
-                rng.gen_range(0..meta.len())
+                rng.gen_range(0..ways)
             }
-            ReplacementPolicy::Plru => {
-                if meta.len().is_power_of_two() {
-                    plru.victim(meta.len())
-                } else {
-                    // Fall back to LRU for odd geometries.
-                    meta.iter()
-                        .enumerate()
-                        .min_by_key(|(_, (touch, _))| *touch)
-                        .map(|(i, _)| i)
-                        .expect("non-empty")
-                }
-            }
+            ReplacementPolicy::Plru if ways.is_power_of_two() => plru.victim(ways),
+            // Fall back to LRU for odd geometries.
+            ReplacementPolicy::Plru => oldest(ways, |w| meta(w).0),
         }
     }
+}
+
+/// The first of `ways` ways with the smallest `key`.
+fn oldest(ways: usize, key: impl Fn(usize) -> u64) -> usize {
+    (1..ways)
+        .fold((0, key(0)), |(best, k), w| {
+            let v = key(w);
+            if v < k {
+                (w, v)
+            } else {
+                (best, k)
+            }
+        })
+        .0
 }
 
 #[cfg(test)]

@@ -216,12 +216,11 @@ impl SectorCache {
             None => {
                 // Block miss: evict a whole address block (write back its
                 // dirty sub-blocks) and re-tag; no data moves yet.
-                let meta: Vec<(u64, u64)> = (0..ways)
-                    .map(|w| (self.lines[base + w].last_touch, 0))
-                    .collect();
-                let w = (0..ways)
-                    .find(|&w| !self.lines[base + w].valid)
-                    .unwrap_or_else(|| self.picker.pick(&meta, &self.plru[set as usize]));
+                let lines = &self.lines[base..base + ways];
+                let w = (0..ways).find(|&w| !lines[w].valid).unwrap_or_else(|| {
+                    self.picker
+                        .pick_by(ways, &self.plru[set as usize], |w| (lines[w].last_touch, 0))
+                });
                 let old = self.lines[base + w];
                 if old.valid {
                     let dirty_subs = (old.dirty & old.present).count_ones() as u64;

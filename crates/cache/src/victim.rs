@@ -240,6 +240,41 @@ mod tests {
     }
 
     #[test]
+    fn wide_main_cache_with_buffer_is_one_larger_lru_cache() {
+        use crate::config::Associativity;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // A fully-associative LRU main cache of N blocks plus a B-block
+        // victim buffer keeps the N + B most recently used blocks, so it
+        // must count exactly like one N + B block LRU cache. N = 64 is
+        // above the index threshold: every promotion (`swap_in`), probe
+        // (`probe_touch`) and flush (`drain_lines`) runs on the block
+        // index, and a stale entry would show up as a wrong hit.
+        let fa = |blocks: u64| {
+            CacheConfig::builder(blocks * 32, 32)
+                .associativity(Associativity::Full)
+                .build()
+                .unwrap()
+        };
+        let mut v = VictimCache::new(fa(64), 64);
+        let mut plain = Cache::new(fa(128));
+        let mut rng = SmallRng::seed_from_u64(11);
+        for round in 0..3 {
+            for _ in 0..5000 {
+                let addr = rng.gen_range(0..300u64) * 32 + rng.gen_range(0..8u64) * 4;
+                let r = if rng.gen_range(0..3u32) == 0 {
+                    MemRef::write(addr, 4)
+                } else {
+                    MemRef::read(addr, 4)
+                };
+                v.access(r);
+                plain.access(r);
+            }
+            assert_eq!(v.flush(), plain.flush(), "round {round}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "write-back write-allocate")]
     fn rejects_write_through() {
         let cfg = CacheConfig::builder(256, 32)

@@ -5,7 +5,7 @@ use crate::audit::Auditor;
 use crate::error::{collect_jobs, MembwError};
 use crate::report::{count_uops, Table};
 use membw_runner::Runner;
-use membw_sim::{decompose, Decomposition, Experiment, MachineSpec};
+use membw_sim::{decompose_group, Decomposition, Experiment, MachineSpec};
 use membw_workloads::{suite92, suite95, Scale, Suite};
 use serde::{Deserialize, Serialize};
 
@@ -71,19 +71,25 @@ impl Fig3Result {
 
 /// Run the decomposition for one suite at `scale` over `experiments`.
 ///
-/// Fans the full (benchmark × experiment) matrix out on the run engine
-/// — each job replays its benchmark's recorded trace (recorded once per
-/// process via the trace cache; regenerated when caching is off) and
-/// owns its three simulations — then normalizes and assembles in
-/// canonical order, so the result is identical at any `--jobs` setting
-/// and with the cache on or off. Jobs are fault-isolated and
-/// checkpointed under the batch label `fig3/<suite>`.
+/// Fans the matrix out on the run engine as one job per (benchmark,
+/// core): experiments whose machines share a [`CoreKey`] — A/B/C and
+/// D/E in both suites — share one perfect-memory run, since `T_P`
+/// ignores the memory system. Each job replays its benchmark's
+/// recorded trace (recorded once per process via the trace cache;
+/// regenerated when caching is off), runs `T_P` once and `T_I` and `T`
+/// per experiment of its group. The results are then normalized and
+/// assembled in canonical order, so they are identical at any
+/// `--jobs` setting and with the cache on or off. Jobs are
+/// fault-isolated and checkpointed under the batch label
+/// `fig3/<suite>`.
+///
+/// [`CoreKey`]: membw_sim::CoreKey
 ///
 /// # Errors
 ///
-/// Returns [`MembwError::Jobs`] if any matrix cell ultimately failed
-/// (after the configured retry budget); healthy cells stay archived in
-/// the checkpoint for a `--resume` rerun. Returns
+/// Returns [`MembwError::Jobs`] if any job ultimately failed (after
+/// the configured retry budget); healthy jobs stay archived in the
+/// checkpoint for a `--resume` rerun. Returns
 /// [`MembwError::InvariantViolation`] under `--audit strict` if any
 /// cell breaks the Eq. 1–4 identities.
 pub fn run_suite(
@@ -108,34 +114,76 @@ pub fn run_suite(
         return Ok(Fig3Result { cells: Vec::new() });
     }
 
-    // One job per (benchmark, experiment), benchmark-major.
-    let n_e = experiments.len();
+    // Group the experiments by core, in order of first appearance; a
+    // group holds indices into `experiments`.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (ei, &e) in experiments.iter().enumerate() {
+        let key = spec_for(e).core_key();
+        match groups
+            .iter_mut()
+            .find(|g| spec_for(experiments[g[0]]).core_key() == key)
+        {
+            Some(g) => g.push(ei),
+            None => groups.push(vec![ei]),
+        }
+    }
+    let group_label = |g: &[usize]| {
+        g.iter()
+            .map(|&ei| experiments[ei].label())
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+
+    // One job per (benchmark, core group), benchmark-major.
+    let (n_e, n_g) = (experiments.len(), groups.len());
     let label = format!("fig3/{suite_label}");
     let exp_labels: Vec<&str> = experiments.iter().map(Experiment::label).collect();
     let key = format!(
-        "v1/fig3/{suite_label}/{scale:?}/{}x[{}]",
+        "v2/fig3/{suite_label}/{scale:?}/{}x[{}]",
         benchmarks.len(),
-        exp_labels.join(",")
+        groups
+            .iter()
+            .map(|g| group_label(g))
+            .collect::<Vec<_>>()
+            .join("|")
     );
-    let raw = Runner::from_env().checkpointed(&label, &key, benchmarks.len() * n_e, |k| {
-        let b = &benchmarks[k / n_e];
-        let e = experiments[k % n_e];
-        let spec = spec_for(e);
+    let raw = Runner::from_env().checkpointed(&label, &key, benchmarks.len() * n_g, |k| {
+        let b = &benchmarks[k / n_g];
+        let specs: Vec<MachineSpec> = groups[k % n_g]
+            .iter()
+            .map(|&ei| spec_for(experiments[ei]))
+            .collect();
         // Record once, replay for every (experiment × memory-mode) run
         // of this benchmark — and across runner threads.
-        let d = decompose(&b.replayable(), &spec);
-        count_uops(d.uops);
-        let seconds = d.t as f64 / spec.cpu_mhz as f64;
-        let tp_seconds = d.t_p as f64 / spec.cpu_mhz as f64;
-        (d, seconds, tp_seconds)
+        let ds = decompose_group(&b.replayable(), &specs);
+        ds.into_iter()
+            .zip(&specs)
+            .map(|(d, spec)| {
+                count_uops(d.uops);
+                let seconds = d.t as f64 / spec.cpu_mhz as f64;
+                let tp_seconds = d.t_p as f64 / spec.cpu_mhz as f64;
+                (d, seconds, tp_seconds)
+            })
+            .collect::<Vec<_>>()
     });
-    let raw: Vec<(Decomposition, f64, f64)> = collect_jobs(&label, raw, |k| {
+    let jobs: Vec<Vec<(Decomposition, f64, f64)>> = collect_jobs(&label, raw, |k| {
         format!(
             "{}/{}",
-            benchmarks[k / n_e].name(),
-            experiments[k % n_e].label()
+            benchmarks[k / n_g].name(),
+            group_label(&groups[k % n_g])
         )
     })?;
+    // Scatter each job's cells back to (benchmark, experiment) order.
+    let mut raw = vec![None; benchmarks.len() * n_e];
+    for (k, cells) in jobs.into_iter().enumerate() {
+        for (&ei, cell) in groups[k % n_g].iter().zip(cells) {
+            raw[(k / n_g) * n_e + ei] = Some(cell);
+        }
+    }
+    let raw: Vec<(Decomposition, f64, f64)> = raw
+        .into_iter()
+        .map(|c| c.expect("every experiment is in one group"))
+        .collect();
 
     // Serial normalization pass: experiment A supplies each benchmark's
     // T_P baseline (Figure 3's y-axis is normalized to A's T_P). When A

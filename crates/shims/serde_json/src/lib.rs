@@ -239,13 +239,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are trustworthy).
+                    // Copy the plain run up to the next quote or
+                    // backslash, validated once. Both are ASCII, which
+                    // never occurs inside a multi-byte UTF-8 sequence,
+                    // so the run ends on a character boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| Error::parse("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
+                        .map_err(|_| Error::parse("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -477,6 +483,37 @@ mod tests {
             let F(back) = from_str(&text).unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{text}");
         }
+    }
+
+    fn parse_string(bytes: &[u8]) -> Result<String, Error> {
+        Parser { bytes, pos: 0 }.string()
+    }
+
+    #[test]
+    fn strings_round_trip_runs_multibyte_text_and_escapes() {
+        for s in [
+            "",
+            "plain ascii run",
+            "ü€𝄞 multibyte",
+            "a\"b\\c\nd\te\u{8}\u{c}/",
+            "\"\"\\\\",
+            "\u{1}\u{1f}\u{7f}é\"ß\\😀",
+        ] {
+            let mut text = String::new();
+            write_string(&mut text, s);
+            assert_eq!(parse_string(text.as_bytes()).unwrap(), s, "{text:?}");
+        }
+        // `\u` escapes next to plain runs and other escapes.
+        let text = r#""x\u00e9y\u0041\n\u20ac€\u002F""#;
+        assert_eq!(parse_string(text.as_bytes()).unwrap(), "xéyA\n€€/");
+    }
+
+    #[test]
+    fn strings_reject_invalid_utf8_and_missing_quotes() {
+        assert!(parse_string(b"\"ab\xff cd\"").is_err());
+        assert!(parse_string(b"\"ab\\n\xc3\"").is_err());
+        assert!(parse_string(b"\"abc").is_err());
+        assert!(parse_string(b"\"ab\\").is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use membw_trace::Workload;
 use serde::{Deserialize, Serialize};
 
 /// Result of the three-run decomposition for one workload on one machine.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Decomposition {
     /// Cycles with a perfect (1-cycle) memory system: `T_P`.
     pub t_p: u64,
@@ -73,23 +73,51 @@ fn run_once<W: Workload + ?Sized>(
 /// a run); `T_I ≥ T_P` holds whenever real latencies only add time, which
 /// the timing model guarantees.
 pub fn decompose<W: Workload + ?Sized>(workload: &W, spec: &MachineSpec) -> Decomposition {
-    let (t_p, _, uops) = run_once(workload, spec, MemoryMode::Perfect);
-    let (t_i, _, _) = run_once(workload, spec, MemoryMode::LatencyOnly);
-    let (t, mem, _) = run_once(workload, spec, MemoryMode::Full);
-    // Guard the invariants against model corner cases.
-    let t_i = t_i.max(t_p);
-    let t = t.max(t_i);
-    let tf = t as f64;
-    Decomposition {
-        t_p,
-        t_i,
-        t,
-        f_p: t_p as f64 / tf,
-        f_l: (t_i - t_p) as f64 / tf,
-        f_b: (t - t_i) as f64 / tf,
-        full_mem: mem.stats(),
-        uops,
-    }
+    decompose_group(workload, std::slice::from_ref(spec))[0]
+}
+
+/// [`decompose`] on every machine of `specs`, which share one
+/// [`CoreKey`](crate::machine::CoreKey): a single perfect-memory run
+/// supplies every machine's `T_P` and uop count, then the latency-only
+/// and full runs follow per machine. Entry `i` equals
+/// `decompose(workload, &specs[i])`.
+///
+/// # Panics
+///
+/// Panics if two specs have different core keys.
+pub fn decompose_group<W: Workload + ?Sized>(
+    workload: &W,
+    specs: &[MachineSpec],
+) -> Vec<Decomposition> {
+    let Some(first) = specs.first() else {
+        return Vec::new();
+    };
+    assert!(
+        specs.iter().all(|s| s.core_key() == first.core_key()),
+        "decompose_group needs machines that share one core"
+    );
+    let (t_p, _, uops) = run_once(workload, first, MemoryMode::Perfect);
+    specs
+        .iter()
+        .map(|spec| {
+            let (t_i, _, _) = run_once(workload, spec, MemoryMode::LatencyOnly);
+            let (t, mem, _) = run_once(workload, spec, MemoryMode::Full);
+            // Guard the invariants against model corner cases.
+            let t_i = t_i.max(t_p);
+            let t = t.max(t_i);
+            let tf = t as f64;
+            Decomposition {
+                t_p,
+                t_i,
+                t,
+                f_p: t_p as f64 / tf,
+                f_l: (t_i - t_p) as f64 / tf,
+                f_b: (t - t_i) as f64 / tf,
+                full_mem: mem.stats(),
+                uops,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -125,6 +153,14 @@ mod tests {
         let d = decompose(&w, &MachineSpec::spec92(Experiment::A));
         assert!(d.f_p < 0.9, "streaming must stall; f_p = {}", d.f_p);
         assert!(d.f_l + d.f_b > 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one core")]
+    fn group_rejects_machines_with_different_cores() {
+        let w = Strided::reads(0, 4, 100);
+        let specs = [Experiment::A, Experiment::D].map(MachineSpec::spec92);
+        decompose_group(&w, &specs);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod memsys;
 pub mod ruu;
 
 pub use bpred::{BranchPredictor, TwoLevelPredictor};
-pub use decompose::{decompose, Decomposition};
+pub use decompose::{decompose, decompose_group, Decomposition};
 pub use dram::{Dram, DramConfig};
-pub use machine::{CoreKind, Experiment, MachineSpec, MemoryMode, MemorySpec};
+pub use machine::{CoreKey, CoreKind, Experiment, MachineSpec, MemoryMode, MemorySpec};
 pub use memsys::{MemSystem, MemSystemStats};

@@ -165,12 +165,54 @@ pub struct MachineSpec {
     pub mem: MemorySpec,
 }
 
+/// The [`MachineSpec`] fields a core reads: everything but `mem`,
+/// `experiment` and `cpu_mhz`.
+///
+/// With [`MemoryMode::Perfect`] the memory system ignores its
+/// [`MemorySpec`], so two machines with equal keys have equal `T_P` and
+/// uop counts on any workload; see [`decompose_group`].
+///
+/// [`decompose_group`]: crate::decompose::decompose_group
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreKey {
+    core: CoreKind,
+    issue_width: u32,
+    ruu_slots: usize,
+    lsq_entries: usize,
+    bpred_entries: usize,
+    mispredict_penalty: u64,
+}
+
 fn ns_to_cycles(ns: u64, mhz: u64) -> u64 {
     // cycles = ns * GHz = ns * mhz / 1000, rounded up.
     (ns * mhz).div_ceil(1000)
 }
 
 impl MachineSpec {
+    /// The fields of this machine its core reads.
+    pub fn core_key(&self) -> CoreKey {
+        // Exhaustive, so a new field must be sorted onto one side.
+        let MachineSpec {
+            experiment: _,
+            core,
+            issue_width,
+            ruu_slots,
+            lsq_entries,
+            bpred_entries,
+            mispredict_penalty,
+            cpu_mhz: _,
+            mem: _,
+        } = *self;
+        CoreKey {
+            core,
+            issue_width,
+            ruu_slots,
+            lsq_entries,
+            bpred_entries,
+            mispredict_penalty,
+        }
+    }
+
     /// The SPEC92-era configuration of experiment `e` (Tables 4–5):
     /// 128 KiB L1, 1 MiB 4-way L2, 300 MHz (400 MHz for F), bus/CPU clock
     /// ratio 3.
@@ -337,6 +379,18 @@ mod tests {
             let m = MachineSpec::spec95(e);
             let _ = m.mem.l1_config();
             let _ = m.mem.l2_config();
+        }
+    }
+
+    #[test]
+    fn core_keys_group_abc_and_de() {
+        for spec in [MachineSpec::spec92, MachineSpec::spec95] {
+            let key = |e| spec(e).core_key();
+            assert_eq!(key(Experiment::A), key(Experiment::B));
+            assert_eq!(key(Experiment::A), key(Experiment::C));
+            assert_eq!(key(Experiment::D), key(Experiment::E));
+            assert_ne!(key(Experiment::C), key(Experiment::D));
+            assert_ne!(key(Experiment::E), key(Experiment::F));
         }
     }
 

@@ -53,10 +53,14 @@ pub struct MemSystem {
     bus2: Bus,
     dram: Dram,
     spec: MemorySpec,
+    /// `log2` of the L1 and L2 block sizes (both powers of two, as the
+    /// cache configurations require).
+    l1_shift: u32,
+    l2_shift: u32,
     /// L1 blocks currently being filled -> cycle the fill completes.
-    fill_ready: FastHashMap<u64, u64>,
+    fill_ready: Fills,
     /// L2 blocks currently being filled -> cycle the fill completes.
-    l2_fill_ready: FastHashMap<u64, u64>,
+    l2_fill_ready: Fills,
     /// Completion cycle of the most recent miss (blocking cache).
     last_miss_done: u64,
     /// Completion cycles of in-flight misses (lockup-free MSHRs).
@@ -89,8 +93,10 @@ impl MemSystem {
             bus2,
             dram,
             spec: *spec,
-            fill_ready: FastHashMap::default(),
-            l2_fill_ready: FastHashMap::default(),
+            l1_shift: spec.l1_block.trailing_zeros(),
+            l2_shift: spec.l2_block.trailing_zeros(),
+            fill_ready: Fills::default(),
+            l2_fill_ready: Fills::default(),
             last_miss_done: 0,
             outstanding: Vec::new(),
             write_buffer: Vec::new(),
@@ -190,16 +196,13 @@ impl MemSystem {
 
     /// Core of the timing model. Returns the data-ready cycle (loads).
     fn access(&mut self, now: u64, r: MemRef, wait_for_data: bool) -> u64 {
-        let block = r.addr / self.spec.l1_block;
-        let outcome = self.l1.access(r);
-        if outcome.hit {
+        let block = r.addr >> self.l1_shift;
+        let Some(outcome) = self.l1.access_unless_quiet(r) else {
             // A hit on a still-filling block waits for the fill.
-            let ready = self
-                .fill_ready
-                .get(&block)
-                .copied()
-                .unwrap_or(0)
-                .max(now + 1);
+            return self.fill_ready.wait(block, now + 1);
+        };
+        if outcome.hit {
+            let ready = self.fill_ready.wait(block, now + 1);
             // Tagged prefetch can trigger on first use of a prefetched
             // block: schedule its traffic without stalling the core.
             self.schedule_async(now + 1, outcome.below());
@@ -237,7 +240,8 @@ impl MemSystem {
         }
 
         self.fill_ready.insert(block, data_ready);
-        self.prune_fills(now);
+        self.fill_ready.prune(now);
+        self.l2_fill_ready.prune(now);
         self.last_miss_done = self.last_miss_done.max(data_ready);
         if !self.spec.blocking {
             self.outstanding.push(data_ready);
@@ -252,18 +256,14 @@ impl MemSystem {
     /// Time a demand fetch from L2 (and below), returning the cycle the
     /// critical word reaches the L1.
     fn fetch_from_l2(&mut self, t: u64, req: BelowRequest) -> u64 {
-        let l2_block = req.addr / self.spec.l2_block;
+        let l2_block = req.addr >> self.l2_shift;
         let size = u16::try_from(req.bytes.min(u64::from(u16::MAX))).expect("bounded");
         let outcome = self.l2.access(MemRef::read(req.addr, size));
         // Request reaches L2, which takes l2_latency to respond.
         let l2_done = t + self.spec.l2_latency;
         let data_at_l2 = if outcome.hit {
             // Account for an in-progress fill of this L2 block.
-            self.l2_fill_ready
-                .get(&l2_block)
-                .copied()
-                .unwrap_or(0)
-                .max(l2_done)
+            self.l2_fill_ready.wait(l2_block, l2_done)
         } else {
             let mut ready = l2_done;
             for sub in outcome.below() {
@@ -304,8 +304,7 @@ impl MemSystem {
             // Prefetch: full L2 path; nobody stalls on it now, but a
             // later demand hit on the block must wait for its arrival.
             let ready = self.fetch_from_l2(t, req);
-            let block = req.addr / self.spec.l1_block;
-            self.fill_ready.insert(block, ready);
+            self.fill_ready.insert(req.addr >> self.l1_shift, ready);
         } else {
             // Writeback / write-through: occupy bus1, then update L2.
             let grant = self.bus1.acquire(t, req.bytes);
@@ -317,13 +316,41 @@ impl MemSystem {
             }
         }
     }
+}
 
-    fn prune_fills(&mut self, now: u64) {
-        if self.fill_ready.len() > 65536 {
-            self.fill_ready.retain(|_, &mut c| c > now);
+/// Completion cycles of block fills, keyed by block number.
+///
+/// `latest` is a watermark: the latest completion ever inserted. A
+/// request ready at or after it cannot wait on any fill, so [`wait`]
+/// answers without the lookup, and the answer is exact.
+///
+/// [`wait`]: Fills::wait
+#[derive(Debug, Default)]
+struct Fills {
+    ready: FastHashMap<u64, u64>,
+    latest: u64,
+}
+
+impl Fills {
+    fn insert(&mut self, block: u64, done: u64) {
+        self.ready.insert(block, done);
+        self.latest = self.latest.max(done);
+    }
+
+    /// When a request ready at `at` gets `block`'s data: after any
+    /// in-flight fill of the block completes.
+    #[inline]
+    fn wait(&self, block: u64, at: u64) -> u64 {
+        if at >= self.latest {
+            return at;
         }
-        if self.l2_fill_ready.len() > 65536 {
-            self.l2_fill_ready.retain(|_, &mut c| c > now);
+        self.ready.get(&block).copied().unwrap_or(0).max(at)
+    }
+
+    /// Drop completed fills once the map grows large.
+    fn prune(&mut self, now: u64) {
+        if self.ready.len() > 65536 {
+            self.ready.retain(|_, &mut c| c > now);
         }
     }
 }
@@ -406,6 +433,27 @@ mod tests {
             "functional traffic is identical across modes"
         );
         assert_eq!(lat_sys.stats().bus2_queued_cycles, 0);
+    }
+
+    #[test]
+    fn fill_watermark_answers_like_the_lookup() {
+        let mut f = Fills::default();
+        f.insert(1, 50);
+        f.insert(2, 30);
+        f.insert(1, 20); // a refill may finish earlier than the watermark
+        for (block, at) in [
+            (1, 10),
+            (1, 25),
+            (2, 10),
+            (2, 40),
+            (3, 10),
+            (1, 50),
+            (2, 60),
+        ] {
+            let looked_up = f.ready.get(&block).copied().unwrap_or(0).max(at);
+            assert_eq!(f.wait(block, at), looked_up, "block {block} at {at}");
+        }
+        assert_eq!(f.latest, 50);
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl MemRef {
     /// Panics in debug builds if `block_size` is not a power of two.
     pub fn block(&self, block_size: u64) -> u64 {
         debug_assert!(block_size.is_power_of_two());
-        self.addr / block_size
+        self.addr >> block_size.trailing_zeros()
     }
 
     /// The 4-byte word index of this reference (the paper's MTC request
@@ -87,9 +87,13 @@ impl MemRef {
     }
 
     /// `true` if the access lies entirely within one `block_size` block.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `block_size` is not a power of two.
     pub fn fits_in_block(&self, block_size: u64) -> bool {
         let last = self.addr + u64::from(self.size) - 1;
-        self.block(block_size) == last / block_size
+        self.block(block_size) == last >> block_size.trailing_zeros()
     }
 }
 

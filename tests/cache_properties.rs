@@ -2,7 +2,7 @@
 //! against the independent reuse-distance implementation.
 
 use membw::cache::{
-    Associativity, Cache, CacheConfig, ReplacementPolicy, WriteAllocate, WritePolicy,
+    Associativity, Cache, CacheConfig, ReplacementPolicy, WriteAllocate, WritePolicy, INDEXED_WAYS,
 };
 use membw::trace::reuse::ReuseProfile;
 use membw::trace::{MemRef, VecWorkload};
@@ -45,6 +45,24 @@ proptest! {
         let stats = run(&refs, cfg);
         let profile = ReuseProfile::measure(&VecWorkload::new("t", refs), 32);
         prop_assert_eq!(stats.demand_misses(), profile.lru_misses(blocks));
+    }
+
+    /// The same oracle on both lookup paths: fully-associative caches
+    /// at half, at, twice and four times the block-index threshold
+    /// (scanned sets below it, indexed sets above).
+    #[test]
+    fn fa_lru_matches_reuse_profile_on_both_lookup_paths(
+        refs in trace_strategy(600, 1024),
+        scale in 0usize..4,
+    ) {
+        let blocks = [INDEXED_WAYS / 2, INDEXED_WAYS, 2 * INDEXED_WAYS, 4 * INDEXED_WAYS][scale];
+        let cfg = CacheConfig::builder(blocks * 32, 32)
+            .associativity(Associativity::Full)
+            .build()
+            .expect("valid geometry");
+        let stats = run(&refs, cfg);
+        let profile = ReuseProfile::measure(&VecWorkload::new("t", refs), 32);
+        prop_assert_eq!(stats.demand_misses(), profile.lru_misses(blocks), "{} ways", blocks);
     }
 
     /// LRU inclusion: a bigger fully-associative LRU cache never misses
@@ -150,4 +168,42 @@ proptest! {
         let b = run(&refs, cfg);
         prop_assert_eq!(a, b);
     }
+}
+
+/// Table 9's widest cache: 64 KiB fully associative with 32-byte
+/// blocks, 2048 ways on the indexed path, against the stack-distance
+/// oracle on a trace three times its capacity.
+#[test]
+fn table9_fully_associative_geometry_matches_reuse_profile() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(9);
+    let refs: Vec<MemRef> = (0..40_000)
+        .map(|i| {
+            // A hot region that fits plus a cold region that does not.
+            let block = if i % 3 == 0 {
+                rng.gen_range(0..6144u64)
+            } else {
+                rng.gen_range(0..1024u64)
+            };
+            let addr = block * 32 + rng.gen_range(0..8u64) * 4;
+            if rng.gen_range(0..4u32) == 0 {
+                MemRef::write(addr, 4)
+            } else {
+                MemRef::read(addr, 4)
+            }
+        })
+        .collect();
+    let cfg = CacheConfig::builder(64 * 1024, 32)
+        .associativity(Associativity::Full)
+        .build()
+        .expect("valid geometry");
+    assert_eq!(cfg.ways(), 2048);
+    let stats = run(&refs, cfg);
+    let profile = ReuseProfile::measure(&VecWorkload::new("t", refs), 32);
+    assert_eq!(stats.demand_misses(), profile.lru_misses(2048));
+    assert!(
+        stats.bytes_written_back > 0,
+        "the trace must evict dirty lines"
+    );
 }

@@ -6,11 +6,12 @@
 //! output.
 
 use membw::runner::{
-    fault, with_cancel_token, with_checkpoint, with_governor, with_jobs, CancelToken,
-    CheckpointConfig, Governor,
+    fault, metrics, metrics_delta, with_cancel_token, with_checkpoint, with_governor, with_jobs,
+    CancelToken, CheckpointConfig, Governor, Runner,
 };
-use membw::workloads::Scale;
-use membw::{run_table7, run_table8};
+use membw::sim::{Decomposition, Experiment, MemSystemStats};
+use membw::workloads::{Scale, Suite};
+use membw::{run_fig3, run_table7, run_table8};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -178,4 +179,64 @@ fn zero_mem_budget_degrades_without_changing_output() {
         stats.events >= 1,
         "escalations are recorded as loud events: {stats:?}"
     );
+}
+
+#[test]
+fn v1_fig3_checkpoint_is_not_resumed_into_the_grouped_job_layout() {
+    let _lock = PLAN_LOCK.lock().unwrap();
+    let render = |r: &run_fig3::Fig3Result| run_fig3::render(r, "Figure 3").render();
+    let clean = render(
+        &run_fig3::run_suite(Suite::Spec92, Scale::Test, &Experiment::ALL).expect("clean run"),
+    );
+
+    // A store in the v1 layout — one job per (benchmark, experiment),
+    // 42 for SPEC92 — whose every archived result is poisoned. Were it
+    // replayed into the (benchmark, core) layout, the render would
+    // change.
+    let ckpt = TempCheckpoint::new("fig3-v1");
+    let poison = Decomposition {
+        t_p: 1,
+        t_i: 2,
+        t: 3,
+        f_p: 1.0 / 3.0,
+        f_l: 1.0 / 3.0,
+        f_b: 1.0 / 3.0,
+        full_mem: MemSystemStats::default(),
+        uops: 1,
+    };
+    let archived = with_checkpoint(ckpt.config(false), || {
+        Runner::from_env().checkpointed(
+            "fig3/SPEC92",
+            "v1/fig3/SPEC92/Test/7x[A,B,C,D,E,F]",
+            42,
+            |_| (poison, 0.5, 0.25),
+        )
+    });
+    assert!(archived.iter().all(Result::is_ok));
+    let v1_dirs = std::fs::read_dir(&ckpt.0).unwrap().count();
+    assert_eq!(v1_dirs, 1, "the v1 store is on disk");
+
+    // Resuming recomputes every job and renders byte-identically.
+    let before = metrics();
+    let resumed = with_checkpoint(ckpt.config(true), || {
+        run_fig3::run_suite(Suite::Spec92, Scale::Test, &Experiment::ALL)
+    })
+    .expect("resumed run");
+    assert_eq!(
+        metrics_delta(before, metrics()).resumed,
+        0,
+        "nothing replayed"
+    );
+    assert_eq!(render(&resumed), clean, "full recompute, byte-identical");
+
+    // The v2 store lands beside the v1 one, and a second resume
+    // replays all 21 (benchmark, core) jobs from it.
+    assert_eq!(std::fs::read_dir(&ckpt.0).unwrap().count(), 2);
+    let before = metrics();
+    let again = with_checkpoint(ckpt.config(true), || {
+        run_fig3::run_suite(Suite::Spec92, Scale::Test, &Experiment::ALL)
+    })
+    .expect("second resume");
+    assert_eq!(metrics_delta(before, metrics()).resumed, 21);
+    assert_eq!(render(&again), clean);
 }

@@ -12,7 +12,7 @@
 //! stack distances predict the same fully-associative LRU miss counts
 //! the sweep engine reports.
 
-use membw::cache::{Associativity, WriteAllocate, WritePolicy};
+use membw::cache::{Associativity, WriteAllocate, WritePolicy, INDEXED_WAYS};
 use membw::mtc::{min_sweep, MinCache, MinConfig, MinWritePolicy};
 use membw::sweep::{direct_reference, sweep_lru, SweepSpec};
 use membw::trace::reuse::ReuseProfile;
@@ -66,6 +66,34 @@ proptest! {
             .write_policy(if write_back { WritePolicy::WriteBack } else { WritePolicy::WriteThrough })
             .write_allocate(if allocate { WriteAllocate::Allocate } else { WriteAllocate::NoAllocate });
         let caps = capacities();
+        let swept = sweep_lru(&spec, &caps, &refs);
+        for (&cap, got) in caps.iter().zip(&swept) {
+            let want = direct_reference(&spec, cap, &refs);
+            prop_assert_eq!(got, &want, "capacity {}", cap);
+        }
+    }
+
+    /// The same equality on both of `Cache`'s lookup paths: set
+    /// associativities below, at and above the block-index threshold,
+    /// plus full associativity, over traces that overflow the caches.
+    #[test]
+    fn stack_sweep_matches_direct_cache_across_the_index_threshold(
+        refs in trace_strategy(600, 4096),
+        block_pow in 2u32..6,
+        ways_idx in 0usize..4,
+        write_back in prop::bool::ANY,
+    ) {
+        let n = INDEXED_WAYS as u32;
+        let assoc = [
+            Associativity::Ways(n / 2),
+            Associativity::Ways(n),
+            Associativity::Ways(2 * n),
+            Associativity::Full,
+        ][ways_idx];
+        let spec = SweepSpec::new(1 << block_pow)
+            .associativity(assoc)
+            .write_policy(if write_back { WritePolicy::WriteBack } else { WritePolicy::WriteThrough });
+        let caps: Vec<u64> = (8..=14).map(|p| 1u64 << p).collect();
         let swept = sweep_lru(&spec, &caps, &refs);
         for (&cap, got) in caps.iter().zip(&swept) {
             let want = direct_reference(&spec, cap, &refs);
@@ -127,4 +155,32 @@ proptest! {
             }
         }
     }
+}
+
+/// Table 9's widest geometry — 64 KiB fully associative, 32-byte
+/// blocks, 2048 ways — through the direct cache (indexed lookup), the
+/// stack sweep and the stack-distance profile, on a trace that
+/// overflows it.
+#[test]
+fn table9_fully_associative_geometry_agrees_across_engines() {
+    let refs: Vec<MemRef> = (0..30_000u64)
+        .map(|i| {
+            // A deterministic scramble over 5000 blocks, one write in 5.
+            let block = (i * 2_654_435_761) % 5000;
+            let addr = block * 32 + (i % 8) * 4;
+            if i % 5 == 0 {
+                MemRef::write(addr, 4)
+            } else {
+                MemRef::read(addr, 4)
+            }
+        })
+        .collect();
+    let spec = SweepSpec::new(32).associativity(Associativity::Full);
+    let cap = 64 * 1024;
+    let swept = sweep_lru(&spec, &[cap], &refs);
+    let direct = direct_reference(&spec, cap, &refs).expect("valid geometry");
+    assert_eq!(swept[0], Some(direct));
+    let profile = ReuseProfile::measure(&VecWorkload::new("t", refs), 32);
+    assert_eq!(direct.demand_misses(), profile.lru_misses(2048));
+    assert!(direct.demand_misses() > 5000, "the trace must evict");
 }
