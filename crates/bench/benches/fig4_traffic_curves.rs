@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
     let caps: Vec<u64> = (6..=22).map(|p| 1u64 << p).collect();
     g.bench_function("cache_curve_17_capacities_stack", |b| {
         let spec = SweepSpec::new(32).associativity(Associativity::Ways(4));
-        b.iter(|| black_box(sweep_lru(&spec, &caps, black_box(&refs))))
+        b.iter(|| black_box(sweep_lru(&spec, &caps, black_box(&refs[..]))))
     });
     g.bench_function("cache_curve_17_capacities_direct", |b| {
         b.iter(|| {
@@ -69,7 +69,7 @@ fn bench(c: &mut Criterion) {
     // vs one two-pass simulation per capacity.
     g.bench_function("mtc_curve_17_capacities_stack", |b| {
         let cfgs: Vec<MinConfig> = caps.iter().map(|&s| MinConfig::mtc(s)).collect();
-        b.iter(|| black_box(min_sweep(&cfgs, black_box(&refs))))
+        b.iter(|| black_box(min_sweep(&cfgs, black_box(&refs[..]))))
     });
     g.bench_function("mtc_curve_17_capacities_direct", |b| {
         b.iter(|| {

@@ -30,7 +30,7 @@ fn bench(c: &mut Criterion) {
     // against the per-size direct loop it replaced.
     g.bench_function("row_sweep_12_sizes_stack", |b| {
         let spec = SweepSpec::new(32);
-        b.iter(|| black_box(sweep_lru(&spec, &SIZES, black_box(&refs))))
+        b.iter(|| black_box(sweep_lru(&spec, &SIZES, black_box(&refs[..]))))
     });
     g.bench_function("row_sweep_12_sizes_direct", |b| {
         b.iter(|| {

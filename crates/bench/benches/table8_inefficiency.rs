@@ -42,7 +42,7 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Elements(compress.len() as u64));
     g.bench_function("mtc_column_8_capacities_sweep", |b| {
         let cfgs: Vec<MinConfig> = caps.iter().map(|&s| MinConfig::mtc(s)).collect();
-        b.iter(|| black_box(min_sweep(&cfgs, black_box(&compress))))
+        b.iter(|| black_box(min_sweep(&cfgs, black_box(&compress[..]))))
     });
     g.bench_function("mtc_column_8_capacities_direct", |b| {
         b.iter(|| {

@@ -535,7 +535,7 @@ impl Cache {
     #[inline]
     fn quiet_hit(&mut self, r: MemRef) -> bool {
         let block = self.geo.block(r.addr);
-        if block != self.geo.block(r.addr + u64::from(r.size) - 1) {
+        if block != self.geo.block(r.last_byte()) {
             return false;
         }
         let set = self.geo.set(block);
@@ -573,8 +573,7 @@ impl Cache {
 
     /// The full access path: any hit or miss, split per block.
     fn access_split(&mut self, r: MemRef) -> AccessOutcome {
-        let last = r.addr + u64::from(r.size) - 1;
-        if self.geo.block(r.addr) == self.geo.block(last) {
+        if self.geo.block(r.addr) == self.geo.block(r.last_byte()) {
             return self.access_within_block(r);
         }
         // Split QPT-style into per-block pieces.

@@ -8,7 +8,7 @@ use crate::report::{size_label, Table};
 use membw_cache::Associativity;
 use membw_mtc::{MinConfig, MinWritePolicy};
 use membw_sweep::{SweepMode, SweepSpec};
-use membw_trace::{MemRef, Workload};
+use membw_trace::Workload;
 use membw_workloads::{suite92, Scale};
 use serde::{Deserialize, Serialize};
 
@@ -41,12 +41,12 @@ pub fn sizes() -> Vec<u64> {
 
 /// The `(capacity, traffic)` points of one curve, by the engine `mode`
 /// chooses; capacities whose geometry is invalid are omitted.
-fn curve_points(refs: &[MemRef], spec: &CurveSpec, mode: SweepMode) -> Vec<(u64, u64)> {
+fn curve_points(workload: &dyn Workload, spec: &CurveSpec, mode: SweepMode) -> Vec<(u64, u64)> {
     let caps = sizes();
     match *spec {
         CurveSpec::Cache { block } => {
             let sweep = SweepSpec::new(block).associativity(Associativity::Ways(4));
-            mode.lru(&sweep, &caps, refs)
+            mode.lru(&sweep, &caps, workload)
                 .into_iter()
                 .zip(caps)
                 .filter_map(|(stats, s)| stats.map(|st| (s, st.traffic_below())))
@@ -57,7 +57,7 @@ fn curve_points(refs: &[MemRef], spec: &CurveSpec, mode: SweepMode) -> Vec<(u64,
                 .iter()
                 .map(|&s| MinConfig::new(s, 4, write, true))
                 .collect();
-            mode.min(&cfgs, refs)
+            mode.min(&cfgs, workload)
                 .into_iter()
                 .zip(caps)
                 .map(|(st, s)| (s, st.traffic_below()))
@@ -118,11 +118,12 @@ pub fn run(scale: Scale) -> Result<(Vec<Fig4Panel>, Vec<Table>), MembwError> {
 /// One run-engine job per (panel, curve) — 3 × 8 — each regenerating
 /// the panel's trace; curves merge back panel-major in the figure's
 /// fixed curve order. Jobs are fault-isolated and checkpointed under
-/// the batch label `fig4` (the key encodes the sweep mode). In stack
-/// mode each cache curve is one [`membw_sweep::sweep_lru`] pass and
-/// each MTC curve one [`membw_mtc::min_sweep`] pass instead of
-/// seventeen independent simulations; stdout and the returned values are
-/// byte-identical between modes.
+/// the batch label `fig4` (the key encodes the sweep mode). Every job
+/// streams the panel's shared recording and never collects it. In
+/// stack mode each cache curve is one [`membw_sweep::sweep_lru`] pass
+/// and each MTC curve one [`membw_mtc::min_sweep`] (two passes) instead
+/// of seventeen independent simulations; stdout and the returned values
+/// are byte-identical between modes.
 ///
 /// # Errors
 ///
@@ -148,10 +149,9 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Vec<Fig4Panel>, Vec<Ta
                 .iter()
                 .find(|b| b.name() == name)
                 .expect("panel benchmark exists in SPEC92 suite");
-            let refs = b.replayable().collect_mem_refs();
             Curve {
                 label: spec.label(),
-                points: curve_points(&refs, spec, mode),
+                points: curve_points(&b.replayable(), spec, mode),
             }
         },
         |k| format!("{}/{}", panel_names[k / n_c], curve_specs[k % n_c].label()),

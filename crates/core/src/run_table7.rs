@@ -7,7 +7,6 @@ use crate::error::{sweep_jobs, MembwError};
 use crate::report::{size_label, Table};
 use membw_analytic::effective_pin_bandwidth;
 use membw_sweep::{SweepMode, SweepSpec};
-use membw_trace::{MemRef, Workload};
 use membw_workloads::{suite92, Scale};
 use serde::{Deserialize, Serialize};
 
@@ -51,10 +50,10 @@ pub struct Table7Result {
     pub effective_pin_bandwidth_mb_s: f64,
 }
 
-fn row_for(b: &membw_workloads::Benchmark, refs: &[MemRef], mode: SweepMode) -> Table7Row {
+fn row_for(b: &membw_workloads::Benchmark, mode: SweepMode) -> Table7Row {
     let ratios = SIZES
         .iter()
-        .zip(mode.lru(&SweepSpec::new(32), &SIZES, refs))
+        .zip(mode.lru(&SweepSpec::new(32), &SIZES, &b.replayable()))
         .map(|(&size, stats)| {
             let stats = stats.expect("1KB-2MB direct-mapped 32B-block geometries are valid");
             let oversized = size >= b.footprint_bytes;
@@ -109,10 +108,8 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table7Result, Table), 
         mode,
         &mut audit,
         |i, mode| {
-            let b = &suite[i];
-            // Replay the shared recording once into a flat vector, then sweep.
-            let refs: Vec<MemRef> = b.replayable().collect_mem_refs();
-            row_for(b, &refs, mode)
+            // Stream the shared recording through the sweep.
+            row_for(&suite[i], mode)
         },
         |i| suite[i].name().to_string(),
     )?;

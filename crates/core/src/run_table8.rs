@@ -9,7 +9,7 @@ use crate::run_table7::SIZES;
 use membw_analytic::upper_bound_epin;
 use membw_mtc::MinConfig;
 use membw_sweep::{SweepMode, SweepSpec};
-use membw_trace::{MemRef, Workload};
+use membw_trace::Workload;
 use membw_workloads::{suite92, Scale};
 use serde::{Deserialize, Serialize};
 
@@ -39,10 +39,10 @@ pub struct Table8Result {
 
 /// `(cache_traffic, mtc_traffic)` per *included* size (below the
 /// footprint), by the engines `mode` chooses.
-fn row_traffic(refs: &[MemRef], included: &[u64], mode: SweepMode) -> Vec<(u64, u64)> {
-    let cache = mode.lru(&SweepSpec::new(32), included, refs);
+fn row_traffic(workload: &dyn Workload, included: &[u64], mode: SweepMode) -> Vec<(u64, u64)> {
+    let cache = mode.lru(&SweepSpec::new(32), included, workload);
     let cfgs: Vec<MinConfig> = included.iter().map(|&s| MinConfig::mtc(s)).collect();
-    let mtc = mode.min(&cfgs, refs);
+    let mtc = mode.min(&cfgs, workload);
     cache
         .into_iter()
         .zip(mtc)
@@ -53,13 +53,13 @@ fn row_traffic(refs: &[MemRef], included: &[u64], mode: SweepMode) -> Vec<(u64, 
         .collect()
 }
 
-fn row_for(b: &membw_workloads::Benchmark, refs: &[MemRef], mode: SweepMode) -> Table8Row {
+fn row_for(b: &membw_workloads::Benchmark, mode: SweepMode) -> Table8Row {
     let included: Vec<u64> = SIZES
         .iter()
         .copied()
         .filter(|&s| s < b.footprint_bytes)
         .collect();
-    let mut traffic = row_traffic(refs, &included, mode).into_iter();
+    let mut traffic = row_traffic(&b.replayable(), &included, mode).into_iter();
     let mut inefficiencies = Vec::new();
     for &size in &SIZES {
         if size >= b.footprint_bytes {
@@ -95,9 +95,10 @@ pub fn run(scale: Scale) -> Result<(Table8Result, Table), MembwError> {
 
 /// Regenerate Table 8 at `scale` with an explicit sweep engine.
 ///
-/// One run-engine job per benchmark (trace regenerated per job, the
-/// whole size sweep inside — two trace passes in stack mode, two per
-/// size in direct mode, identical output either way); `all_g` is
+/// One run-engine job per benchmark (the shared recording streamed,
+/// never collected, with the whole size sweep inside — three passes in
+/// stack mode, one LRU and two **min** per size in direct mode,
+/// identical output either way); `all_g` is
 /// rebuilt from the merged rows in canonical benchmark-major,
 /// size-major order. Jobs are fault-isolated and checkpointed under
 /// the batch label `table8` (the key encodes the sweep mode).
@@ -116,11 +117,7 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table8Result, Table), 
         suite.len(),
         mode,
         &mut audit,
-        |i, mode| {
-            let b = &suite[i];
-            let refs: Vec<MemRef> = b.replayable().collect_mem_refs();
-            row_for(b, &refs, mode)
-        },
+        |i, mode| row_for(&suite[i], mode),
         |i| suite[i].name().to_string(),
     )?;
     for r in &rows {

@@ -37,7 +37,7 @@ use std::collections::BinaryHeap;
 
 /// Stale heap pairs tolerated beyond twice the resident count before
 /// [`MinCache`] compacts its heap.
-const HEAP_SLACK: usize = 1024;
+pub(crate) const HEAP_SLACK: usize = 1024;
 
 /// Write-allocation policy of a **min** cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,26 +173,9 @@ impl MinCache {
         let index = NextUseIndex::from_stream(cfg.block_size, |f| workload.for_each_mem_ref(f));
         membw_runner::ambient_governor().observe_arena_bytes(index.len() as u64 * 8);
         let mut cache = Self::new(*cfg);
-        let cancel = membw_runner::ambient_cancel_token();
-        let mut i = 0usize;
-        workload.for_each_mem_ref(&mut |r| {
-            assert!(
-                i < index.len(),
-                "workload {:?} emitted more references on its second pass",
-                workload.name()
-            );
-            if i.is_multiple_of(8192) {
-                cancel.check();
-            }
-            cache.access(r, r.block(cfg.block_size), index.next_use(i));
-            i += 1;
+        index.replay(workload, |r, block, next_use| {
+            cache.access(r, block, next_use);
         });
-        assert_eq!(
-            i,
-            index.len(),
-            "workload {:?} emitted fewer references on its second pass",
-            workload.name()
-        );
         cache.flush()
     }
 

@@ -57,15 +57,28 @@
 //! engine switch, and core's one cross-check helper,
 //! `membw_core::error::sweep_jobs`, reruns stack-mode jobs through its
 //! direct arm).
+//!
+//! # Memory
+//!
+//! [`min_sweep`] streams its workload twice and holds only the 8-byte
+//! next-use link per reference in between. A hit leaves a stale pair in
+//! its level's heap; once a heap holds more than `2·cnt + 1024` pairs
+//! it is compacted to its live pairs (the rule [`MinCache`] applies to
+//! its one heap), so the heaps stay proportional to the residents.
 
-use crate::min::{MinCache, MinConfig, MinWritePolicy};
+use crate::min::{MinCache, MinConfig, MinWritePolicy, HEAP_SLACK};
 use crate::nextuse::NextUseIndex;
 use membw_cache::CacheStats;
-use membw_trace::{FastHashMap, MemRef};
+use membw_trace::{FastHashMap, MemRef, Workload};
 use std::collections::BinaryHeap;
 
-/// Run several **min** caches over one reference stream in a single
-/// pass, sharing one next-use index.
+/// Run several **min** caches over `workload`'s reference stream in a
+/// single pass, sharing one next-use index.
+///
+/// The stream is generated twice and never held: once to build the
+/// next-use index (8 bytes per reference), once to replay it, as
+/// [`MinCache::simulate_workload`] does. A collected slice of
+/// references is a [`Workload`] too.
 ///
 /// Configurations that agree on write policy and bypass (the common
 /// case: a capacity sweep of one organization) run on the inclusion
@@ -80,8 +93,9 @@ use std::collections::BinaryHeap;
 ///
 /// # Panics
 ///
-/// Panics if the configurations disagree on block size.
-pub fn min_sweep(cfgs: &[MinConfig], refs: &[MemRef]) -> Vec<CacheStats> {
+/// Panics if the configurations disagree on block size, or if the two
+/// passes yield different numbers of references.
+pub fn min_sweep<W: Workload + ?Sized>(cfgs: &[MinConfig], workload: &W) -> Vec<CacheStats> {
     let Some(first) = cfgs.first() else {
         return Vec::new();
     };
@@ -90,36 +104,28 @@ pub fn min_sweep(cfgs: &[MinConfig], refs: &[MemRef]) -> Vec<CacheStats> {
         cfgs.iter().all(|c| c.block_size == block),
         "min_sweep requires a uniform block size (got mixed sizes)"
     );
-    let index = NextUseIndex::build(refs, block);
+    let index = NextUseIndex::from_stream(block, |f| workload.for_each_mem_ref(f));
     // The shared next-use index (8 bytes per reference) is the sweep's
     // big allocation; let the governor see it.
-    membw_runner::ambient_governor().observe_arena_bytes(refs.len() as u64 * 8);
+    membw_runner::ambient_governor().observe_arena_bytes(index.len() as u64 * 8);
     if cfgs
         .iter()
         .all(|c| c.write == first.write && c.bypass == first.bypass)
     {
-        InclusionSweep::new(cfgs).run(refs, &index)
+        let mut sweep = InclusionSweep::new(cfgs);
+        index.replay(workload, |r, block, next_use| {
+            sweep.access(r, block, next_use)
+        });
+        sweep.finish()
     } else {
-        multi_state(cfgs, refs, &index)
+        let mut caches: Vec<MinCache> = cfgs.iter().map(|c| MinCache::new(*c)).collect();
+        index.replay(workload, |r, block, next_use| {
+            for cache in &mut caches {
+                cache.access(r, block, next_use);
+            }
+        });
+        caches.iter_mut().map(MinCache::flush).collect()
     }
-}
-
-/// Fallback for mixed write/bypass policies: one exact [`MinCache`]
-/// state per configuration, advanced in lockstep over the shared index.
-fn multi_state(cfgs: &[MinConfig], refs: &[MemRef], index: &NextUseIndex) -> Vec<CacheStats> {
-    let mut caches: Vec<MinCache> = cfgs.iter().map(|c| MinCache::new(*c)).collect();
-    let cancel = membw_runner::ambient_cancel_token();
-    let block_size = index.block_size();
-    for (i, r) in refs.iter().enumerate() {
-        if i.is_multiple_of(8192) {
-            cancel.check();
-        }
-        let (b, nu) = (r.block(block_size), index.next_use(i));
-        for cache in &mut caches {
-            cache.access(*r, b, nu);
-        }
-    }
-    caches.iter_mut().map(MinCache::flush).collect()
 }
 
 /// Per-block state: current priority key and the residency / dirty
@@ -212,16 +218,25 @@ impl InclusionSweep {
         None
     }
 
-    fn run(mut self, refs: &[MemRef], index: &NextUseIndex) -> Vec<CacheStats> {
-        let cancel = membw_runner::ambient_cancel_token();
-        let block_size = index.block_size();
-        for (i, r) in refs.iter().enumerate() {
-            if i.is_multiple_of(8192) {
-                cancel.check();
-            }
-            self.access(*r, r.block(block_size), index.next_use(i));
+    /// Push the live pair `(key, block)` of a block now at level `l`,
+    /// after its state and `cnt` are updated.
+    fn push(&mut self, l: usize, key: u64, block: u64) {
+        self.heaps[l].push((key, block));
+        self.bound_heap(l);
+    }
+
+    /// Compact `heaps[l]` to its live pairs once it holds more than
+    /// `2·cnt[l] + HEAP_SLACK` pairs, [`MinCache`]'s rule. Called after
+    /// every push to the heap and every drop of `cnt[l]`, with the block
+    /// states current, so each heap stays proportional to its level's
+    /// residents, not to the trace.
+    fn bound_heap(&mut self, l: usize) {
+        if self.heaps[l].len() > 2 * self.cnt[l] as usize + HEAP_SLACK {
+            let state = &self.state;
+            self.heaps[l].retain(|&(key, block)| {
+                matches!(state.get(&block), Some(s) if s.key == key && s.level as usize == l)
+            });
         }
-        self.finish()
     }
 
     fn access(&mut self, r: MemRef, block: u64, next_use: u64) {
@@ -315,10 +330,11 @@ impl InclusionSweep {
                     s.level = j as u32;
                     s.dirty = s.dirty.max(j as u32);
                     self.cnt[j] += 1;
-                    self.heaps[j].push((vkey, vblock));
+                    self.push(j, vkey, vblock);
                 } else {
                     self.state.remove(&vblock);
                 }
+                self.bound_heap(i);
                 running = None;
                 i = j;
             }
@@ -356,12 +372,16 @@ impl InclusionSweep {
                 }
             }
             self.cnt[m] += 1;
-            self.heaps[m].push((next_use, block));
+            self.push(m, next_use, block);
+            if l < k {
+                // The block left level `l` for `m`.
+                self.bound_heap(l);
+            }
         } else if l < k {
             // Pure hit: re-key in place.
             let s = self.state.get_mut(&block).expect("hit block is resident");
             s.key = next_use;
-            self.heaps[l].push((next_use, block));
+            self.push(l, next_use, block);
         }
     }
 
@@ -465,7 +485,7 @@ mod tests {
                     .iter()
                     .map(|&cap| MinConfig::new(cap, 4, write, bypass))
                     .collect();
-                let swept = min_sweep(&cfgs, &refs);
+                let swept = min_sweep(&cfgs, &refs[..]);
                 for (cfg, got) in cfgs.iter().zip(&swept) {
                     let want = MinCache::simulate(cfg, &refs);
                     assert_eq!(
@@ -479,13 +499,59 @@ mod tests {
     }
 
     #[test]
+    fn level_heaps_stay_bounded_on_hit_heavy_stream() {
+        // 200k references cycling over 40 words with one write in five:
+        // every capacity from 4 to 64 words mostly hits, and without
+        // compaction each hit would leave a stale pair in its level's
+        // heap.
+        let refs: Vec<MemRef> = (0..200_000u64)
+            .map(|i| {
+                let w = (i * 7) % 40;
+                if i % 5 == 0 {
+                    MemRef::write(w * 4, 4)
+                } else {
+                    MemRef::read(w * 4, 4)
+                }
+            })
+            .collect();
+        for (write, bypass) in [
+            (MinWritePolicy::Validate, true),
+            (MinWritePolicy::Allocate, false),
+        ] {
+            let cfgs: Vec<MinConfig> = [16u64, 64, 128, 256]
+                .iter()
+                .map(|&cap| MinConfig::new(cap, 4, write, bypass))
+                .collect();
+            let index = NextUseIndex::build(&refs, 4);
+            let mut sweep = InclusionSweep::new(&cfgs);
+            let mut max_heap = 0;
+            index.replay(&refs[..], |r, block, next_use| {
+                sweep.access(r, block, next_use);
+                for (heap, &cnt) in sweep.heaps.iter().zip(&sweep.cnt) {
+                    assert!(heap.len() <= 2 * cnt as usize + HEAP_SLACK);
+                    max_heap = max_heap.max(heap.len());
+                }
+            });
+            assert!(max_heap > HEAP_SLACK, "the stream must exercise compaction");
+            for (cfg, got) in cfgs.iter().zip(sweep.finish()) {
+                assert_eq!(
+                    got,
+                    MinCache::simulate(cfg, &refs),
+                    "{write:?} bypass={bypass}, cap {}",
+                    cfg.capacity_bytes
+                );
+            }
+        }
+    }
+
+    #[test]
     fn min_sweep_handles_unsorted_and_duplicate_capacities() {
         let refs = pseudo_random_trace(900, 32, 17);
         let cfgs: Vec<MinConfig> = [256u64, 16, 64, 16, 1024]
             .iter()
             .map(|&cap| MinConfig::mtc(cap))
             .collect();
-        let swept = min_sweep(&cfgs, &refs);
+        let swept = min_sweep(&cfgs, &refs[..]);
         for (cfg, got) in cfgs.iter().zip(&swept) {
             assert_eq!(
                 *got,
@@ -503,7 +569,7 @@ mod tests {
             MinConfig::new(64, 4, MinWritePolicy::Allocate, false),
             MinConfig::mtc(256),
         ];
-        let swept = min_sweep(&cfgs, &refs);
+        let swept = min_sweep(&cfgs, &refs[..]);
         for (cfg, got) in cfgs.iter().zip(&swept) {
             assert_eq!(*got, MinCache::simulate(cfg, &refs));
         }
@@ -517,7 +583,7 @@ mod tests {
             .iter()
             .map(|&blocks| MinConfig::new(blocks as u64 * 4, 4, MinWritePolicy::Allocate, false))
             .collect();
-        let swept = min_sweep(&cfgs, &refs);
+        let swept = min_sweep(&cfgs, &refs[..]);
         let profile = OptProfile::measure(&refs, 4);
         for (cfg, stats) in cfgs.iter().zip(&swept) {
             let blocks = cfg.capacity_blocks() as usize;
@@ -527,9 +593,9 @@ mod tests {
 
     #[test]
     fn min_sweep_empty_inputs() {
-        assert!(min_sweep(&[], &reads(&[0, 1])).is_empty());
+        assert!(min_sweep(&[], &reads(&[0, 1])[..]).is_empty());
         let cfgs = [MinConfig::mtc(64)];
-        let swept = min_sweep(&cfgs, &[]);
+        let swept = min_sweep(&cfgs, &[][..]);
         assert_eq!(swept.len(), 1);
         assert_eq!(swept[0].accesses, 0);
     }
@@ -541,6 +607,6 @@ mod tests {
             MinConfig::new(64, 4, MinWritePolicy::Allocate, false),
             MinConfig::new(64, 32, MinWritePolicy::Allocate, false),
         ];
-        let _ = min_sweep(&cfgs, &[]);
+        let _ = min_sweep(&cfgs, &[][..]);
     }
 }

@@ -1,6 +1,6 @@
 //! Future-reference (next-use) indexing for two-pass **min** simulation.
 
-use membw_trace::{FastHashMap, MemRef};
+use membw_trace::{FastHashMap, MemRef, Workload};
 
 /// Sentinel meaning "never referenced again".
 pub const NEVER: u64 = u64::MAX;
@@ -65,6 +65,43 @@ impl NextUseIndex {
             next.push(NEVER);
         });
         Self { next, block_size }
+    }
+
+    /// Generate `workload` again (the stream this index was built over)
+    /// and call `f(reference, block, next_use)` for each reference in
+    /// order, polling the ambient cancel token: the second of the two
+    /// **min** passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload emits a different number of references
+    /// than the index covers (a [`Workload`] must emit the identical
+    /// stream every time).
+    pub(crate) fn replay<W: Workload + ?Sized>(
+        &self,
+        workload: &W,
+        mut f: impl FnMut(MemRef, u64, u64),
+    ) {
+        let cancel = membw_runner::ambient_cancel_token();
+        let mut i = 0usize;
+        workload.for_each_mem_ref(&mut |r| {
+            assert!(
+                i < self.next.len(),
+                "workload {:?} emitted more references on its second pass",
+                workload.name()
+            );
+            if i.is_multiple_of(8192) {
+                cancel.check();
+            }
+            f(r, r.block(self.block_size), self.next[i]);
+            i += 1;
+        });
+        assert_eq!(
+            i,
+            self.next.len(),
+            "workload {:?} emitted fewer references on its second pass",
+            workload.name()
+        );
     }
 
     /// The block granularity this index was built at.

@@ -37,5 +37,5 @@
 mod lru;
 mod mode;
 
-pub use lru::{direct_reference, sweep_lru, LruSweep, SweepSpec, SweepUnsupported};
+pub use lru::{direct_reference, sweep_lru, LruSweep, SweepSpec, SweepUnsupported, CHUNK_SLOTS};
 pub use mode::{parse_verify, verify_requested, SweepMode, SWEEP_VERIFY_ENV};

@@ -13,13 +13,22 @@ use membw_cache::{
     Associativity, CacheConfig, CacheStats, ConfigError, ReplacementPolicy, WriteAllocate,
     WritePolicy,
 };
-use membw_trace::MemRef;
+use membw_trace::{MemRef, Workload};
 
-/// Empty-slot marker. Real block numbers are `addr / block_size`, which
-/// cannot reach `u64::MAX` for any addressable byte.
-const EMPTY: u64 = u64::MAX;
+/// Slots per chunk: the unit a level allocates on first touch. A chunk
+/// holds whole sets, so a level with wider sets (fully associative at a
+/// large capacity) takes one set per chunk, and a level smaller than a
+/// chunk is one chunk.
+pub const CHUNK_SLOTS: usize = 64;
 
-/// Cancel-poll stride on the reference stream.
+/// Chunk-table entry of a chunk no reference has touched yet.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// Dirty bit of a slot (bit 0; the block lives in the bits above it).
+const DIRTY: u64 = 1;
+
+/// Cancel-poll stride on the reference stream; the engine also reports
+/// the bytes it holds to the memory governor at this stride.
 const CANCEL_POLL: usize = 4096;
 
 /// The organization held fixed across a capacity sweep.
@@ -129,14 +138,29 @@ impl std::fmt::Display for SweepUnsupported {
     }
 }
 
-/// One capacity level: a truncated LRU stack per set, with dirty bits.
+/// One capacity level: a truncated LRU stack per set, with dirty bits,
+/// stored in chunks of whole sets that are allocated on first touch, so
+/// the level holds memory for the sets the trace reaches, not for its
+/// capacity.
+///
+/// A slot holds `(block + 1) << 1 | dirty`: zero is an empty slot, so a
+/// fresh chunk is all zeros, and a set is one array to search and
+/// rotate. Blocks are at least 4 bytes (the builder rejects smaller
+/// ones), so `block + 1 <= 2^62` and the shift cannot overflow.
 #[derive(Debug)]
 struct Level {
     set_mask: u64,
     ways: usize,
-    /// `num_sets * ways`, set-major, MRU-first within a set.
-    blocks: Vec<u64>,
-    dirty: Vec<bool>,
+    ways_log2: u32,
+    /// log2 of the sets one chunk holds.
+    chunk_sets_log2: u32,
+    /// log2 of the slots one chunk holds.
+    chunk_log2: u32,
+    /// Per chunk of sets: its ordinal in `slots`, or [`UNTOUCHED`].
+    table: Vec<u32>,
+    /// The touched chunks in first-touch order; within a chunk,
+    /// set-major, MRU-first within a set.
+    slots: Vec<u64>,
     read_hits: u64,
     read_misses: u64,
     write_hits: u64,
@@ -151,12 +175,17 @@ struct Level {
 
 impl Level {
     fn new(cfg: &CacheConfig) -> Self {
-        let slots = (cfg.num_sets() * cfg.ways()) as usize;
+        let (sets, ways) = (cfg.num_sets(), cfg.ways());
+        let chunk = (CHUNK_SLOTS as u64).max(ways).min(sets * ways);
+        let chunk_sets = chunk / ways;
         Self {
-            set_mask: cfg.num_sets() - 1,
-            ways: cfg.ways() as usize,
-            blocks: vec![EMPTY; slots],
-            dirty: vec![false; slots],
+            set_mask: sets - 1,
+            ways: ways as usize,
+            ways_log2: ways.trailing_zeros(),
+            chunk_sets_log2: chunk_sets.trailing_zeros(),
+            chunk_log2: chunk.trailing_zeros(),
+            table: vec![UNTOUCHED; (sets / chunk_sets) as usize],
+            slots: Vec::new(),
             read_hits: 0,
             read_misses: 0,
             write_hits: 0,
@@ -167,18 +196,52 @@ impl Level {
         }
     }
 
+    /// Bytes held: the chunk table plus the chunks allocated so far.
     fn bytes(&self) -> u64 {
-        (self.blocks.len() * (std::mem::size_of::<u64>() + 1)) as u64
+        (self.table.capacity() * std::mem::size_of::<u32>()
+            + self.slots.capacity() * std::mem::size_of::<u64>()) as u64
     }
 
-    #[inline]
-    fn access(&mut self, bn: u64, is_write: bool, size: u64, wp: WritePolicy, wa: WriteAllocate) {
-        debug_assert_ne!(bn, EMPTY);
-        let base = (bn & self.set_mask) as usize * self.ways;
-        let slots = &mut self.blocks[base..base + self.ways];
-        let dirt = &mut self.dirty[base..base + self.ways];
+    /// Allocate `chunk` (all slots empty) and return its ordinal.
+    #[cold]
+    #[inline(never)]
+    fn touch(&mut self, chunk: usize) -> u32 {
+        let ordinal = u32::try_from(self.slots.len() >> self.chunk_log2)
+            .ok()
+            .filter(|&o| o != UNTOUCHED)
+            .expect("a level holds fewer than 2^32 - 1 chunks");
+        self.slots
+            .resize(self.slots.len() + (1 << self.chunk_log2), 0);
+        self.table[chunk] = ordinal;
+        ordinal
+    }
 
-        if let Some(way) = slots.iter().position(|&b| b == bn) {
+    /// Present one block-aligned piece: `bn` is its block number and
+    /// `key` its slot encoding, `(bn + 1) << 1`. `WAYS` is the level's
+    /// way count when the caller knows it at compile time, 0 otherwise.
+    #[inline(always)]
+    fn access<const WAYS: usize>(
+        &mut self,
+        bn: u64,
+        key: u64,
+        is_write: bool,
+        size: u64,
+        wp: WritePolicy,
+        wa: WriteAllocate,
+    ) {
+        debug_assert!(WAYS == 0 || WAYS == self.ways);
+        let ways = if WAYS == 0 { self.ways } else { WAYS };
+        let set = bn & self.set_mask;
+        let chunk = (set >> self.chunk_sets_log2) as usize;
+        let ordinal = match self.table[chunk] {
+            UNTOUCHED => self.touch(chunk),
+            o => o,
+        };
+        let in_chunk = (set & ((1 << self.chunk_sets_log2) - 1)) as usize;
+        let base = ((ordinal as usize) << self.chunk_log2) + (in_chunk << self.ways_log2);
+        let slots = &mut self.slots[base..base + ways];
+
+        if let Some(way) = slots.iter().position(|&s| s & !DIRTY == key) {
             // Hit: rotate the touched block to MRU, carrying its dirty
             // bit; writes dirty it (write-back) or push through.
             if is_write {
@@ -186,19 +249,17 @@ impl Level {
             } else {
                 self.read_hits += 1;
             }
-            let mut d = dirt[way];
+            let mut hit = slots[way];
             for w in (1..=way).rev() {
                 slots[w] = slots[w - 1];
-                dirt[w] = dirt[w - 1];
             }
-            slots[0] = bn;
             if is_write {
                 match wp {
-                    WritePolicy::WriteBack => d = true,
+                    WritePolicy::WriteBack => hit |= DIRTY,
                     WritePolicy::WriteThrough => self.through_bytes += size,
                 }
             }
-            dirt[0] = d;
+            slots[0] = hit;
             return;
         }
 
@@ -214,33 +275,32 @@ impl Level {
             self.read_misses += 1;
         }
 
-        // Allocate: evict LRU (invalid slots drift to the tail, so a
-        // non-EMPTY tail slot is the true LRU victim), fill at MRU.
+        // Allocate: evict LRU (empty slots drift to the tail, and an
+        // empty slot is never dirty), fill at MRU.
         self.fills += 1;
-        let last = self.ways - 1;
-        if slots[last] != EMPTY && dirt[last] {
+        let last = ways - 1;
+        if slots[last] & DIRTY != 0 {
             self.writebacks += 1;
         }
         for w in (1..=last).rev() {
             slots[w] = slots[w - 1];
-            dirt[w] = dirt[w - 1];
         }
-        slots[0] = bn;
-        dirt[0] = is_write && wp == WritePolicy::WriteBack;
+        let dirty = is_write && wp == WritePolicy::WriteBack;
+        slots[0] = key | u64::from(dirty);
         if is_write && wp == WritePolicy::WriteThrough {
             self.through_bytes += size;
         }
     }
 
     /// Fold the level's counters (plus the stream-wide shared counters)
-    /// into the exact per-capacity [`CacheStats`].
+    /// into the exact per-capacity [`CacheStats`]. The end-of-run flush
+    /// walks the allocated chunks only: an untouched chunk holds nothing.
     fn finish(&self, shared: &Shared, block: u64) -> CacheStats {
-        let dirty_resident = self
-            .blocks
-            .iter()
-            .zip(&self.dirty)
-            .filter(|(&b, &d)| b != EMPTY && d)
-            .count() as u64;
+        let dirty_resident: u64 = self
+            .slots
+            .chunks_exact(1 << self.chunk_log2)
+            .map(|chunk| chunk.iter().filter(|&&s| s & DIRTY != 0).count() as u64)
+            .sum();
         CacheStats {
             accesses: shared.accesses,
             reads: shared.reads,
@@ -285,8 +345,9 @@ impl LruSweep {
     ///
     /// Capacities whose geometry is invalid are skipped exactly like
     /// the direct path omits them (unexpected configuration errors get
-    /// a stderr diagnostic). The level arrays are reported to the
-    /// ambient memory governor as arena bytes.
+    /// a stderr diagnostic). A level starts with only its chunk table;
+    /// [`LruSweep::run`] reports what the levels hold to the ambient
+    /// memory governor as arena bytes while it runs.
     ///
     /// # Errors
     ///
@@ -302,8 +363,6 @@ impl LruSweep {
                 levels.push((i, Level::new(&cfg)));
             }
         }
-        let total: u64 = levels.iter().map(|(_, l)| l.bytes()).sum();
-        membw_runner::ambient_governor().observe_arena_bytes(total);
         Ok(Self {
             spec: *spec,
             levels,
@@ -312,8 +371,13 @@ impl LruSweep {
         })
     }
 
-    #[inline]
-    fn access_piece(&mut self, r: MemRef) {
+    /// Bytes the levels hold: chunk tables plus allocated chunks.
+    fn bytes(&self) -> u64 {
+        self.levels.iter().map(|(_, l)| l.bytes()).sum()
+    }
+
+    #[inline(always)]
+    fn access_piece<const WAYS: usize>(&mut self, r: MemRef) {
         debug_assert!(r.fits_in_block(self.spec.block_size));
         self.shared.accesses += 1;
         self.shared.request_bytes += u64::from(r.size);
@@ -323,42 +387,72 @@ impl LruSweep {
         } else {
             self.shared.reads += 1;
         }
-        let bn = r.addr / self.spec.block_size;
+        let bn = r.block(self.spec.block_size);
+        let key = (bn + 1) << 1;
         let size = u64::from(r.size);
         let (wp, wa) = (self.spec.write_policy, self.spec.write_allocate);
         for (_, level) in &mut self.levels {
-            level.access(bn, is_write, size, wp, wa);
+            level.access::<WAYS>(bn, key, is_write, size, wp, wa);
         }
     }
 
-    /// One pass over `refs`: split straddling references exactly like
-    /// [`membw_cache::Cache::access`] (QPT-style per-block pieces),
-    /// update every level, flush, and return one `Option<CacheStats>`
-    /// per requested capacity (`None` = geometry invalid, omitted).
-    pub fn run(mut self, refs: &[MemRef]) -> Vec<Option<CacheStats>> {
-        let cancel = membw_runner::ambient_cancel_token();
+    /// Present one reference: split a straddling one exactly like
+    /// [`membw_cache::Cache::access`] (QPT-style per-block pieces) and
+    /// update every level.
+    #[inline(always)]
+    fn access<const WAYS: usize>(&mut self, r: MemRef) {
         let block = self.spec.block_size;
-        for (i, r) in refs.iter().enumerate() {
-            if i % CANCEL_POLL == 0 {
-                cancel.check();
-            }
-            if r.fits_in_block(block) {
-                self.access_piece(*r);
-            } else {
-                let mut addr = r.addr;
-                let end = r.addr + u64::from(r.size);
-                while addr < end {
-                    let block_end = (addr / block + 1) * block;
-                    let piece = (block_end.min(end) - addr) as u16;
-                    self.access_piece(MemRef {
-                        addr,
-                        size: piece,
-                        kind: r.kind,
-                    });
-                    addr += u64::from(piece);
-                }
-            }
+        if r.fits_in_block(block) {
+            self.access_piece::<WAYS>(r);
+            return;
         }
+        let mut addr = r.addr;
+        let end = r.addr + u64::from(r.size);
+        while addr < end {
+            let block_end = (addr / block + 1) * block;
+            let piece = (block_end.min(end) - addr) as u16;
+            self.access_piece::<WAYS>(MemRef {
+                addr,
+                size: piece,
+                kind: r.kind,
+            });
+            addr += u64::from(piece);
+        }
+    }
+
+    /// One pass over `workload`'s references, flush, and return one
+    /// `Option<CacheStats>` per requested capacity (`None` = geometry
+    /// invalid, omitted). The references are streamed, never held.
+    pub fn run<W: Workload + ?Sized>(self, workload: &W) -> Vec<Option<CacheStats>> {
+        // A `Ways(n)` spec gives every level `n` ways. The suites sweep
+        // direct-mapped (Tables 7 and 8) and 4-way (Figure 4) levels;
+        // those get a kernel with the set width fixed at compile time.
+        let ways = self.levels.first().map(|(_, l)| l.ways);
+        let uniform = self.levels.iter().all(|(_, l)| Some(l.ways) == ways);
+        match ways.filter(|_| uniform) {
+            Some(1) => self.run_with::<1, W>(workload),
+            Some(4) => self.run_with::<4, W>(workload),
+            _ => self.run_with::<0, W>(workload),
+        }
+    }
+
+    fn run_with<const WAYS: usize, W: Workload + ?Sized>(
+        mut self,
+        workload: &W,
+    ) -> Vec<Option<CacheStats>> {
+        let cancel = membw_runner::ambient_cancel_token();
+        let governor = membw_runner::ambient_governor();
+        let mut n = 0usize;
+        workload.for_each_mem_ref(&mut |r| {
+            if n.is_multiple_of(CANCEL_POLL) {
+                cancel.check();
+                governor.observe_arena_bytes(self.bytes());
+            }
+            n += 1;
+            self.access::<WAYS>(r);
+        });
+        governor.observe_arena_bytes(self.bytes());
+        let block = self.spec.block_size;
         let mut out: Vec<Option<CacheStats>> = vec![None; self.n_capacities];
         for (i, level) in &self.levels {
             out[*i] = Some(level.finish(&self.shared, block));
@@ -384,33 +478,43 @@ fn config_or_skip(spec: &SweepSpec, capacity: u64) -> Option<CacheConfig> {
     }
 }
 
-/// Direct per-capacity simulation of `spec`: the stack engine's
-/// fallback and, through [`SweepMode::Direct`](crate::SweepMode), the
-/// cross-check oracle (`None` where the geometry is invalid).
-pub fn direct_reference(spec: &SweepSpec, capacity: u64, refs: &[MemRef]) -> Option<CacheStats> {
+/// Direct per-capacity simulation of `spec` over `workload`'s
+/// references: the stack engine's fallback and, through
+/// [`SweepMode::Direct`](crate::SweepMode), the cross-check oracle
+/// (`None` where the geometry is invalid).
+pub fn direct_reference<W: Workload + ?Sized>(
+    spec: &SweepSpec,
+    capacity: u64,
+    workload: &W,
+) -> Option<CacheStats> {
     let cfg = config_or_skip(spec, capacity)?;
     let mut c = membw_cache::Cache::new(cfg);
-    for &r in refs {
+    workload.for_each_mem_ref(&mut |r| {
         c.access(r);
-    }
+    });
     Some(c.flush())
 }
 
-/// Sweep `spec` over `capacities` in one pass, returning the exact
-/// per-capacity counters (`None` where the geometry is invalid and the
-/// point is omitted, as the direct path does).
+/// Sweep `spec` over `capacities` in one pass over `workload`'s
+/// references, returning the exact per-capacity counters (`None` where
+/// the geometry is invalid and the point is omitted, as the direct path
+/// does). A collected slice of references is a [`Workload`] too.
 ///
 /// Specs outside the stack model fall back **loudly** to per-capacity
 /// direct simulation — a stderr line names the reason — so the result
 /// is exact either way.
-pub fn sweep_lru(spec: &SweepSpec, capacities: &[u64], refs: &[MemRef]) -> Vec<Option<CacheStats>> {
+pub fn sweep_lru<W: Workload + ?Sized>(
+    spec: &SweepSpec,
+    capacities: &[u64],
+    workload: &W,
+) -> Vec<Option<CacheStats>> {
     match LruSweep::new(spec, capacities) {
-        Ok(engine) => engine.run(refs),
+        Ok(engine) => engine.run(workload),
         Err(unsupported) => {
             eprintln!("sweep: {unsupported}; falling back to direct simulation");
             capacities
                 .iter()
-                .map(|&cap| direct_reference(spec, cap, refs))
+                .map(|&cap| direct_reference(spec, cap, workload))
                 .collect()
         }
     }
@@ -502,7 +606,7 @@ mod tests {
         let refs = trace(200, 16, 9);
         let spec = SweepSpec::new(128).associativity(Associativity::Ways(4));
         let caps = [64u64, 128, 256, 512, 1024];
-        let swept = sweep_lru(&spec, &caps, &refs);
+        let swept = sweep_lru(&spec, &caps, &refs[..]);
         assert!(swept[0].is_none() && swept[1].is_none() && swept[2].is_none());
         assert!(swept[3].is_some() && swept[4].is_some());
     }
@@ -510,9 +614,34 @@ mod tests {
     #[test]
     fn empty_trace_yields_zero_stats() {
         let spec = SweepSpec::new(32);
-        let swept = sweep_lru(&spec, &[1024], &[]);
+        let swept = sweep_lru(&spec, &[1024], &[][..]);
         let s = swept[0].expect("valid geometry");
         assert_eq!(s.accesses, 0);
         assert_eq!(s.traffic_below(), 0);
+    }
+
+    #[test]
+    fn governor_sees_the_bytes_the_levels_hold() {
+        // 256 distinct words swept out to 4 MiB at 4-B blocks: dense
+        // levels would be 2^21 slots, 16 MiB at 8 B per slot.
+        let refs: Vec<MemRef> = (0..4096u64)
+            .map(|i| MemRef::write((i * 13 % 256) * 4, 4))
+            .collect();
+        let spec = SweepSpec::new(4).associativity(Associativity::Ways(4));
+        let caps: Vec<u64> = (6..=22).map(|p| 1u64 << p).collect();
+        let gov = std::sync::Arc::new(membw_runner::Governor::with_budget_mb(1 << 20));
+        let swept = membw_runner::with_governor(gov.clone(), || sweep_lru(&spec, &caps, &refs[..]));
+
+        // The same pass by hand: what the levels hold once it is done.
+        let mut engine = LruSweep::new(&spec, &caps).expect("LRU spec");
+        let tables = engine.bytes();
+        for &r in &refs {
+            engine.access::<0>(r);
+        }
+        let held = engine.bytes();
+        assert_eq!(gov.stats().arena_estimate_bytes, held);
+        assert!(held > tables, "touched chunks count too");
+        assert!(held < 1 << 20, "levels hold {held} B, not the dense 16 MiB");
+        assert_eq!(engine.run(&[][..]), swept, "the hand pass is the same pass");
     }
 }

@@ -5,7 +5,7 @@ use crate::lru::{direct_reference, sweep_lru, SweepSpec};
 use membw_cache::CacheStats;
 use membw_mtc::factors::{factor_gap, factor_gaps, FactorGap, TABLE10_FACTORS};
 use membw_mtc::{min_sweep, MinCache, MinConfig};
-use membw_trace::{MemRef, Workload};
+use membw_trace::Workload;
 
 /// How a traffic suite computes its capacity axis.
 ///
@@ -48,32 +48,32 @@ impl SweepMode {
     }
 
     /// LRU cache statistics for `spec` at every capacity (`None` where
-    /// the geometry is invalid): one [`sweep_lru`] pass, or one
-    /// [`direct_reference`] simulation per capacity.
+    /// the geometry is invalid): one [`sweep_lru`] pass over
+    /// `workload`, or one [`direct_reference`] simulation per capacity.
     pub fn lru(
         self,
         spec: &SweepSpec,
         capacities: &[u64],
-        refs: &[MemRef],
+        workload: &dyn Workload,
     ) -> Vec<Option<CacheStats>> {
         match self {
-            SweepMode::Stack => sweep_lru(spec, capacities, refs),
+            SweepMode::Stack => sweep_lru(spec, capacities, workload),
             SweepMode::Direct => capacities
                 .iter()
-                .map(|&cap| direct_reference(spec, cap, refs))
+                .map(|&cap| direct_reference(spec, cap, workload))
                 .collect(),
         }
     }
 
     /// **min** cache statistics for every configuration: one
-    /// [`min_sweep`] pass, or one [`MinCache::simulate`] per
-    /// configuration.
-    pub fn min(self, cfgs: &[MinConfig], refs: &[MemRef]) -> Vec<CacheStats> {
+    /// [`min_sweep`] over `workload` (two streamed passes), or one
+    /// [`MinCache::simulate_workload`] per configuration.
+    pub fn min(self, cfgs: &[MinConfig], workload: &dyn Workload) -> Vec<CacheStats> {
         match self {
-            SweepMode::Stack => min_sweep(cfgs, refs),
+            SweepMode::Stack => min_sweep(cfgs, workload),
             SweepMode::Direct => cfgs
                 .iter()
-                .map(|cfg| MinCache::simulate(cfg, refs))
+                .map(|cfg| MinCache::simulate_workload(cfg, workload))
                 .collect(),
         }
     }

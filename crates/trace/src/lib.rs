@@ -81,10 +81,11 @@ pub trait Workload {
     /// Collect the data-memory references into a vector.
     ///
     /// Convenient for tests and for consumers that replay one stream
-    /// many times (sweeps, factor studies). Large workloads should
-    /// prefer streaming via [`Workload::for_each_mem_ref`]; the two-pass
-    /// **min** simulation does (`MinCache::simulate_workload` in
-    /// `membw-mtc` generates the stream once per pass).
+    /// many times (factor studies). Large workloads should prefer
+    /// streaming via [`Workload::for_each_mem_ref`]; the sweep engines
+    /// and the two-pass **min** simulation do (`sweep_lru` in
+    /// `membw-sweep`, `min_sweep` and `MinCache::simulate_workload` in
+    /// `membw-mtc` generate the stream once per pass).
     fn collect_mem_refs(&self) -> Vec<MemRef> {
         let mut refs = Vec::new();
         self.for_each_mem_ref(&mut |r| refs.push(r));
@@ -120,6 +121,28 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
     }
     fn for_each_mem_ref(&self, f: &mut dyn FnMut(MemRef)) {
         (**self).for_each_mem_ref(f)
+    }
+}
+
+/// A collected reference stream replays itself, so every consumer that
+/// reads a [`Workload`] (the sweep engines, the **min** simulations)
+/// also takes a slice of [`MemRef`]s.
+impl Workload for [MemRef] {
+    fn name(&self) -> &str {
+        "refs"
+    }
+
+    fn generate(&self, sink: &mut dyn TraceSink) {
+        for &r in self {
+            sink.uop(Uop::from_mem_ref(r));
+        }
+    }
+
+    #[inline]
+    fn for_each_mem_ref(&self, f: &mut dyn FnMut(MemRef)) {
+        for &r in self {
+            f(r);
+        }
     }
 }
 
@@ -164,15 +187,12 @@ impl Workload for VecWorkload {
     }
 
     fn generate(&self, sink: &mut dyn TraceSink) {
-        for &r in &self.refs {
-            sink.uop(Uop::from_mem_ref(r));
-        }
+        self.refs.generate(sink)
     }
 
+    #[inline]
     fn for_each_mem_ref(&self, f: &mut dyn FnMut(MemRef)) {
-        for &r in &self.refs {
-            f(r);
-        }
+        self.refs.for_each_mem_ref(f)
     }
 }
 
@@ -199,6 +219,15 @@ mod tests {
         assert_eq!(uops[0].mem, Some(refs[0]));
         assert_eq!(uops[0].class, OpClass::Load);
         assert_eq!(uops[1].class, OpClass::Store);
+    }
+
+    #[test]
+    fn slices_replay_like_vec_workloads() {
+        let refs = vec![MemRef::read(0, 4), MemRef::write(8, 4)];
+        let w = VecWorkload::new("t", refs.clone());
+        assert_eq!(refs[..].collect_mem_refs(), refs);
+        assert_eq!(refs[..].collect_uops(), w.collect_uops());
+        assert_eq!(refs[..].name(), "refs");
     }
 
     #[test]

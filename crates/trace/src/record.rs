@@ -91,9 +91,16 @@ impl MemRef {
     /// # Panics
     ///
     /// Panics in debug builds if `block_size` is not a power of two.
+    #[inline]
     pub fn fits_in_block(&self, block_size: u64) -> bool {
-        let last = self.addr + u64::from(self.size) - 1;
-        self.block(block_size) == last >> block_size.trailing_zeros()
+        self.block(block_size) == self.last_byte() >> block_size.trailing_zeros()
+    }
+
+    /// Address of the access's last byte, computed without overflow for
+    /// an access that ends at the top of the address space.
+    #[inline]
+    pub fn last_byte(&self) -> u64 {
+        self.addr.wrapping_add(u64::from(self.size)).wrapping_sub(1)
     }
 }
 
@@ -124,5 +131,6 @@ mod tests {
         assert!(!MemRef::read(30, 4).fits_in_block(32));
         assert!(MemRef::read(0, 8).fits_in_block(8));
         assert!(!MemRef::read(4, 8).fits_in_block(8));
+        assert!(MemRef::read(u64::MAX - 3, 4).fits_in_block(4));
     }
 }

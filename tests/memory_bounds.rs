@@ -1,5 +1,6 @@
 //! Whole-trace consumers hold memory proportional to the cache, not the
-//! trace.
+//! trace, and the sweep engines hold memory for the sets a trace
+//! touches, not for the capacities they sweep.
 //!
 //! A counting `#[global_allocator]` records the peak of live heap bytes
 //! (allocated capacity, not touched pages) while one call runs. The
@@ -20,10 +21,28 @@
 //! (2.43 M references). Before, it held the collected references, a
 //! block vector, the next-use links and one stale heap pair per hit;
 //! after, only the 8-byte next-use links.
+//!
+//! The traffic sweeps, dense LRU levels over collected references
+//! before and first-touch chunked levels over streamed references
+//! after (recordings already in the trace cache):
+//!
+//! | call | before | after |
+//! |---|---|---|
+//! | `run_fig4::run(Test)`, 1 job thread | 20.0 MiB | 8.2 MiB |
+//! | `run_fig4::run(Test)`, 2 job threads | 31.0 MiB | 12.2 MiB |
+//! | `run_table7::run(Test)`, 1 job thread | 3.1 MiB | 0.3 MiB |
+//! | `run_table8::run(Test)`, 1 job thread | 5.9 MiB | 2.7 MiB |
+//! | `run_table9::run(Test)`, 1 job thread | 5.8 MiB | 5.8 MiB |
+//! | 4-way, 4-B-block sweep of 256 words, 64 B – 4 MiB | 18.0 MiB | 228 KiB |
+//!
+//! Table 9's `factor_gaps` still collects its references; it replays
+//! them once per Table 10 factor.
 
+use membw::cache::Associativity;
+use membw::sweep::{sweep_lru, SweepSpec};
 use membw::trace::replay::TraceCache;
 use membw::trace::sink::CountSink;
-use membw::trace::{SoftwarePrefetch, Workload};
+use membw::trace::{MemRef, SoftwarePrefetch, Workload};
 use membw::workloads::kernels::TimeTiledStencil;
 use membw::workloads::{suite92, suite95, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -205,5 +224,57 @@ fn resident_test_scale_arenas_are_compact_and_honestly_sized() {
         "arena_bytes sums to {:.2} MiB but the arenas retain {:.2} MiB",
         mib(arena as f64),
         mib(retained as f64)
+    );
+}
+
+/// The fig4 panels' recordings, made before a measurement so it counts
+/// the sweeps, not the one-time recording into the global trace cache.
+fn record_fig4_panels() {
+    for b in suite92(Scale::Test)
+        .iter()
+        .filter(|b| ["compress", "eqntott", "swm"].contains(&b.name()))
+    {
+        let _ = b.replayable();
+    }
+}
+
+#[test]
+fn fig4_peak_follows_the_touched_sets_at_one_job_thread() {
+    // Dense levels hold 18 MiB per 4-B-block job whatever the trace
+    // touches, and every job collected its references (2 MiB) besides.
+    peak_during(record_fig4_panels);
+    let (result, peak) =
+        peak_during(|| membw::runner::with_jobs(1, || membw::run_fig4::run(Scale::Test)));
+    result.expect("fig4 audit passes");
+    assert!(
+        peak <= 12 * MIB,
+        "fig4 peaked at {:.1} MiB (bound 12 MiB)",
+        peak as f64 / MIB as f64
+    );
+}
+
+#[test]
+fn short_trace_sweep_allocation_does_not_follow_the_largest_capacity() {
+    // 256 distinct words: every level touches at most 256 sets.
+    let refs: Vec<MemRef> = (0..4096u64)
+        .map(|i| MemRef::read((i * 13 % 256) * 4, 4))
+        .collect();
+    let spec = SweepSpec::new(4).associativity(Associativity::Ways(4));
+    let peak_to = |top: u32| {
+        let caps: Vec<u64> = (6..=top).map(|p| 1u64 << p).collect();
+        peak_during(|| sweep_lru(&spec, &caps, &refs[..])).1
+    };
+    let (small, large) = (peak_to(16), peak_to(22));
+    // Out to 4 MiB the dense levels would take 18 MiB. Chunked, the six
+    // extra levels add their chunk tables (4 B per 64 slots, 126 KiB in
+    // all) and the chunks of the same 256 sets each.
+    assert!(
+        large <= 512 * 1024,
+        "a 4 MiB sweep of 256 words peaked at {large} B (bound 512 KiB)"
+    );
+    assert!(
+        large - small <= 256 * 1024,
+        "6 more levels added {} B (64 KiB axis: {small} B)",
+        large - small
     );
 }

@@ -11,12 +11,20 @@
 //! through an independent instrument: `ReuseProfile`'s Fenwick-tree
 //! stack distances predict the same fully-associative LRU miss counts
 //! the sweep engine reports.
+//!
+//! The LRU engine stores each level in chunks of whole sets allocated
+//! on first touch, with `(block + 1) << 1 | dirty` slots, so its
+//! equality is also checked on every chunk layout (one chunk, many
+//! chunks, sets wider than a chunk) and at the top of the address
+//! space. The engines read any `Workload` and stream it: a streamed
+//! sweep must equal one over the collected references.
 
 use membw::cache::{Associativity, WriteAllocate, WritePolicy, INDEXED_WAYS};
 use membw::mtc::{min_sweep, MinCache, MinConfig, MinWritePolicy};
-use membw::sweep::{direct_reference, sweep_lru, SweepSpec};
+use membw::sweep::{direct_reference, sweep_lru, SweepMode, SweepSpec, CHUNK_SLOTS};
 use membw::trace::reuse::ReuseProfile;
-use membw::trace::{MemRef, VecWorkload};
+use membw::trace::{MemRef, VecWorkload, Workload};
+use membw::workloads::{suite92, Scale};
 use proptest::prelude::*;
 
 /// Arbitrary read/write traces over a bounded address space, with
@@ -66,9 +74,9 @@ proptest! {
             .write_policy(if write_back { WritePolicy::WriteBack } else { WritePolicy::WriteThrough })
             .write_allocate(if allocate { WriteAllocate::Allocate } else { WriteAllocate::NoAllocate });
         let caps = capacities();
-        let swept = sweep_lru(&spec, &caps, &refs);
+        let swept = sweep_lru(&spec, &caps, &refs[..]);
         for (&cap, got) in caps.iter().zip(&swept) {
-            let want = direct_reference(&spec, cap, &refs);
+            let want = direct_reference(&spec, cap, &refs[..]);
             prop_assert_eq!(got, &want, "capacity {}", cap);
         }
     }
@@ -94,9 +102,44 @@ proptest! {
             .associativity(assoc)
             .write_policy(if write_back { WritePolicy::WriteBack } else { WritePolicy::WriteThrough });
         let caps: Vec<u64> = (8..=14).map(|p| 1u64 << p).collect();
-        let swept = sweep_lru(&spec, &caps, &refs);
+        let swept = sweep_lru(&spec, &caps, &refs[..]);
         for (&cap, got) in caps.iter().zip(&swept) {
-            let want = direct_reference(&spec, cap, &refs);
+            let want = direct_reference(&spec, cap, &refs[..]);
+            prop_assert_eq!(got, &want, "capacity {}", cap);
+        }
+    }
+
+    /// Equality on every chunk layout of a level, at 4- and 8-byte
+    /// blocks where most 8-byte references straddle: levels of one
+    /// chunk (64 B – 256 B at 4-B blocks), levels of many chunks, sets
+    /// wider than a chunk (128 ways, one set per chunk) and fully
+    /// associative levels wider than a chunk.
+    #[test]
+    fn chunked_levels_match_direct_cache_on_every_chunk_layout(
+        refs in trace_strategy(800, 8192),
+        block_pow in 2u32..4,
+        ways_idx in 0usize..4,
+        write_back in prop::bool::ANY,
+        allocate in prop::bool::ANY,
+    ) {
+        let wide = 2 * CHUNK_SLOTS as u32;
+        let assoc = [
+            Associativity::Ways(1),
+            Associativity::Ways(4),
+            Associativity::Ways(wide),
+            Associativity::Full,
+        ][ways_idx];
+        let block = 1u64 << block_pow;
+        let spec = SweepSpec::new(block)
+            .associativity(assoc)
+            .write_policy(if write_back { WritePolicy::WriteBack } else { WritePolicy::WriteThrough })
+            .write_allocate(if allocate { WriteAllocate::Allocate } else { WriteAllocate::NoAllocate });
+        let caps: Vec<u64> = (6..=16).map(|p| 1u64 << p).collect();
+        prop_assert!(caps[0] / block <= CHUNK_SLOTS as u64);
+        prop_assert!(caps[caps.len() - 1] / block >= 64 * CHUNK_SLOTS as u64);
+        let swept = sweep_lru(&spec, &caps, &refs[..]);
+        for (&cap, got) in caps.iter().zip(&swept) {
+            let want = direct_reference(&spec, cap, &refs[..]);
             prop_assert_eq!(got, &want, "capacity {}", cap);
         }
     }
@@ -115,7 +158,7 @@ proptest! {
         let cfgs: Vec<MinConfig> = (3u32..10)
             .map(|p| MinConfig::new(4u64 << p, 4, write, bypass))
             .collect();
-        let swept = min_sweep(&cfgs, &refs);
+        let swept = min_sweep(&cfgs, &refs[..]);
         for (cfg, got) in cfgs.iter().zip(&swept) {
             let want = MinCache::simulate(cfg, &refs);
             prop_assert_eq!(got, &want, "capacity {}", cfg.capacity_bytes);
@@ -142,7 +185,7 @@ proptest! {
         let block = 1u64 << block_pow;
         let spec = SweepSpec::new(block).associativity(Associativity::Full);
         let caps = capacities();
-        let swept = sweep_lru(&spec, &caps, &refs);
+        let swept = sweep_lru(&spec, &caps, &refs[..]);
         let profile = ReuseProfile::measure(&VecWorkload::new("t", refs), block);
         for (&cap, got) in caps.iter().zip(&swept) {
             if let Some(stats) = got {
@@ -177,10 +220,78 @@ fn table9_fully_associative_geometry_agrees_across_engines() {
         .collect();
     let spec = SweepSpec::new(32).associativity(Associativity::Full);
     let cap = 64 * 1024;
-    let swept = sweep_lru(&spec, &[cap], &refs);
-    let direct = direct_reference(&spec, cap, &refs).expect("valid geometry");
+    let swept = sweep_lru(&spec, &[cap], &refs[..]);
+    let direct = direct_reference(&spec, cap, &refs[..]).expect("valid geometry");
     assert_eq!(swept[0], Some(direct));
     let profile = ReuseProfile::measure(&VecWorkload::new("t", refs), 32);
     assert_eq!(direct.demand_misses(), profile.lru_misses(2048));
     assert!(direct.demand_misses() > 5000, "the trace must evict");
+}
+
+/// The slot encoding stores `block + 1`: the last block of the address
+/// space must not wrap into the empty marker. References cover the top
+/// 8 KiB, the last word included; the straddling ones end at least
+/// 300 bytes below the top so that splitting them stays in range.
+#[test]
+fn block_numbers_at_the_top_of_the_address_space_match_direct() {
+    let top = u64::MAX - 3;
+    let refs: Vec<MemRef> = (0..6000u64)
+        .map(|i| {
+            let w = (i * 2_654_435_761) % 2048;
+            let addr = top - 4 * w;
+            match i % 7 {
+                0 => MemRef::write(addr, 4),
+                1 if w >= 80 => MemRef::write(addr - 4, 8),
+                2 if w >= 80 => MemRef::read(addr - 2, 4),
+                _ => MemRef::read(addr, 4),
+            }
+        })
+        .collect();
+    assert!(refs.iter().any(|r| r.addr == top));
+    let caps: Vec<u64> = (6..=14).map(|p| 1u64 << p).collect();
+    for block in [4u64, 8, 32, 128] {
+        for assoc in [
+            Associativity::Ways(1),
+            Associativity::Ways(4),
+            Associativity::Full,
+        ] {
+            let spec = SweepSpec::new(block).associativity(assoc);
+            let swept = sweep_lru(&spec, &caps, &refs[..]);
+            for (&cap, got) in caps.iter().zip(&swept) {
+                let want = direct_reference(&spec, cap, &refs[..]);
+                assert_eq!(*got, want, "block {block}, {assoc:?}, capacity {cap}");
+            }
+        }
+    }
+}
+
+/// The engines stream whatever `Workload` they are given: a recorded
+/// trace read in place sweeps exactly like its collected references,
+/// in both engine modes of the one switch.
+#[test]
+fn streamed_sweeps_equal_sweeps_over_the_collected_slice() {
+    let suite = suite92(Scale::Test);
+    let bench = suite
+        .iter()
+        .find(|b| b.name() == "eqntott")
+        .expect("eqntott is in SPEC92");
+    let recorded = bench.replayable();
+    let refs = recorded.collect_mem_refs();
+    let collected = VecWorkload::new("eqntott", refs.clone());
+    let caps: Vec<u64> = (6..=22).map(|p| 1u64 << p).collect();
+    let spec = SweepSpec::new(8).associativity(Associativity::Ways(4));
+    let lru = sweep_lru(&spec, &caps, &refs[..]);
+    assert_eq!(sweep_lru(&spec, &caps, &recorded), lru);
+    let cfgs: Vec<MinConfig> = caps
+        .iter()
+        .map(|&c| MinConfig::new(c, 4, MinWritePolicy::Validate, true))
+        .collect();
+    let min = min_sweep(&cfgs, &refs[..]);
+    assert_eq!(min_sweep(&cfgs, &recorded), min);
+    for mode in [SweepMode::Stack, SweepMode::Direct] {
+        for w in [&recorded as &dyn Workload, &collected] {
+            assert_eq!(mode.lru(&spec, &caps, w), lru, "{mode} lru");
+            assert_eq!(mode.min(&cfgs[..6], w), min[..6], "{mode} min");
+        }
+    }
 }
