@@ -61,7 +61,7 @@ impl Algorithm {
 
     /// Minimal off-chip traffic `D` for on-chip memory `S` (Table 2), in
     /// elements. (TMM: `2N³/√S`, per the §2.4 tiling derivation; the
-    /// constant is kept so the empirical benches can compare shapes.)
+    /// constant is kept so Table 2's empirical check can compare shapes.)
     ///
     /// # Panics
     ///

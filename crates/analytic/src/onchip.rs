@@ -6,7 +6,7 @@
 //! another processor, and accesses to remote data have more in common
 //! with a page fault than with a cache miss." This module provides the
 //! simple average-access-cost algebra behind that argument, so the
-//! `future_system` example and benches can locate the crossover where a
+//! `future_system` example can locate the crossover where a
 //! unified module beats a conventional processor + off-chip-DRAM system.
 
 use serde::{Deserialize, Serialize};

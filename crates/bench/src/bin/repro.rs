@@ -71,7 +71,6 @@
 //! stdout byte-identity: a cancelled run resumed with `--resume`, or a
 //! budgeted run, prints exactly what an undisturbed run prints.
 
-use membw_bench::{parse_scale, validate_target, ALL_TARGETS};
 use membw_core::analytic::ecm::{self, AnalyticMode};
 use membw_core::audit;
 use membw_core::fastpath;
@@ -81,7 +80,7 @@ use membw_core::runner::persist;
 use membw_core::runner::CheckpointConfig;
 use membw_core::service::{ServiceRequest, ServiceResponse};
 use membw_core::sweep::SweepMode;
-use membw_core::targets;
+use membw_core::targets::{self, parse_scale, validate_target, ALL_TARGETS};
 use membw_core::workloads::Scale;
 use membw_core::MembwError;
 use membw_serve::{client, serve, Endpoint, ResultStore, ServeConfig, Server};
@@ -120,6 +119,20 @@ fn validate_env() -> Result<Option<u64>, String> {
         .ok()
         .map(|v| runner::parse_mem_budget_mb(&v))
         .transpose()
+}
+
+/// The value of `flag` as a positive number of seconds that a
+/// `Duration` can hold.
+fn parse_seconds(flag: &str, v: Option<String>) -> Result<Duration, String> {
+    let v = v.ok_or_else(|| format!("{flag} needs seconds"))?;
+    let secs: f64 = v
+        .parse()
+        .map_err(|_| format!("{flag} needs seconds, got '{v}'"))?;
+    if secs.is_nan() || secs <= 0.0 {
+        return Err(format!("{flag} needs a positive number of seconds"));
+    }
+    Duration::try_from_secs_f64(secs)
+        .map_err(|_| format!("{flag} needs a number of seconds a duration can hold, got '{v}'"))
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -161,25 +174,9 @@ fn parse_args() -> Result<Options, String> {
                 runner::set_retries(n);
             }
             "--job-timeout" => {
-                let v = args.next().ok_or("--job-timeout needs seconds")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--job-timeout needs seconds, got '{v}'"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--job-timeout needs a positive number of seconds".to_string());
-                }
-                runner::set_job_timeout(Some(Duration::from_secs_f64(secs)));
+                runner::set_job_timeout(Some(parse_seconds("--job-timeout", args.next())?));
             }
-            "--deadline" => {
-                let v = args.next().ok_or("--deadline needs seconds")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--deadline needs seconds, got '{v}'"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--deadline needs a positive number of seconds".to_string());
-                }
-                deadline = Some(Duration::from_secs_f64(secs));
-            }
+            "--deadline" => deadline = Some(parse_seconds("--deadline", args.next())?),
             "--mem-budget" => {
                 let v = args.next().ok_or("--mem-budget needs whole MiB")?;
                 let mb = runner::parse_mem_budget_mb(&v)

@@ -176,6 +176,18 @@ fn unknown_target_suggests_the_nearest_name() {
 }
 
 #[test]
+fn seconds_too_large_for_a_duration_are_a_usage_error() {
+    let dir = scratch("huge_secs");
+    for (flag, secs) in [("--deadline", "1e30"), ("--job-timeout", "1e300")] {
+        let out = repro(&[flag, secs, "fig1"], &[], &dir.join("ckpt"));
+        let err = stderr_str(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag} {secs} exits 2: {err}");
+        assert!(err.contains(flag), "error names {flag}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn serve_rejects_malformed_environment_like_the_cli() {
     let dir = scratch("serve_env");
     for (var, bad) in [

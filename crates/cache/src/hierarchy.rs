@@ -56,11 +56,6 @@ impl Hierarchy {
         }
     }
 
-    /// Number of cache levels.
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
     /// The cache at `level` (0 = closest to the processor).
     pub fn level(&self, level: usize) -> &Cache {
         &self.levels[level]

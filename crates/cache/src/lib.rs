@@ -38,7 +38,6 @@ pub mod config;
 pub mod hierarchy;
 pub mod ratio;
 pub mod replacement;
-pub mod sector;
 pub mod stats;
 pub mod stream;
 pub mod victim;
@@ -51,7 +50,6 @@ pub use config::{
 };
 pub use hierarchy::Hierarchy;
 pub use ratio::{traffic_ratio, TrafficReport};
-pub use sector::{SectorCache, SectorConfig};
 pub use stats::CacheStats;
 pub use stream::StreamBuffers;
 pub use victim::VictimCache;

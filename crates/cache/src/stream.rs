@@ -5,8 +5,8 @@
 //! prefetches the next `depth` sequential blocks. The paper's §2.1 lists
 //! stream buffers among the latency-tolerance techniques that *increase*
 //! traffic ("they prefetch unnecessary data at the end of a stream; they
-//! also falsely identify streams") — this model exists so the ablation
-//! benches can measure exactly that trade.
+//! also falsely identify streams") — this model exists so the `ablation`
+//! target can measure exactly that trade.
 
 use crate::cache::Cache;
 use crate::config::CacheConfig;

@@ -2,8 +2,8 @@
 //! catches conflict evictions from a direct-mapped cache.
 //!
 //! The paper cites victim caches among the techniques that trade hardware
-//! for conflict misses; we use this model in the ablation benches to ask
-//! how much of the cache/MTC traffic gap associativity alone closes.
+//! for conflict misses; the `ablation` target uses this model to ask how
+//! much of the cache/MTC traffic gap associativity alone closes.
 
 use crate::cache::Cache;
 use crate::config::{CacheConfig, WriteAllocate, WritePolicy};

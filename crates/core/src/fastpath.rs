@@ -24,9 +24,7 @@ use crate::run_fig3::Fig3Cell;
 use crate::run_fig4::Fig4Panel;
 use crate::run_table7::Table7Row;
 use crate::targets::RenderedTarget;
-use membw_analytic::ecm::{
-    self, AnalyticMode, EcmConfig, TrafficGeometry, MODEL_VERSION, TRIAGE_MAX_REL,
-};
+use membw_analytic::ecm::{self, AnalyticMode, EcmConfig, TrafficGeometry, MODEL_VERSION};
 use membw_analytic::effective_pin_bandwidth;
 use membw_runner::ambient_governor;
 use membw_sim::{Experiment, MachineSpec};
@@ -187,14 +185,6 @@ pub struct AnalyticRender {
     pub worst_rel: f64,
     /// Model version that produced the render (serve provenance).
     pub model: &'static str,
-}
-
-impl AnalyticRender {
-    /// `true` when every rendered cell's relative bound is within the
-    /// serve-triage threshold ([`TRIAGE_MAX_REL`]).
-    pub fn is_tight(&self) -> bool {
-        self.worst_rel <= TRIAGE_MAX_REL
-    }
 }
 
 fn fig3_analytic(scale: Scale) -> AnalyticRender {

@@ -13,8 +13,7 @@
 //! The registry constants ([`TARGETS`], [`ALL_TARGETS`],
 //! [`validate_target`], [`parse_scale`]) migrated here from the bench
 //! crate so the serve crate can validate requests without depending on
-//! the binary's crate (`membw-bench` re-exports them for
-//! compatibility).
+//! the binary's crate.
 
 use crate::analytic::pins::{dataset, Series};
 use crate::error::MembwError;

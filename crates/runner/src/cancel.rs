@@ -226,12 +226,6 @@ impl CancelToken {
             std::panic::resume_unwind(Box::new(CancelUnwind(reason)));
         }
     }
-
-    /// Signal deliveries observed by the drain handler on this token
-    /// (0 when no handler is installed or no signal arrived).
-    pub fn signals_seen(&self) -> u64 {
-        self.inner().signals.load(Ordering::Relaxed)
-    }
 }
 
 /// The process-wide token: the one [`install_signal_drain`] wires to

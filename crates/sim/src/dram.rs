@@ -4,8 +4,8 @@
 //! "unlikely to become a long-term performance bottleneck" thanks to
 //! EDO/synchronous/Rambus parts. This model makes that assumption
 //! testable: finite banks serialize same-bank accesses, and an open row
-//! buffer makes consecutive same-row accesses cheaper — so benches can
-//! measure how far from "infinite" a real part may be before the
+//! buffer makes consecutive same-row accesses cheaper — so `repro dram`
+//! can measure how far from "infinite" a real part may be before the
 //! conclusion changes.
 
 use serde::{Deserialize, Serialize};

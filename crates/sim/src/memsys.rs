@@ -122,11 +122,6 @@ impl MemSystem {
         self.l1.stats()
     }
 
-    /// L2 functional counters.
-    pub fn l2_stats(&self) -> &CacheStats {
-        self.l2.stats()
-    }
-
     /// Present an instruction fetch of the 32-byte block at `pc` issued
     /// at `now`; returns the cycle the block is available. Returns `now`
     /// when I-side modeling is disabled or memory is perfect.

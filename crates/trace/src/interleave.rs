@@ -39,11 +39,6 @@ impl<W: Workload> Interleave<W> {
             address_offset,
         }
     }
-
-    /// Number of threads.
-    pub fn num_threads(&self) -> usize {
-        self.threads.len()
-    }
 }
 
 fn offset_uop(mut uop: Uop, offset: u64) -> Uop {

@@ -87,12 +87,6 @@ impl Strided {
         self
     }
 
-    /// Set the access size in bytes.
-    pub fn with_size(mut self, size: u16) -> Self {
-        self.size = size;
-        self
-    }
-
     /// Repeat the sweep `times` times.
     pub fn repeat(self, times: u32) -> Repeat<Self> {
         Repeat::new(self, times)

@@ -11,7 +11,6 @@
 
 use crate::record::MemRef;
 use crate::sink::{CollectSink, TraceSink};
-use crate::uop::Uop;
 use crate::Workload;
 
 /// Deterministic splitmix-style hash used for squash decisions.
@@ -104,13 +103,6 @@ impl<W: Workload> Workload for Squashing<W> {
         let mut sink = crate::sink::MemRefFnSink::new(f);
         self.generate(&mut sink);
     }
-}
-
-/// Convenience: the uop overhead factor of a squash-rate sweep point.
-pub fn overhead_factor<W: Workload>(w: &Squashing<W>) -> f64 {
-    let base: Vec<Uop> = w.inner.collect_uops();
-    let with: Vec<Uop> = w.collect_uops();
-    with.len() as f64 / base.len() as f64
 }
 
 #[cfg(test)]

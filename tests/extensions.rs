@@ -1,7 +1,6 @@
 //! Integration tests for the extension models, cross-checked against the
 //! core simulators on real workload kernels.
 
-use membw::cache::sector::{SectorCache, SectorConfig};
 use membw::cache::{BypassCache, Cache, CacheConfig, StreamBuffers};
 use membw::mtc::OptProfile;
 use membw::trace::reuse::ReuseProfile;
@@ -32,45 +31,6 @@ fn opt_at_most_lru_on_real_kernels() {
             );
         }
     }
-}
-
-/// The sector cache interpolates between small- and large-block caches
-/// in traffic on a real low-locality kernel.
-#[test]
-fn sector_cache_sits_between_block_sizes_on_compress() {
-    let w = Compress::new(15_000, 1 << 12, 3);
-    let refs = w.collect_mem_refs();
-    let run_plain = |block: u64| {
-        let mut c = Cache::new(CacheConfig::builder(16 * 1024, block).build().unwrap());
-        for &r in &refs {
-            c.access(r);
-        }
-        c.flush().traffic_below()
-    };
-    let t8 = run_plain(8);
-    let t64 = run_plain(64);
-    let mut sector = SectorCache::new(
-        SectorConfig {
-            size_bytes: 16 * 1024,
-            block_size: 64,
-            subblock_size: 8,
-            ways: 1,
-        }
-        .validate()
-        .unwrap(),
-    );
-    for &r in &refs {
-        sector.access(r);
-    }
-    let ts = sector.flush().traffic_below();
-    assert!(
-        ts < t64,
-        "sectoring must beat whole 64B fills: {ts} vs {t64}"
-    );
-    assert!(
-        ts < t8 * 3,
-        "sector traffic should be in the small-block regime: {ts} vs {t8}"
-    );
 }
 
 /// Stream buffers help the streaming kernel and hurt the hashing kernel
