@@ -196,6 +196,47 @@ impl Workload for VecWorkload {
     }
 }
 
+/// Test streams shared by the trace combinators' oracle tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// A fixed uop stream, replayed as given.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Mixed(pub(crate) Vec<Uop>);
+
+    impl Workload for Mixed {
+        fn name(&self) -> &str {
+            "mixed"
+        }
+        fn generate(&self, sink: &mut dyn TraceSink) {
+            self.0.iter().for_each(|&u| sink.uop(u));
+        }
+    }
+
+    /// `len` pseudo-random well-formed uops mixing loads, stores, ALU ops
+    /// and branches, the same for every call.
+    pub(crate) fn mixed(len: u64) -> Mixed {
+        let mut x = 17u64;
+        Mixed(
+            (0..len)
+                .map(|i| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let addr = (x >> 40) & !3;
+                    match (x >> 33) % 4 {
+                        0 | 1 => Uop::load(MemRef::read(addr, 4), Some(1), [Some(2), None]),
+                        2 => Uop::store(MemRef::write(addr, 8), [Some(1), None]),
+                        _ if i % 2 == 0 => Uop::compute(OpClass::IntAlu, Some(2), [Some(1), None]),
+                        _ => Uop::branch(i, x & 1 == 0, [Some(2), None]),
+                    }
+                })
+                .collect(),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -189,7 +189,7 @@ fn unpack(s: u128) -> Uop {
 }
 
 /// Walks a trace's shape ids and address deltas in program order.
-struct Decoder<'a> {
+pub(crate) struct Decoder<'a> {
     /// `shapes`, unpacked once per walk so each uop is a table copy.
     templates: Vec<Uop>,
     ids: Leb128<'a>,
@@ -198,7 +198,7 @@ struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    fn new(t: &'a RecordedTrace) -> Self {
+    pub(crate) fn new(t: &'a RecordedTrace) -> Self {
         Self {
             templates: t.shapes.iter().map(|&s| unpack(s)).collect(),
             ids: Leb128::new(&t.ids),
@@ -221,7 +221,7 @@ impl<'a> Decoder<'a> {
     }
 
     #[inline]
-    fn uop(&mut self) -> Uop {
+    pub(crate) fn uop(&mut self) -> Uop {
         let mut u = *self.template();
         if let Some(m) = &mut u.mem {
             m.addr = self.addr();

@@ -8,9 +8,13 @@
 //! the task's uops *twice*: once as the squashed (wrong-path) attempt —
 //! whose memory traffic is real but whose architectural work is thrown
 //! away — and once as the re-execution.
+//!
+//! The wrapper streams: it holds one task of uops, never the whole
+//! inner trace.
 
 use crate::record::MemRef;
-use crate::sink::{CollectSink, TraceSink};
+use crate::sink::TraceSink;
+use crate::uop::Uop;
 use crate::Workload;
 
 /// Deterministic splitmix-style hash used for squash decisions.
@@ -53,9 +57,42 @@ impl<W: Workload> Squashing<W> {
     /// Number of tasks that would squash for a stream of `n` uops.
     pub fn expected_squashes(&self, n: usize) -> usize {
         let tasks = n.div_ceil(self.task_uops);
-        (0..tasks)
-            .filter(|&t| hash(self.seed ^ t as u64) % 256 < u64::from(self.squash_per_256))
-            .count()
+        (0..tasks as u64).filter(|&t| self.squashes(t)).count()
+    }
+
+    /// Whether task `t` squashes.
+    fn squashes(&self, t: u64) -> bool {
+        hash(self.seed ^ t) % 256 < u64::from(self.squash_per_256)
+    }
+
+    /// Emit task `t`: its wrong-path attempt if it squashes, then its
+    /// committed execution.
+    fn emit_task(&self, t: u64, task: &[Uop], sink: &mut dyn TraceSink) {
+        if self.squashes(t) {
+            // Wrong-path attempt: the task speculated down the wrong
+            // control path, so its loads touch *different* data (a
+            // task-dependent displacement models the wrong iteration
+            // space); stores are suppressed (they never commit).
+            let displacement = (hash(self.seed ^ 0xbad ^ t) % (1 << 16)) & !3;
+            for &u in task {
+                match u.mem {
+                    Some(m) if m.kind.is_write() => continue,
+                    Some(m) => {
+                        let mut wrong = u;
+                        wrong.mem = Some(MemRef {
+                            addr: m.addr.wrapping_add(displacement),
+                            ..m
+                        });
+                        sink.uop(wrong);
+                    }
+                    None => sink.uop(u),
+                }
+            }
+        }
+        // The committed execution (re-execution after a squash).
+        for &u in task {
+            sink.uop(u);
+        }
     }
 }
 
@@ -65,16 +102,51 @@ impl<W: Workload> Workload for Squashing<W> {
     }
 
     fn generate(&self, sink: &mut dyn TraceSink) {
-        let mut collected = CollectSink::new();
-        self.inner.generate(&mut collected);
-        let uops = collected.into_uops();
+        let mut tasks = TaskBuffer {
+            squashing: self,
+            task: Vec::new(),
+            t: 0,
+            out: sink,
+        };
+        self.inner.generate(&mut tasks);
+        if !tasks.task.is_empty() {
+            self.emit_task(tasks.t, &tasks.task, tasks.out);
+        }
+    }
+}
+
+/// The wrapper's sink: buffers the inner stream one task at a time and
+/// emits each task as soon as it fills.
+struct TaskBuffer<'a, W> {
+    squashing: &'a Squashing<W>,
+    /// The current task's uops so far, at most `task_uops` of them.
+    task: Vec<Uop>,
+    /// Index of the current task.
+    t: u64,
+    out: &'a mut dyn TraceSink,
+}
+
+impl<W: Workload> TraceSink for TaskBuffer<'_, W> {
+    fn uop(&mut self, uop: Uop) {
+        self.task.push(uop);
+        if self.task.len() == self.squashing.task_uops {
+            self.squashing.emit_task(self.t, &self.task, self.out);
+            self.task.clear();
+            self.t += 1;
+        }
+    }
+}
+
+/// The original wrapper, kept as the streaming one's test oracle:
+/// collect the whole inner stream, then emit it task by task.
+#[cfg(test)]
+impl<W: Workload> Squashing<W> {
+    pub(crate) fn collect_then_squash(&self) -> Vec<Uop> {
+        let uops = self.inner.collect_uops();
+        let mut out = Vec::new();
         for (t, task) in uops.chunks(self.task_uops).enumerate() {
             let squash = hash(self.seed ^ t as u64) % 256 < u64::from(self.squash_per_256);
             if squash {
-                // Wrong-path attempt: the task speculated down the wrong
-                // control path, so its loads touch *different* data (a
-                // task-dependent displacement models the wrong iteration
-                // space); stores are suppressed (they never commit).
                 let displacement = (hash(self.seed ^ 0xbad ^ t as u64) % (1 << 16)) & !3;
                 for &u in task {
                     match u.mem {
@@ -85,23 +157,15 @@ impl<W: Workload> Workload for Squashing<W> {
                                 addr: m.addr.wrapping_add(displacement),
                                 ..m
                             });
-                            sink.uop(wrong);
+                            out.push(wrong);
                         }
-                        None => sink.uop(u),
+                        None => out.push(u),
                     }
                 }
             }
-            // The committed execution (re-execution after a squash).
-            for &u in task {
-                sink.uop(u);
-            }
+            out.extend_from_slice(task);
         }
-    }
-
-    fn for_each_mem_ref(&self, f: &mut dyn FnMut(MemRef)) {
-        // Default adaptation through generate keeps squash semantics.
-        let mut sink = crate::sink::MemRefFnSink::new(f);
-        self.generate(&mut sink);
+        out
     }
 }
 
@@ -110,6 +174,7 @@ mod tests {
     use super::*;
     use crate::pattern::Strided;
     use crate::stats::TraceStats;
+    use crate::testing::mixed;
 
     #[test]
     fn zero_squash_rate_is_identity() {
@@ -167,5 +232,27 @@ mod tests {
         // Each squashed 128-uop task replays up to 128 loads.
         assert!(replayed_loads > 0 && expected > 0);
         assert!(replayed_loads <= expected * 128);
+    }
+
+    #[test]
+    fn streaming_tasks_match_collect_then_squash() {
+        // 500 uops: tasks of 7, 64 and 128 leave a partial last task,
+        // 500 and 1000 make the whole stream one task.
+        for task_uops in [1, 7, 64, 128, 500, 1000] {
+            for rate in [0, 128, 256] {
+                for seed in [0, 11] {
+                    let sq = Squashing::new(mixed(500), task_uops, rate, seed);
+                    assert_eq!(
+                        sq.collect_uops(),
+                        sq.collect_then_squash(),
+                        "{task_uops}-uop tasks, {rate}/256 squashed, seed {seed}"
+                    );
+                }
+            }
+        }
+        // An empty inner stream stays empty.
+        let sq = Squashing::new(mixed(0), 64, 256, 1);
+        assert!(sq.collect_uops().is_empty());
+        assert!(sq.collect_then_squash().is_empty());
     }
 }

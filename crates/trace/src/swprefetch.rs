@@ -123,11 +123,39 @@ impl<W> TraceSink for Lookahead<'_, W> {
     }
 }
 
+/// The original rewrite, kept as the streaming one's test oracle:
+/// collect the whole inner stream, then look `distance` ahead by index.
+#[cfg(test)]
+impl<W: Workload> SoftwarePrefetch<W> {
+    pub(crate) fn collect_then_rewrite(&self) -> Vec<Uop> {
+        let uops = self.inner.collect_uops();
+        let mut out = Vec::new();
+        for (i, &u) in uops.iter().enumerate() {
+            if let Some(fut) = uops.get(i + self.distance) {
+                if fut.class == OpClass::Load {
+                    let m = fut.mem.expect("loads carry addresses");
+                    let addr = if self.wrong_per_256 > 0
+                        && hash(self.seed ^ i as u64) % 256 < u64::from(self.wrong_per_256)
+                    {
+                        m.addr.wrapping_add(4096 + ((hash(i as u64) % 4096) & !3))
+                    } else {
+                        m.addr
+                    };
+                    out.push(Uop::load(MemRef::read(addr, m.size), None, [None, None]));
+                }
+            }
+            out.push(u);
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pattern::Strided;
     use crate::stats::TraceStats;
+    use crate::testing::mixed;
     use crate::VecWorkload;
 
     #[test]
@@ -188,62 +216,6 @@ mod tests {
         );
     }
 
-    /// A fixed uop stream mixing loads, stores, ALU ops and branches.
-    struct Mixed(Vec<Uop>);
-
-    impl Workload for Mixed {
-        fn name(&self) -> &str {
-            "mixed"
-        }
-        fn generate(&self, sink: &mut dyn TraceSink) {
-            self.0.iter().for_each(|&u| sink.uop(u));
-        }
-    }
-
-    fn mixed(len: u64) -> Mixed {
-        let mut x = 17u64;
-        Mixed(
-            (0..len)
-                .map(|i| {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let addr = (x >> 40) & !3;
-                    match (x >> 33) % 4 {
-                        0 | 1 => Uop::load(MemRef::read(addr, 4), Some(1), [Some(2), None]),
-                        2 => Uop::store(MemRef::write(addr, 8), [Some(1), None]),
-                        _ if i % 2 == 0 => Uop::compute(OpClass::IntAlu, Some(2), [Some(1), None]),
-                        _ => Uop::branch(i, x & 1 == 0, [Some(2), None]),
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    /// The original rewrite: collect the whole inner stream, then look
-    /// `distance` ahead by index. The streaming rewrite must match it.
-    fn collect_then_rewrite<W: Workload>(p: &SoftwarePrefetch<W>) -> Vec<Uop> {
-        let uops = p.inner.collect_uops();
-        let mut out = Vec::new();
-        for (i, &u) in uops.iter().enumerate() {
-            if let Some(fut) = uops.get(i + p.distance) {
-                if fut.class == OpClass::Load {
-                    let m = fut.mem.expect("loads carry addresses");
-                    let addr = if p.wrong_per_256 > 0
-                        && hash(p.seed ^ i as u64) % 256 < u64::from(p.wrong_per_256)
-                    {
-                        m.addr.wrapping_add(4096 + ((hash(i as u64) % 4096) & !3))
-                    } else {
-                        m.addr
-                    };
-                    out.push(Uop::load(MemRef::read(addr, m.size), None, [None, None]));
-                }
-            }
-            out.push(u);
-        }
-        out
-    }
-
     #[test]
     fn streaming_rewrite_matches_collect_then_rewrite() {
         let len = 500;
@@ -252,7 +224,7 @@ mod tests {
                 let p = SoftwarePrefetch::with_inaccuracy(mixed(len), distance, wrong, seed);
                 assert_eq!(
                     p.collect_uops(),
-                    collect_then_rewrite(&p),
+                    p.collect_then_rewrite(),
                     "distance {distance}, {wrong}/256 wrong"
                 );
             }

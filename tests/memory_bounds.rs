@@ -15,12 +15,18 @@
 //! | `run_table2::run(1024)` | 165.1 MiB | 33.1 MiB |
 //! | `run_swprefetch::run()` | 81.5 MiB | 1.8 MiB |
 //! | 1 Mi-load rewrite, distance 1 / 64 / 4096 | 40.2 MiB | 208 B / 2.5 KiB / 160 KiB |
+//! | `run_interference::run(16 * 1024, 200)` | 40.0 MiB | 1.4 MiB |
+//! | `run_speculation::run()` | 41.6 MiB | 1.7 MiB |
+//! | 1 Mi-load `Squashing`, 256-uop tasks | 40.0 MiB | 10 KiB |
 //! | 14 `Scale::Test` arenas in a `TraceCache` (retained) | 21.0 MiB | 4.9 MiB |
 //!
 //! Table 2's largest kernel is the time-tiled stencil at its 1 KiB cache
 //! (2.43 M references). Before, it held the collected references, a
 //! block vector, the next-use links and one stale heap pair per hit;
-//! after, only the 8-byte next-use links.
+//! after, only the 8-byte next-use links. Interference held every
+//! thread's collected uops (40 B each) and now holds each thread's
+//! recorded arena (about 2 B per uop); speculation held the whole
+//! collected kernel and now holds one task.
 //!
 //! The traffic sweeps, dense LRU levels over collected references
 //! before and first-touch chunked levels over streamed references
@@ -42,7 +48,7 @@ use membw::cache::Associativity;
 use membw::sweep::{sweep_lru, SweepSpec};
 use membw::trace::replay::TraceCache;
 use membw::trace::sink::CountSink;
-use membw::trace::{MemRef, SoftwarePrefetch, Workload};
+use membw::trace::{MemRef, SoftwarePrefetch, Squashing, Workload};
 use membw::workloads::kernels::TimeTiledStencil;
 use membw::workloads::{suite92, suite95, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -187,6 +193,47 @@ fn swprefetch_peak_stays_small() {
         peak <= 4 * MIB,
         "swprefetch peaked at {:.1} MiB",
         peak as f64 / MIB as f64
+    );
+}
+
+#[test]
+fn interference_peak_stays_small() {
+    let (result, peak) = peak_during(|| membw::run_interference::run(16 * 1024, 200));
+    result.expect("interference audit passes");
+    assert!(
+        peak <= 4 * MIB,
+        "interference peaked at {:.1} MiB",
+        peak as f64 / MIB as f64
+    );
+}
+
+#[test]
+fn speculation_peak_stays_small() {
+    let (result, peak) = peak_during(membw::run_speculation::run);
+    result.expect("speculation audit passes");
+    assert!(
+        peak <= 4 * MIB,
+        "speculation peaked at {:.1} MiB",
+        peak as f64 / MIB as f64
+    );
+}
+
+#[test]
+fn squash_task_buffer_is_independent_of_trace_length() {
+    let inner = membw::trace::pattern::Strided::reads(0, 4, 1 << 20);
+    let w = Squashing::new(inner, 256, 128, 7);
+    let (count, peak) = peak_during(|| {
+        let mut sink = CountSink::new();
+        w.generate(&mut sink);
+        sink
+    });
+    assert!(count.loads > 1 << 20, "some tasks squash");
+    // The buffer holds one 256-uop task; a whole-trace buffer would be
+    // 1 Mi uops.
+    let bound = 2 * 256 * std::mem::size_of::<membw::trace::Uop>() + 4096;
+    assert!(
+        peak <= bound,
+        "squashing peaked at {peak} B (bound {bound} B)"
     );
 }
 
