@@ -7,41 +7,26 @@
 //! module does exactly that for the repro's synthetic kernels: given a
 //! compact per-(benchmark, scale) [`KernelSignature`] — a log₂-bucketed
 //! reuse-distance histogram per block size plus an instruction-mix
-//! summary — and a machine configuration, it predicts
+//! summary — and a machine configuration, it predicts total execution
+//! cycles split into `T_P`/`T_L`/`T_B` ([`predict_time`]) in
+//! **microseconds of arithmetic** (a handful of histogram suffix sums —
+//! no trace is touched), with an **explicit error bound**.
 //!
-//! * total execution cycles split into `T_P`/`T_L`/`T_B`
-//!   ([`predict_time`]), and
-//! * cache traffic in bytes for an arbitrary (block, capacity,
-//!   geometry) point ([`predict_traffic`]),
-//!
-//! each in **microseconds of arithmetic** (a handful of histogram
-//! suffix sums — no trace is touched) and each with an **explicit
-//! error bound**.
-//!
-//! # Where the bounds come from
+//! # Where the bound comes from
 //!
 //! The histogram is exact for fully-associative LRU at any
 //! power-of-two capacity (Mattson stack distances, log₂ buckets align
 //! with power-of-two capacities), so the modelling error is
 //! structural: set-associative conflict misses, replacement policy,
-//! and overlap between computation and memory time. The two
-//! predictions bound those errors differently:
+//! and overlap between computation and memory time. The bound is
+//! *calibrated*: per-machine-class constants in [`calib`], fitted once
+//! against the cycle-level simulator at test scale and frozen under
+//! [`MODEL_VERSION`], with margin over the worst relative error
+//! observed during calibration.
 //!
-//! * **Traffic** bounds are an *envelope*, sound by construction: any
-//!   demand cache moves at least its compulsory traffic and at most
-//!   one block per access plus one writeback per store. Conflict
-//!   misses — invisible to a stack-distance model and worth an order
-//!   of magnitude in small low-associativity caches — sit inside the
-//!   envelope at every scale; no fitted constant can drift out from
-//!   under them.
-//! * **Time** bounds are *calibrated*: per-machine-class constants in
-//!   [`calib`], fitted once against the cycle-level simulator at test
-//!   scale and frozen under [`MODEL_VERSION`], with margin over the
-//!   worst relative error observed during calibration.
-//!
-//! Both are *asserted*, not assumed: the `analytic-bound` auditor
+//! The bound is *asserted*, not assumed: the `analytic-bound` auditor
 //! invariant re-validates |prediction − simulation| ≤ bound on every
-//! simulated cell, so a drifting model fails loudly under
+//! simulated Figure 3 cell, so a drifting model fails loudly under
 //! `--audit strict` instead of silently mispredicting.
 
 use serde::{Deserialize, Serialize};
@@ -213,39 +198,21 @@ impl BlockReuse {
     }
 }
 
-/// Per-class uop counts, indexed by [`MIX_CLASSES`] order.
-pub const MIX_CLASSES: [&str; 8] = [
-    "int-alu", "int-mul", "fp-add", "fp-mul", "fp-div", "load", "store", "branch",
-];
-
 /// Compact per-(benchmark, scale) summary a prediction needs: a few KB
 /// replacing a multi-MB trace arena.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelSignature {
     /// Total micro-ops in the trace.
     pub uops: u64,
-    /// Data-memory references (loads + stores).
-    pub mem_refs: u64,
     /// Store references.
     pub stores: u64,
-    /// Total bytes requested by the program (Σ access sizes; the
-    /// denominator of the paper's traffic ratio R, Eq. 5).
-    pub request_bytes: u64,
-    /// Σ per-class functional-unit latencies (serial execution cycles).
-    pub op_cycles: u64,
     /// Register-dependency critical path in cycles (1-cycle memory).
     pub crit_path: u64,
-    /// Conditional branches, and how many were taken.
-    pub branches: u64,
-    /// Taken-branch count.
-    pub taken_branches: u64,
     /// Per-PC branch direction flips (a branch whose outcome differs
     /// from its own previous outcome). This is exactly the mispredict
     /// count of an ideal per-PC last-direction predictor, and a close
     /// proxy for the simulator's small two-level predictor.
     pub dir_flips: u64,
-    /// Uop counts per class, in [`MIX_CLASSES`] order.
-    pub class_counts: Vec<u64>,
     /// Reuse histograms, one per signature block size, ascending.
     pub reuse: Vec<BlockReuse>,
 }
@@ -312,20 +279,6 @@ impl TimeClass {
     }
 }
 
-/// Cache geometry of a traffic prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrafficGeometry {
-    /// Set-associative LRU with the given way count (1 = direct-mapped).
-    Assoc {
-        /// Ways per set.
-        ways: u32,
-    },
-    /// Minimal-traffic cache, write-allocate policy.
-    MtcAllocate,
-    /// Minimal-traffic cache, write-validate policy.
-    MtcValidate,
-}
-
 // ---------------------------------------------------------------------------
 // Calibration constants, frozen under MODEL_VERSION.
 // ---------------------------------------------------------------------------
@@ -348,32 +301,6 @@ mod calib {
     /// Absolute slack on every time bound, in cycles (hides the
     /// startup transient of very short kernels).
     pub const TIME_ABS_SLACK: f64 = 256.0;
-
-    /// Conflict-miss inflation for set-associative geometry:
-    /// `misses ≈ FA misses × (1 + DM_CONFLICT / ways)`.
-    pub const DM_CONFLICT: f64 = 0.30;
-    /// Absolute traffic slack in bytes (one straddling block per
-    /// power-of-two boundary, rounding).
-    pub const TRAFFIC_ABS_SLACK: f64 = 4096.0;
-
-    /// MTC traffic scale vs the FA-LRU fetch+writeback estimate, per
-    /// policy ([allocate, validate]): the MTC is a *minimal* policy,
-    /// so it moves fewer bytes than a same-capacity LRU.
-    pub const MTC_SCALE: [f64; 2] = [0.74, 0.57];
-
-    /// Above this many blocks of capacity, set-conflict effects were
-    /// small enough at calibration time to also offer a *tight*
-    /// relative bound (taken as `min` with the sound envelope).
-    pub const TRAFFIC_CALIB_MIN_BLOCKS: u64 = 4096;
-    /// Calibrated relative traffic bound for [direct-mapped, ≥ 2-way]
-    /// caches at ≥ [`TRAFFIC_CALIB_MIN_BLOCKS`]: ≥ 1.5× the worst
-    /// calibration-time relative error in that capacity region.
-    pub const TRAFFIC_CALIB_REL: [f64; 2] = [0.50, 0.35];
-    /// Capacity gate (in blocks) for the calibrated MTC bound.
-    pub const MTC_CALIB_MIN_BLOCKS: u64 = 64;
-    /// Calibrated relative MTC traffic bound per policy
-    /// ([allocate, validate]), with ≥ 1.4× margin.
-    pub const MTC_CALIB_REL: [f64; 2] = [0.55, 0.50];
 }
 
 // ---------------------------------------------------------------------------
@@ -405,38 +332,6 @@ impl EcmPrediction {
         } else {
             f64::INFINITY
         }
-    }
-}
-
-/// A predicted traffic volume with its error bound.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrafficPrediction {
-    /// Predicted bytes moved below the cache.
-    pub bytes: f64,
-    /// Absolute error bound in bytes.
-    pub bound: f64,
-    /// Model version that produced this prediction.
-    pub model: &'static str,
-}
-
-impl TrafficPrediction {
-    /// The bound relative to the prediction (∞ for a zero prediction).
-    pub fn rel_bound(&self) -> f64 {
-        if self.bytes > 0.0 {
-            self.bound / self.bytes
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// The prediction as a traffic ratio R = bytes / request_bytes
-    /// (Eq. 5), with the bound scaled alike.
-    pub fn ratio(&self, request_bytes: u64) -> Option<(f64, f64)> {
-        if request_bytes == 0 {
-            return None;
-        }
-        let rb = request_bytes as f64;
-        Some((self.bytes / rb, self.bound / rb))
     }
 }
 
@@ -485,95 +380,6 @@ pub fn predict_time(sig: &KernelSignature, cfg: &EcmConfig) -> Option<EcmPredict
     })
 }
 
-/// Predict bytes moved below a cache of `capacity_bytes` built from
-/// `block_size` blocks with geometry `geom`.
-///
-/// Returns `None` when the signature has no histogram at `block_size`
-/// or the geometry is degenerate (zero-block capacity).
-pub fn predict_traffic(
-    sig: &KernelSignature,
-    block_size: u64,
-    capacity_bytes: u64,
-    geom: TrafficGeometry,
-) -> Option<TrafficPrediction> {
-    let br = sig.reuse_at(block_size)?;
-    if block_size == 0 || capacity_bytes < block_size {
-        return None;
-    }
-    let cap_blocks = capacity_bytes / block_size;
-    let m_fa = br.lru_misses(cap_blocks) as f64;
-    let wb = br.writeback_estimate(br.lru_misses(cap_blocks), sig.stores);
-    let block = block_size as f64;
-    let base = (m_fa + wb) * block;
-
-    // Each geometry's point estimate, sound traffic envelope
-    // [`lower`, `upper_units` × block], and (where the capacity gate
-    // admits one) calibrated relative bound.
-    //
-    // The envelope makes the bound sound by construction at every
-    // scale: set-conflict misses — invisible to a stack-distance model
-    // and worth an order of magnitude in small low-associativity
-    // caches — always land inside it. For a W-way LRU cache, a
-    // set-local stack distance never exceeds the global one, so misses
-    // are at most the FA-LRU misses at a capacity of W blocks; adding
-    // one writeback per store (a dirty eviction needs a store during
-    // that residency, and never more writebacks than fetches) tops out
-    // the byte count. The minimal-traffic policies must still fetch
-    // what they cannot synthesize and write back what they dirtied.
-    let (bytes, lower, upper_units, cal_rel) = match geom {
-        TrafficGeometry::Assoc { ways } => {
-            let ways = ways.max(1);
-            let infl = 1.0 + calib::DM_CONFLICT / ways as f64;
-            let m_up = br.lru_misses(u64::from(ways)) as f64;
-            let rel = if cap_blocks >= calib::TRAFFIC_CALIB_MIN_BLOCKS {
-                calib::TRAFFIC_CALIB_REL[usize::from(ways > 1)]
-            } else {
-                f64::INFINITY
-            };
-            (
-                (m_fa * infl + wb) * block,
-                // Write-allocate LRU fetches every distinct block.
-                br.cold as f64 * block,
-                m_up + (sig.stores as f64).min(m_up),
-                rel,
-            )
-        }
-        TrafficGeometry::MtcAllocate | TrafficGeometry::MtcValidate => {
-            let validate = geom == TrafficGeometry::MtcValidate;
-            let i = usize::from(validate);
-            let lower = if validate {
-                // Write-validate skips fetches of write-only blocks,
-                // but read-only blocks must still come from memory.
-                br.cold.saturating_sub(br.dirty_blocks) as f64 * block
-            } else {
-                // Write-allocate still fetches every distinct block.
-                br.cold as f64 * block
-            };
-            let rel = if cap_blocks >= calib::MTC_CALIB_MIN_BLOCKS {
-                calib::MTC_CALIB_REL[i]
-            } else {
-                f64::INFINITY
-            };
-            (
-                base * calib::MTC_SCALE[i],
-                lower,
-                (br.accesses + sig.stores) as f64,
-                rel,
-            )
-        }
-    };
-    // `2 × request_bytes` absorbs references straddling block
-    // boundaries on both the fetch and writeback sides.
-    let upper = upper_units * block + 2.0 * sig.request_bytes as f64;
-    let envelope = (bytes - lower).max(upper - bytes).max(0.0);
-    let bound = envelope.min(bytes * cal_rel) + calib::TRAFFIC_ABS_SLACK;
-    Some(TrafficPrediction {
-        bytes,
-        bound,
-        model: MODEL_VERSION,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,15 +399,9 @@ mod tests {
     fn toy_signature() -> KernelSignature {
         KernelSignature {
             uops: 1000,
-            mem_refs: 100,
             stores: 30,
-            request_bytes: 400,
-            op_cycles: 1200,
             crit_path: 90,
-            branches: 50,
-            taken_branches: 25,
             dir_flips: 8,
-            class_counts: vec![700, 0, 100, 50, 0, 70, 30, 50],
             reuse: vec![
                 BlockReuse {
                     block_size: 64,
@@ -663,9 +463,6 @@ mod tests {
         let a = predict_time(&sig, &cfg).unwrap();
         let b = predict_time(&sig, &cfg).unwrap();
         assert_eq!(a, b);
-        let t1 = predict_traffic(&sig, 32, 1024, TrafficGeometry::Assoc { ways: 1 }).unwrap();
-        let t2 = predict_traffic(&sig, 32, 1024, TrafficGeometry::Assoc { ways: 1 }).unwrap();
-        assert_eq!(t1, t2);
     }
 
     #[test]
@@ -685,68 +482,6 @@ mod tests {
         let mut cfg = toy_config();
         cfg.l1_block = 16; // not in the signature
         assert_eq!(predict_time(&sig, &cfg), None);
-        assert!(predict_traffic(&sig, 16, 1024, TrafficGeometry::Assoc { ways: 1 }).is_none());
-        // Degenerate capacity.
-        assert!(predict_traffic(&sig, 32, 16, TrafficGeometry::Assoc { ways: 1 }).is_none());
-    }
-
-    #[test]
-    fn mtc_prediction_stays_below_lru_prediction() {
-        let sig = toy_signature();
-        let lru = predict_traffic(&sig, 32, 1024, TrafficGeometry::Assoc { ways: 4 }).unwrap();
-        let mtc = predict_traffic(&sig, 32, 1024, TrafficGeometry::MtcAllocate).unwrap();
-        let wv = predict_traffic(&sig, 32, 1024, TrafficGeometry::MtcValidate).unwrap();
-        assert!(mtc.bytes <= lru.bytes, "MTC is a minimal policy");
-        assert!(wv.bytes <= mtc.bytes, "write-validate skips write fetches");
-    }
-
-    #[test]
-    fn traffic_bound_covers_the_sound_envelope() {
-        // At 1024 B / 32 B blocks = 32 blocks the capacity gates keep
-        // the calibrated relative term out, so the bound must cover
-        // the full sound envelope on both edges.
-        let sig = toy_signature();
-        let br = sig.reuse_at(32).unwrap();
-        let req = 2.0 * sig.request_bytes as f64;
-        for ways in [1u32, 2, 4] {
-            let t = predict_traffic(&sig, 32, 1024, TrafficGeometry::Assoc { ways }).unwrap();
-            let lower = br.cold as f64 * 32.0;
-            let m_up = br.lru_misses(u64::from(ways)) as f64;
-            let upper = (m_up + (sig.stores as f64).min(m_up)) * 32.0 + req;
-            // Any simulated value inside the envelope is within bound.
-            assert!(t.bytes - t.bound <= lower, "ways {ways}: lower edge");
-            assert!(t.bytes + t.bound >= upper, "ways {ways}: upper edge");
-        }
-        let upper = (br.accesses + sig.stores) as f64 * 32.0 + req;
-        for geom in [TrafficGeometry::MtcAllocate, TrafficGeometry::MtcValidate] {
-            let t = predict_traffic(&sig, 32, 1024, geom).unwrap();
-            let lower = match geom {
-                TrafficGeometry::MtcValidate => br.cold - br.dirty_blocks,
-                _ => br.cold,
-            } as f64
-                * 32.0;
-            assert!(t.bytes - t.bound <= lower, "{geom:?}: lower edge");
-            assert!(t.bytes + t.bound >= upper, "{geom:?}: upper edge");
-        }
-    }
-
-    #[test]
-    fn large_caches_get_the_tight_calibrated_bound() {
-        // 4096 blocks × 32 B = 128 KiB crosses TRAFFIC_CALIB_MIN_BLOCKS;
-        // there the bound narrows to the calibrated relative term. The
-        // toy kernel's prediction is identical at 2048 and 4096 blocks
-        // (only cold misses remain), so the gate is the only delta.
-        let sig = toy_signature();
-        let big = predict_traffic(&sig, 32, 4096 * 32, TrafficGeometry::Assoc { ways: 4 }).unwrap();
-        let small =
-            predict_traffic(&sig, 32, 2048 * 32, TrafficGeometry::Assoc { ways: 4 }).unwrap();
-        assert_eq!(big.bytes, small.bytes);
-        assert!(
-            big.bound < small.bound,
-            "calibrated region should tighten the bound: {} vs {}",
-            big.bound,
-            small.bound
-        );
     }
 
     #[test]
@@ -764,16 +499,6 @@ mod tests {
         let per_flip = (flip.cycles - base.cycles) / 100.0;
         let expect = calib::TIME_KAPPA[0] * cfg.mispredict_penalty as f64;
         assert!((per_flip - expect).abs() < 1e-9, "{per_flip} vs {expect}");
-    }
-
-    #[test]
-    fn traffic_ratio_scales_bound() {
-        let sig = toy_signature();
-        let t = predict_traffic(&sig, 32, 1024, TrafficGeometry::Assoc { ways: 1 }).unwrap();
-        let (r, rb) = t.ratio(400).unwrap();
-        assert!((r - t.bytes / 400.0).abs() < 1e-12);
-        assert!((rb - t.bound / 400.0).abs() < 1e-12);
-        assert_eq!(t.ratio(0), None);
     }
 
     #[test]

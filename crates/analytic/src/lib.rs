@@ -9,8 +9,8 @@
 //! * [`extrapolate`] — the §4.3 ten-year package projection;
 //! * [`epin`] — effective pin bandwidth (Eq. 5) and its traffic-
 //!   inefficiency upper bound (Eq. 7);
-//! * [`ecm`] — the ECM-style execution/traffic predictor with explicit
-//!   error bounds (the PR 8 analytic fast path).
+//! * [`ecm`] — the ECM-style execution-time predictor with an explicit
+//!   error bound (the analytic fast path behind Figure 3).
 //!
 //! # Example
 //!
@@ -22,23 +22,16 @@
 //! assert!(rate > 0.08 && rate < 0.25, "annual growth {rate}");
 //! ```
 
-pub mod compression;
 pub mod ecm;
 pub mod epin;
 pub mod extrapolate;
 pub mod growth;
-pub mod onchip;
 pub mod pins;
 pub mod qualitative;
 
-pub use compression::CompressionScheme;
-pub use ecm::{
-    AnalyticMode, BlockReuse, EcmConfig, EcmPrediction, KernelSignature, TrafficGeometry,
-    TrafficPrediction, MODEL_VERSION,
-};
+pub use ecm::{AnalyticMode, BlockReuse, EcmConfig, EcmPrediction, KernelSignature, MODEL_VERSION};
 pub use epin::{effective_pin_bandwidth, upper_bound_epin};
 pub use extrapolate::{project, Projection};
 pub use growth::Algorithm;
-pub use onchip::{ConventionalSystem, UnifiedModule};
 pub use pins::{dataset, fit_growth, Processor, Series};
 pub use qualitative::{table1, Direction, Table1Row};

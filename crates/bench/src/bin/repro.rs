@@ -40,12 +40,12 @@
 //! `--analytic` selects the ECM fast path's role: `off` (default)
 //! never consults the model and is byte-identical to earlier releases;
 //! `assist` runs the normal simulation and additionally checks every
-//! simulated cell of `fig3`/`table7`/`fig4` against the model's
-//! prediction and error bound through the `analytic-bound` auditor
-//! invariant (fatal under `--audit strict`; stdout unchanged); `only`
-//! answers supported targets from trace signatures alone in
-//! microseconds, with the model version and bounds printed in the
-//! output (not byte-compatible with simulation, by design).
+//! simulated `fig3` cell against the model's prediction and error
+//! bound through the `analytic-bound` auditor invariant (fatal under
+//! `--audit strict`; stdout unchanged); `only` answers `fig3` from
+//! trace signatures alone in microseconds, with the model version and
+//! bounds printed in the output (not byte-compatible with simulation,
+//! by design) and no `--json` archives.
 //!
 //! `--jobs N` (or the `MEMBW_JOBS` environment variable) sets the run
 //! engine's thread count. Experiment output on stdout is byte-identical
@@ -248,10 +248,10 @@ fn parse_args() -> Result<Options, String> {
                 println!("through the one cross-check helper, membw_core::error::sweep_jobs:");
                 println!("one bit-exact sweep-exact audit check per job.");
                 println!("--analytic MODE sets the ECM fast path's role: off (default) never");
-                println!("consults the model; assist also checks each simulated fig3/table7/fig4");
-                println!("cell against the model's bound (analytic-bound invariant, fatal under");
-                println!("--audit strict; stdout unchanged); only answers those targets from");
-                println!("trace signatures in microseconds, bounds printed, no simulation.");
+                println!("consults the model; assist also checks each simulated fig3 cell");
+                println!("against the model's bound (analytic-bound invariant, fatal under");
+                println!("--audit strict; stdout unchanged); only answers fig3 from trace");
+                println!("signatures in microseconds, bounds printed, no simulation, no --json.");
                 println!(
                     "{} caps the in-memory trace cache (whole MiB; 0 disables caching).",
                     membw_core::trace::replay::TRACE_CACHE_MB_ENV
@@ -283,7 +283,14 @@ fn parse_args() -> Result<Options, String> {
     }
     if analytic == AnalyticMode::Only {
         // Reject up front: an analytic-only run must never silently
-        // fall back to simulation for a target the model cannot answer.
+        // fall back to simulation for a target the model cannot answer,
+        // nor silently skip the archives `--json` asked for.
+        if json_dir.is_some() {
+            return Err(
+                "--analytic only writes no JSON archives; drop --json or use --analytic off|assist"
+                    .to_string(),
+            );
+        }
         for t in &targets {
             if !fastpath::analytic_supported(t) {
                 return Err(format!(
@@ -401,8 +408,8 @@ fn serve_usage() {
     println!("daemon answers warm requests from the store without recomputing.");
     println!("SIGTERM drains gracefully: in-flight work checkpoints under");
     println!("--checkpoint-dir, new clients get a draining response, exit 0.");
-    println!("--analytic assist turns on the ECM fast lane: requests whose model");
-    println!("bound fits the client's tolerance (analytic_rel_permille, default");
+    println!("--analytic assist turns on the ECM fast lane: fig3 requests whose");
+    println!("model bound fits the client's tolerance (analytic_rel_permille, default");
     println!("600; 0 opts out) are answered in microseconds with provenance");
     println!("(source=analytic, model, bound) instead of queueing a simulation,");
     println!("and simulated renders audit the model via analytic-bound. The");

@@ -188,6 +188,33 @@ fn seconds_too_large_for_a_duration_are_a_usage_error() {
 }
 
 #[test]
+fn analytic_only_with_json_is_a_usage_error() {
+    let dir = scratch("analytic_json");
+    let json = dir.join("json");
+    let out = repro(
+        &[
+            "--scale",
+            "test",
+            "--analytic",
+            "only",
+            "fig3",
+            "--json",
+            json.to_str().expect("utf8 path"),
+        ],
+        &[],
+        &dir.join("ckpt"),
+    );
+    let err = stderr_str(&out);
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2: {err}");
+    for flag in ["--analytic only", "--json"] {
+        assert!(err.contains(flag), "error names {flag}: {err}");
+    }
+    assert!(stdout_str(&out).is_empty(), "nothing rendered");
+    assert!(!json.exists(), "no JSON directory created");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn serve_rejects_malformed_environment_like_the_cli() {
     let dir = scratch("serve_env");
     for (var, bad) in [

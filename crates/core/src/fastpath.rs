@@ -1,13 +1,13 @@
-//! The analytic fast path: machine-spec bridge, assist-mode audit
-//! hooks, and analytic-only target renderers.
+//! The analytic fast path: machine-spec bridge, the assist-mode audit
+//! hook, and the analytic-only Figure 3 renderer.
 //!
 //! Three entry points, one per `--analytic` mode consumer:
 //!
 //! * [`ecm_config`] converts a full [`MachineSpec`] into the slice the
 //!   ECM predictor reads;
-//! * the `assist_*` helpers are called by `run_fig3` / `run_fig4` /
-//!   `run_table7` after simulation to feed every simulated cell and
-//!   its prediction through the auditor's `analytic-bound` invariant;
+//! * `assist_fig3` is called by `run_fig3` after simulation to feed
+//!   every simulated cell and its prediction through the auditor's
+//!   `analytic-bound` invariant;
 //! * [`render_target_analytic`] renders a supported target from
 //!   signatures alone — microseconds of arithmetic, no trace arena,
 //!   admitted to the memory governor as *light* work (no arena
@@ -19,13 +19,10 @@
 //! never be mistaken for a measurement.
 
 use crate::audit::Auditor;
-use crate::report::{size_label, Table};
+use crate::report::Table;
 use crate::run_fig3::Fig3Cell;
-use crate::run_fig4::Fig4Panel;
-use crate::run_table7::Table7Row;
 use crate::targets::RenderedTarget;
-use membw_analytic::ecm::{self, AnalyticMode, EcmConfig, TrafficGeometry, MODEL_VERSION};
-use membw_analytic::effective_pin_bandwidth;
+use membw_analytic::ecm::{self, AnalyticMode, EcmConfig, MODEL_VERSION};
 use membw_runner::ambient_governor;
 use membw_sim::{Experiment, MachineSpec};
 use membw_workloads::{suite92, suite95, Benchmark, Scale, Suite};
@@ -36,7 +33,7 @@ pub fn assist_enabled() -> bool {
 }
 
 /// The targets [`render_target_analytic`] can answer.
-pub const ANALYTIC_TARGETS: [&str; 3] = ["fig3", "table7", "fig4"];
+pub const ANALYTIC_TARGETS: [&str; 1] = ["fig3"];
 
 /// Whether `target` has an analytic rendering.
 pub fn analytic_supported(target: &str) -> bool {
@@ -73,7 +70,7 @@ fn calibrating() -> bool {
     std::env::var("MEMBW_ANALYTIC_CALIBRATE").is_ok_and(|v| v == "1")
 }
 
-fn calibrate_line(kind: &str, cell: &str, predicted: f64, bound: f64, simulated: f64) {
+fn calibrate_line(cell: &str, predicted: f64, bound: f64, simulated: f64) {
     if calibrating() {
         let rel_err = if simulated != 0.0 {
             (predicted - simulated).abs() / simulated
@@ -81,7 +78,7 @@ fn calibrate_line(kind: &str, cell: &str, predicted: f64, bound: f64, simulated:
             f64::INFINITY
         };
         eprintln!(
-            "calibrate[{kind}] {cell}: pred={predicted:.1} sim={simulated:.1} \
+            "calibrate[fig3] {cell}: pred={predicted:.1} sim={simulated:.1} \
              rel_err={rel_err:.3} bound={bound:.1}"
         );
     }
@@ -107,71 +104,8 @@ pub(crate) fn assist_fig3(
             };
             let cell = format!("{}/{}", c.benchmark, c.experiment);
             let simulated = c.decomposition.t as f64;
-            calibrate_line("fig3", &cell, pred.cycles, pred.bound, simulated);
+            calibrate_line(&cell, pred.cycles, pred.bound, simulated);
             audit.analytic_bound(&cell, pred.model, pred.cycles, pred.bound, simulated);
-        }
-    }
-}
-
-/// Assist hook for Table 7: check every in-range traffic-ratio cell
-/// against the predicted ratio for a direct-mapped 32 B-block cache.
-pub(crate) fn assist_table7(audit: &mut Auditor, benchmarks: &[Benchmark], rows: &[Table7Row]) {
-    for row in rows {
-        let Some(b) = benchmarks.iter().find(|b| b.name() == row.name) else {
-            continue;
-        };
-        let sig = b.signature();
-        for (size, ratio) in &row.ratios {
-            let Some(simulated) = ratio else { continue };
-            let Some(pred) =
-                ecm::predict_traffic(&sig.kernel, 32, *size, TrafficGeometry::Assoc { ways: 1 })
-            else {
-                continue;
-            };
-            let Some((r, r_bound)) = pred.ratio(sig.kernel.request_bytes) else {
-                continue;
-            };
-            let cell = format!("{} @ {}", row.name, size_label(*size));
-            calibrate_line("table7", &cell, r, r_bound, *simulated);
-            audit.analytic_bound(&cell, pred.model, r, r_bound, *simulated);
-        }
-    }
-}
-
-/// The `(block granularity, geometry)` behind a Figure 4 curve label.
-fn curve_geometry(label: &str) -> Option<(u64, TrafficGeometry)> {
-    if let Some(block) = label.strip_suffix("B blocks") {
-        let block: u64 = block.parse().ok()?;
-        return Some((block, TrafficGeometry::Assoc { ways: 4 }));
-    }
-    match label {
-        // The MTC requests at word (4 B) granularity, §5.2.
-        "MTC write-allocate" => Some((4, TrafficGeometry::MtcAllocate)),
-        "MTC write-validate" => Some((4, TrafficGeometry::MtcValidate)),
-        _ => None,
-    }
-}
-
-/// Assist hook for Figure 4: check every simulated `(curve, capacity)`
-/// traffic point against the predicted byte count.
-pub(crate) fn assist_fig4(audit: &mut Auditor, benchmarks: &[Benchmark], panels: &[Fig4Panel]) {
-    for panel in panels {
-        let Some(b) = benchmarks.iter().find(|b| b.name() == panel.name) else {
-            continue;
-        };
-        let sig = b.signature();
-        for curve in &panel.curves {
-            let Some((block, geom)) = curve_geometry(&curve.label) else {
-                continue;
-            };
-            for &(capacity, traffic) in &curve.points {
-                let Some(pred) = ecm::predict_traffic(&sig.kernel, block, capacity, geom) else {
-                    continue;
-                };
-                let cell = format!("{}/{} @ {}", panel.name, curve.label, size_label(capacity));
-                calibrate_line("fig4", &cell, pred.bytes, pred.bound, traffic as f64);
-                audit.analytic_bound(&cell, pred.model, pred.bytes, pred.bound, traffic as f64);
-            }
         }
     }
 }
@@ -245,135 +179,6 @@ fn fig3_analytic(scale: Scale) -> AnalyticRender {
     }
 }
 
-fn table7_analytic(scale: Scale) -> AnalyticRender {
-    let suite = suite92(scale);
-    let mut worst_rel = 0.0f64;
-    let mut rows: Vec<(String, Vec<Option<f64>>)> = Vec::new();
-    let mut reasonable: Vec<f64> = Vec::new();
-    for b in &suite {
-        let sig = b.signature();
-        let mut cells = Vec::new();
-        for &size in &crate::run_table7::SIZES {
-            if size >= b.footprint_bytes {
-                cells.push(None);
-                continue;
-            }
-            let ratio =
-                ecm::predict_traffic(&sig.kernel, 32, size, TrafficGeometry::Assoc { ways: 1 })
-                    .and_then(|p| {
-                        worst_rel = worst_rel.max(p.rel_bound());
-                        p.ratio(sig.kernel.request_bytes).map(|(r, _)| r)
-                    });
-            if let Some(r) = ratio {
-                if size >= 64 * 1024 {
-                    reasonable.push(r);
-                }
-            }
-            cells.push(ratio);
-        }
-        rows.push((b.name().to_string(), cells));
-    }
-    let mean = if reasonable.is_empty() {
-        0.0
-    } else {
-        reasonable.iter().sum::<f64>() / reasonable.len() as f64
-    };
-    let epin = if mean > 0.0 {
-        effective_pin_bandwidth(800.0, &[mean])
-    } else {
-        800.0
-    };
-
-    let mut headers = vec!["Trace".to_string()];
-    headers.extend(crate::run_table7::SIZES.iter().map(|&s| size_label(s)));
-    let mut table = Table::new(
-        format!(
-            "Table 7 — analytic {MODEL_VERSION} prediction, 32B-block direct-mapped \
-             (mean >=64KB cells: {mean:.2}; E_pin @800MB/s = {epin:.0} MB/s)"
-        ),
-        headers,
-    );
-    for (name, cells) in &rows {
-        let mut row = vec![name.clone()];
-        row.extend(cells.iter().map(|v| match v {
-            Some(x) => format!("{x:.2}"),
-            None => "<<<".to_string(),
-        }));
-        table.row(row);
-    }
-    let mut out = RenderedTarget {
-        stdout: String::new(),
-        artifacts: Vec::new(),
-    };
-    out.stdout.push_str(&table.render());
-    out.stdout.push('\n');
-    AnalyticRender {
-        rendered: out,
-        worst_rel,
-        model: ecm::MODEL_VERSION,
-    }
-}
-
-fn fig4_analytic(scale: Scale) -> AnalyticRender {
-    let suite = suite92(scale);
-    let panel_names = ["compress", "eqntott", "swm"];
-    let mut labels: Vec<String> = crate::run_fig4::BLOCK_SIZES
-        .iter()
-        .map(|b| format!("{b}B blocks"))
-        .collect();
-    labels.push("MTC write-allocate".to_string());
-    labels.push("MTC write-validate".to_string());
-
-    let mut out = RenderedTarget {
-        stdout: String::new(),
-        artifacts: Vec::new(),
-    };
-    let mut worst_rel = 0.0f64;
-    for name in panel_names {
-        let b = suite
-            .iter()
-            .find(|b| b.name() == name)
-            .expect("panel benchmark exists in SPEC92 suite");
-        let sig = b.signature();
-        let mut table = Table::new(
-            format!(
-                "Figure 4 ({name}) — analytic {MODEL_VERSION} prediction: traffic in KB vs size"
-            ),
-            {
-                let mut h = vec!["Size".to_string()];
-                h.extend(labels.iter().cloned());
-                h
-            },
-        );
-        for s in crate::run_fig4::sizes() {
-            let mut cells = vec![size_label(s)];
-            for label in &labels {
-                let (block, geom) = curve_geometry(label).expect("labels are well-formed");
-                // Match the simulated figure's omission rule: a 4-way
-                // set needs block × 4 bytes of capacity.
-                let invalid = matches!(geom, TrafficGeometry::Assoc { .. }) && block * 4 > s;
-                let v = if invalid {
-                    None
-                } else {
-                    ecm::predict_traffic(&sig.kernel, block, s, geom).map(|p| {
-                        worst_rel = worst_rel.max(p.rel_bound());
-                        format!("{:.0}", p.bytes / 1024.0)
-                    })
-                };
-                cells.push(v.unwrap_or_else(|| "-".to_string()));
-            }
-            table.row(cells);
-        }
-        out.stdout.push_str(&table.render());
-        out.stdout.push('\n');
-    }
-    AnalyticRender {
-        rendered: out,
-        worst_rel,
-        model: ecm::MODEL_VERSION,
-    }
-}
-
 /// Render `target` from trace signatures alone.
 ///
 /// Returns `None` for targets without an analytic model (the caller
@@ -385,12 +190,8 @@ pub fn render_target_analytic(target: &str, scale: Scale) -> Option<AnalyticRend
         return None;
     }
     let _light = ambient_governor().admit_light();
-    Some(match target {
-        "fig3" => fig3_analytic(scale),
-        "table7" => table7_analytic(scale),
-        "fig4" => fig4_analytic(scale),
-        _ => unreachable!("analytic_supported gates the target list"),
-    })
+    // `ANALYTIC_TARGETS` is `["fig3"]`.
+    Some(fig3_analytic(scale))
 }
 
 #[cfg(test)]
@@ -414,36 +215,25 @@ mod tests {
     }
 
     #[test]
-    fn curve_labels_map_to_geometries() {
-        assert_eq!(
-            curve_geometry("32B blocks"),
-            Some((32, TrafficGeometry::Assoc { ways: 4 }))
-        );
-        assert_eq!(
-            curve_geometry("MTC write-validate"),
-            Some((4, TrafficGeometry::MtcValidate))
-        );
-        assert_eq!(curve_geometry("nonsense"), None);
-    }
-
-    #[test]
     fn analytic_targets_are_a_subset_of_renderables() {
         for t in ANALYTIC_TARGETS {
             assert!(crate::targets::renderable(t), "{t}");
             assert!(analytic_supported(t));
         }
-        assert!(!analytic_supported("table8"));
+        assert!(!analytic_supported("table7"));
+        assert!(!analytic_supported("fig4"));
         assert!(!analytic_supported("dump"));
     }
 
     #[test]
     fn analytic_renders_are_deterministic_and_labelled() {
-        let a = render_target_analytic("table7", Scale::Test).expect("supported");
-        let b = render_target_analytic("table7", Scale::Test).expect("supported");
+        let a = render_target_analytic("fig3", Scale::Test).expect("supported");
+        let b = render_target_analytic("fig3", Scale::Test).expect("supported");
         assert_eq!(a.rendered.stdout, b.rendered.stdout);
         assert!(a.rendered.stdout.contains(MODEL_VERSION));
         assert!(a.worst_rel.is_finite());
         assert_eq!(a.worst_rel.to_bits(), b.worst_rel.to_bits());
-        assert!(render_target_analytic("table8", Scale::Test).is_none());
+        assert!(render_target_analytic("table7", Scale::Test).is_none());
+        assert!(render_target_analytic("fig4", Scale::Test).is_none());
     }
 }

@@ -201,12 +201,6 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Vec<Fig4Panel>, Vec<Ta
             curves,
         });
     }
-    // Under `--analytic assist`, check every simulated traffic point
-    // against the ECM prediction and its bound (serial section;
-    // checkpoint keys and stdout are untouched).
-    if crate::fastpath::assist_enabled() {
-        crate::fastpath::assist_fig4(&mut audit, &suite, &panels);
-    }
     audit.finish()?;
     Ok((panels, tables))
 }

@@ -120,12 +120,6 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table7Result, Table), 
             }
         }
     }
-    // Under `--analytic assist`, check every in-range traffic-ratio
-    // cell against the ECM traffic prediction and its bound (serial
-    // section; checkpoint keys and stdout are untouched).
-    if crate::fastpath::assist_enabled() {
-        crate::fastpath::assist_table7(&mut audit, &suite, &rows);
-    }
 
     let reasonable: Vec<f64> = rows
         .iter()

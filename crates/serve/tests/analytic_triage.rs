@@ -6,10 +6,11 @@
 //!   version + bound), and the memoized prediction cache answers the
 //!   repeat without recomputing;
 //! * a client that opts out (`analytic_rel_permille: 0`), a target
-//!   without a model, or a bound looser than the tolerance all fall
-//!   back to real simulation — byte-identical to the CLI render;
-//! * with the fast lane disabled (the default), responses are
-//!   byte-identical to a no-fast-lane server's;
+//!   without a model (table7, fig4, table8), or a bound looser than the
+//!   tolerance all fall back to real simulation — byte-identical to the
+//!   CLI render;
+//! * a lane-on server answers every request the lane does not take
+//!   byte-identically to a lane-off server;
 //! * the `stats` pseudo-target reports the triage counters.
 //!
 //! Replies carry the process-wide `jobs` counter delta, so the tests run
@@ -25,8 +26,10 @@ use membw_serve::{ResultStore, ServeConfig, Server};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-const ANALYTIC_TARGET: &str = "fig4";
+const ANALYTIC_TARGET: &str = "fig3";
 const SIMULATED_TARGET: &str = "table8"; // no analytic model: always simulates
+/// Targets that lost their analytic model: they simulate like table8.
+const UNMODELLED_TARGETS: [&str; 2] = ["table7", "fig4"];
 /// Generous tolerance: every analytic render at test scale fits.
 const WIDE_TOLERANCE: u32 = 100_000;
 
@@ -144,14 +147,16 @@ fn opt_outs_loose_bounds_and_unmodelled_targets_simulate() {
     }
 
     // No analytic model at all: simulate, whatever the tolerance says.
-    match server.handle_request(&request(SIMULATED_TARGET, WIDE_TOLERANCE)) {
-        ServiceResponse::Ok { source: s, .. } => assert_eq!(s, source::COMPUTED),
-        other => panic!("expected simulated ok, got {other:?}"),
+    for target in [SIMULATED_TARGET].into_iter().chain(UNMODELLED_TARGETS) {
+        match server.handle_request(&request(target, WIDE_TOLERANCE)) {
+            ServiceResponse::Ok { source: s, .. } => assert_eq!(s, source::COMPUTED, "{target}"),
+            other => panic!("{target}: expected simulated ok, got {other:?}"),
+        }
     }
 
     let s = stats(&server);
     assert_eq!(s.analytic, 0, "no analytic answers were admissible");
-    assert_eq!(s.simulated, 2);
+    assert_eq!(s.simulated, 4);
     assert_eq!(s.store, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -160,18 +165,23 @@ fn opt_outs_loose_bounds_and_unmodelled_targets_simulate() {
 fn disabled_fast_lane_is_byte_identical_to_a_plain_server() {
     let _serial = serial();
     let (plain, plain_dir) = server("plain", false);
-    let (disabled, disabled_dir) = server("disabled", false);
-    for target in [ANALYTIC_TARGET, SIMULATED_TARGET] {
-        let req = request(target, WIDE_TOLERANCE);
+    let (lane_on, lane_on_dir) = server("lane", true);
+    // An opted-out request for the modelled target, and a target the
+    // lane has no model for even at a tolerance that admits anything.
+    for req in [
+        request(ANALYTIC_TARGET, 0),
+        request(UNMODELLED_TARGETS[0], WIDE_TOLERANCE),
+    ] {
+        let target = req.target.clone();
         let a = plain.handle_request(&req);
-        let b = disabled.handle_request(&req);
+        let b = lane_on.handle_request(&req);
         let (a, b) = (
             serde_json::to_string(&a).expect("serialize"),
             serde_json::to_string(&b).expect("serialize"),
         );
         assert_eq!(
             a, b,
-            "{target}: fast-lane-off servers must agree byte-for-byte"
+            "{target}: a lane-on server must answer what the lane skips like a lane-off one"
         );
         assert!(
             a.contains("\"computed\""),
@@ -179,5 +189,5 @@ fn disabled_fast_lane_is_byte_identical_to_a_plain_server() {
         );
     }
     let _ = std::fs::remove_dir_all(&plain_dir);
-    let _ = std::fs::remove_dir_all(&disabled_dir);
+    let _ = std::fs::remove_dir_all(&lane_on_dir);
 }

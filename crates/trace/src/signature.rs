@@ -2,18 +2,18 @@
 //! instead of the trace arena.
 //!
 //! A [`TraceSignature`] condenses one (benchmark, scale) trace into
-//! exactly what the ECM predictor
-//! ([`membw_analytic::ecm`]) needs — an instruction-mix summary, the
-//! register-dependency critical path, and one log₂-bucketed
-//! reuse-distance histogram per block granularity in
-//! [`SIGNATURE_BLOCK_SIZES`]. Computing it costs one replay of the
-//! recorded trace plus one Mattson stack pass per block size; after
-//! that, predictions for *any* cache/memsys configuration are pure
-//! histogram arithmetic and never touch the arena again.
+//! exactly what the ECM time predictor
+//! ([`membw_analytic::ecm::predict_time`]) reads — uop and store
+//! counts, branch direction flips, the register-dependency critical
+//! path, and one log₂-bucketed reuse-distance histogram per block
+//! granularity in [`SIGNATURE_BLOCK_SIZES`]. Computing it costs one
+//! replay of the recorded trace plus one Mattson stack pass per block
+//! size; after that, predictions for any machine spec with those block
+//! sizes are pure histogram arithmetic and never touch the arena again.
 //!
 //! Signatures persist through the PR 4 integrity layer: sealed with an
 //! FNV-1a 64 header, written tmp→fsync→rename, keyed by
-//! `sig-v1|name|variant`, and verified on load (seal, version, and a
+//! `sig-v2|name|variant`, and verified on load (seal, version, and a
 //! name/variant echo against hash collisions). A corrupt file is
 //! quarantined to a `.corrupt` generation and recomputed — a damaged
 //! signature can cost a recompute, never a wrong prediction.
@@ -22,7 +22,7 @@ use crate::record::MemRef;
 use crate::reuse::ReuseProfile;
 use crate::uop::{OpClass, Uop, NUM_REGS};
 use crate::{TraceSink, VecWorkload, Workload};
-use membw_analytic::ecm::{BlockReuse, KernelSignature, MIX_CLASSES};
+use membw_analytic::ecm::{BlockReuse, KernelSignature};
 use membw_runner::persist;
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
@@ -32,12 +32,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Signature format version; part of the persistence key, so a format
 /// change simply recomputes rather than misreading old files.
-pub const SIGNATURE_VERSION: u32 = 1;
+pub const SIGNATURE_VERSION: u32 = 2;
 
-/// Block granularities every signature records, ascending: all the
-/// block sizes the repro's sweeps and machine specs use (4 B MTC words
+/// Block granularities every signature records, ascending: the L1 and
+/// L2 block sizes of the SPEC92 and SPEC95 machine specs (32 B L1
 /// through the 128 B experiment-B L2 block).
-pub const SIGNATURE_BLOCK_SIZES: [u64; 6] = [4, 8, 16, 32, 64, 128];
+pub const SIGNATURE_BLOCK_SIZES: [u64; 3] = [32, 64, 128];
 
 /// Environment variable overriding the on-disk signature store
 /// directory (default `results/.signatures`).
@@ -59,16 +59,13 @@ pub struct TraceSignature {
 /// Streaming statistics collected in one pass over the uop trace.
 struct MixSink {
     uops: u64,
-    op_cycles: u64,
-    branches: u64,
-    taken_branches: u64,
+    stores: u64,
     /// Branches whose outcome differs from the same PC's previous
     /// outcome (the predictor-difficulty proxy the time model charges
     /// a mispredict penalty for).
     dir_flips: u64,
     /// Last observed direction per branch PC.
     last_dir: HashMap<u64, bool>,
-    class_counts: [u64; MIX_CLASSES.len()],
     /// Ready cycle of each logical register's latest value.
     reg_depth: [u64; NUM_REGS],
     crit_path: u64,
@@ -79,28 +76,12 @@ impl MixSink {
     fn new() -> Self {
         MixSink {
             uops: 0,
-            op_cycles: 0,
-            branches: 0,
-            taken_branches: 0,
+            stores: 0,
             dir_flips: 0,
             last_dir: HashMap::new(),
-            class_counts: [0; MIX_CLASSES.len()],
             reg_depth: [0; NUM_REGS],
             crit_path: 0,
             refs: Vec::new(),
-        }
-    }
-
-    fn class_index(class: OpClass) -> usize {
-        match class {
-            OpClass::IntAlu => 0,
-            OpClass::IntMul => 1,
-            OpClass::FpAdd => 2,
-            OpClass::FpMul => 3,
-            OpClass::FpDiv => 4,
-            OpClass::Load => 5,
-            OpClass::Store => 6,
-            OpClass::Branch => 7,
         }
     }
 }
@@ -109,13 +90,10 @@ impl TraceSink for MixSink {
     fn uop(&mut self, uop: Uop) {
         self.uops += 1;
         let lat = u64::from(uop.class.latency());
-        self.op_cycles += lat;
-        self.class_counts[Self::class_index(uop.class)] += 1;
+        if uop.class == OpClass::Store {
+            self.stores += 1;
+        }
         if let Some(b) = uop.branch {
-            self.branches += 1;
-            if b.taken {
-                self.taken_branches += 1;
-            }
             if let Some(prev) = self.last_dir.insert(b.pc, b.taken) {
                 if prev != b.taken {
                     self.dir_flips += 1;
@@ -163,8 +141,6 @@ pub fn compute_signature(name: &str, variant: &str, workload: &dyn Workload) -> 
     let mut mix = MixSink::new();
     workload.generate(&mut mix);
 
-    let request_bytes: u64 = mix.refs.iter().map(|r| u64::from(r.size)).sum();
-    let stores = mix.class_counts[MixSink::class_index(OpClass::Store)];
     let replay = VecWorkload::new(name, std::mem::take(&mut mix.refs));
 
     let mut reuse = Vec::with_capacity(SIGNATURE_BLOCK_SIZES.len());
@@ -191,15 +167,9 @@ pub fn compute_signature(name: &str, variant: &str, workload: &dyn Workload) -> 
         variant: variant.to_string(),
         kernel: KernelSignature {
             uops: mix.uops,
-            mem_refs: replay.refs().len() as u64,
-            stores,
-            request_bytes,
-            op_cycles: mix.op_cycles,
+            stores: mix.stores,
             crit_path: mix.crit_path,
-            branches: mix.branches,
-            taken_branches: mix.taken_branches,
             dir_flips: mix.dir_flips,
-            class_counts: mix.class_counts.to_vec(),
             reuse,
         },
     }
@@ -394,9 +364,7 @@ mod tests {
     fn signature_counts_mix_and_refs() {
         let sig = compute_signature("toy", "Test", &toy_workload());
         assert_eq!(sig.kernel.uops, 5);
-        assert_eq!(sig.kernel.mem_refs, 5);
         assert_eq!(sig.kernel.stores, 2);
-        assert_eq!(sig.kernel.request_bytes, 20);
         let br = sig.kernel.reuse_at(32).unwrap();
         assert_eq!(br.accesses, 5);
         assert_eq!(br.cold, 3);

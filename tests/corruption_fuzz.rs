@@ -13,8 +13,10 @@
 //! Seeds are fixed (`SmallRng::seed_from_u64`), so a failure reproduces
 //! exactly; the CI fuzz-smoke job runs this same harness.
 
-use membw::analytic::ecm::{self, TrafficGeometry};
+use membw::analytic::ecm;
+use membw::fastpath;
 use membw::runner::{with_checkpoint, CheckpointConfig, Runner};
+use membw::sim::{Experiment, MachineSpec};
 use membw::trace::io::{read_refs, write_refs};
 use membw::trace::pattern::Zipf;
 use membw::trace::replay::TraceCache;
@@ -147,13 +149,9 @@ fn mutated_signature_files_never_yield_a_wrong_prediction() {
     let clean = compute_signature("fuzz", "Test", &w);
     // The reference prediction every accepted-or-recomputed signature
     // must reproduce exactly.
-    let clean_pred = ecm::predict_traffic(
-        &clean.kernel,
-        32,
-        64 * 1024,
-        TrafficGeometry::Assoc { ways: 1 },
-    )
-    .expect("32 B histogram recorded");
+    let cfg = fastpath::ecm_config(&MachineSpec::spec92(Experiment::A));
+    let clean_pred =
+        ecm::predict_time(&clean.kernel, &cfg).expect("signature covers the spec's blocks");
 
     let store = SignatureStore::open(&root).expect("open signature store");
     store.save(&clean).expect("persist clean signature");
@@ -194,16 +192,11 @@ fn mutated_signature_files_never_yield_a_wrong_prediction() {
         let served = store
             .load("fuzz", "Test")
             .expect("entry re-persisted after recompute");
-        let pred = ecm::predict_traffic(
-            &served.kernel,
-            32,
-            64 * 1024,
-            TrafficGeometry::Assoc { ways: 1 },
-        )
-        .expect("32 B histogram recorded");
+        let pred =
+            ecm::predict_time(&served.kernel, &cfg).expect("signature covers the spec's blocks");
         assert_eq!(
-            pred.bytes.to_bits(),
-            clean_pred.bytes.to_bits(),
+            pred.cycles.to_bits(),
+            clean_pred.cycles.to_bits(),
             "seed {i}: prediction drifted"
         );
         assert_eq!(
