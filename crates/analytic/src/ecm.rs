@@ -1,4 +1,4 @@
-//! ECM-style analytic execution predictor (the PR 8 fast path).
+//! ECM-style analytic execution predictor.
 //!
 //! The paper's Eq. 1–6 already describe execution time as the sum of a
 //! processor term, a latency term, and a bandwidth term; Treibig &
@@ -24,122 +24,21 @@
 //! [`MODEL_VERSION`], with margin over the worst relative error
 //! observed during calibration.
 //!
-//! The bound is *asserted*, not assumed: the `analytic-bound` auditor
-//! invariant re-validates |prediction − simulation| ≤ bound on every
-//! simulated Figure 3 cell, so a drifting model fails loudly under
-//! `--audit strict` instead of silently mispredicting.
+//! # Status
+//!
+//! No product path consults the model any more. The bounds it asserts
+//! on Figure 3 are 900–990‰ of the prediction, and where it does
+//! answer it disagrees with simulation (compress A: 7.69 predicted,
+//! 3.64 simulated); it also predicts the same `f_P/f_L/f_B` for
+//! experiments A, C, D and E, where the paper's simulation shows `f_B`
+//! growing. It stays only because `membw-benchmark` still times it
+//! (the `analytic.*` layer metrics); DESIGN.md §14 has the record.
 
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Version tag carried by every prediction (provenance in serve
-/// responses, audited against at calibration time). Bump whenever the
-/// model equations or the [`calib`] constants change.
+/// Version tag carried by every prediction. Bump whenever the model
+/// equations or the [`calib`] constants change.
 pub const MODEL_VERSION: &str = "ecm-1";
-
-/// Serve-triage tightness threshold: the fast lane answers a request
-/// analytically only when the worst relative bound across the
-/// rendered cells is at most this. Coarser predictions (e.g. the
-/// out-of-order time model) fall through to real simulation.
-pub const TRIAGE_MAX_REL: f64 = 0.60;
-
-// ---------------------------------------------------------------------------
-// Analytic mode (off | assist | only), ambient like the audit level.
-// ---------------------------------------------------------------------------
-
-/// How the analytic predictor participates in a run
-/// (`repro --analytic off|assist|only`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnalyticMode {
-    /// Predictor disabled; output byte-identical to the seed.
-    #[default]
-    Off,
-    /// Simulate as usual, and additionally check every simulated cell
-    /// against the predictor through the `analytic-bound` invariant.
-    Assist,
-    /// Answer from the predictor alone (supported targets only); no
-    /// simulation, no trace arena.
-    Only,
-}
-
-impl AnalyticMode {
-    /// The CLI spelling (`off` / `assist` / `only`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AnalyticMode::Off => "off",
-            AnalyticMode::Assist => "assist",
-            AnalyticMode::Only => "only",
-        }
-    }
-}
-
-impl std::str::FromStr for AnalyticMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(AnalyticMode::Off),
-            "assist" => Ok(AnalyticMode::Assist),
-            "only" => Ok(AnalyticMode::Only),
-            other => Err(format!(
-                "unknown analytic mode '{other}' (expected off|assist|only)"
-            )),
-        }
-    }
-}
-
-/// Process-wide mode set by `repro --analytic` (0 = Off, 1 = Assist,
-/// 2 = Only).
-static GLOBAL_MODE: AtomicU8 = AtomicU8::new(0);
-
-thread_local! {
-    /// Thread-local override installed by [`with_mode`] (tests compare
-    /// modes side by side without touching process state).
-    static TL_MODE: Cell<Option<AnalyticMode>> = const { Cell::new(None) };
-}
-
-fn encode(mode: AnalyticMode) -> u8 {
-    match mode {
-        AnalyticMode::Off => 0,
-        AnalyticMode::Assist => 1,
-        AnalyticMode::Only => 2,
-    }
-}
-
-fn decode(v: u8) -> AnalyticMode {
-    match v {
-        1 => AnalyticMode::Assist,
-        2 => AnalyticMode::Only,
-        _ => AnalyticMode::Off,
-    }
-}
-
-/// Set the process-wide analytic mode (`repro --analytic MODE`).
-pub fn set_mode(mode: AnalyticMode) {
-    GLOBAL_MODE.store(encode(mode), Ordering::SeqCst);
-}
-
-/// The effective analytic mode on this thread.
-pub fn configured_mode() -> AnalyticMode {
-    TL_MODE
-        .with(Cell::get)
-        .unwrap_or_else(|| decode(GLOBAL_MODE.load(Ordering::SeqCst)))
-}
-
-/// Run `f` with the analytic mode forced to `mode` on this thread,
-/// restoring the previous override afterwards.
-pub fn with_mode<R>(mode: AnalyticMode, f: impl FnOnce() -> R) -> R {
-    let prev = TL_MODE.with(|c| c.replace(Some(mode)));
-    struct Restore(Option<AnalyticMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_MODE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
 
 // ---------------------------------------------------------------------------
 // Signature data model.
@@ -283,9 +182,8 @@ impl TimeClass {
 // Calibration constants, frozen under MODEL_VERSION.
 // ---------------------------------------------------------------------------
 
-/// Constants fitted against the cycle-level simulator at test scale
-/// (`MEMBW_ANALYTIC_CALIBRATE=1` prints the per-cell data they are
-/// fitted from). Every relative bound is at least 2× the worst
+/// Constants fitted against the cycle-level simulator at test scale.
+/// Every relative bound is at least 2× the worst
 /// calibration-time error; changing any value is a model change and
 /// must bump [`MODEL_VERSION`].
 mod calib {
@@ -499,22 +397,6 @@ mod tests {
         let per_flip = (flip.cycles - base.cycles) / 100.0;
         let expect = calib::TIME_KAPPA[0] * cfg.mispredict_penalty as f64;
         assert!((per_flip - expect).abs() < 1e-9, "{per_flip} vs {expect}");
-    }
-
-    #[test]
-    fn mode_parses_and_roundtrips() {
-        for m in [AnalyticMode::Off, AnalyticMode::Assist, AnalyticMode::Only] {
-            assert_eq!(m.as_str().parse::<AnalyticMode>().unwrap(), m);
-        }
-        assert!("auto".parse::<AnalyticMode>().is_err());
-    }
-
-    #[test]
-    fn with_mode_overrides_and_restores() {
-        let base = configured_mode();
-        let inside = with_mode(AnalyticMode::Only, configured_mode);
-        assert_eq!(inside, AnalyticMode::Only);
-        assert_eq!(configured_mode(), base);
     }
 
     #[test]

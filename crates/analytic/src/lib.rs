@@ -10,7 +10,7 @@
 //! * [`epin`] — effective pin bandwidth (Eq. 5) and its traffic-
 //!   inefficiency upper bound (Eq. 7);
 //! * [`ecm`] — the ECM-style execution-time predictor with an explicit
-//!   error bound (the analytic fast path behind Figure 3).
+//!   error bound; no product path calls it (see its module docs).
 //!
 //! # Example
 //!
@@ -29,7 +29,7 @@ pub mod growth;
 pub mod pins;
 pub mod qualitative;
 
-pub use ecm::{AnalyticMode, BlockReuse, EcmConfig, EcmPrediction, KernelSignature, MODEL_VERSION};
+pub use ecm::{BlockReuse, EcmConfig, EcmPrediction, KernelSignature, MODEL_VERSION};
 pub use epin::{effective_pin_bandwidth, upper_bound_epin};
 pub use extrapolate::{project, Projection};
 pub use growth::Algorithm;

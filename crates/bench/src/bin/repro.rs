@@ -6,7 +6,7 @@
 //!       [--retries N] [--job-timeout SECS] [--deadline SECS]
 //!       [--mem-budget MB] [--resume | --no-resume]
 //!       [--checkpoint-dir DIR] [--audit off|warn|strict]
-//!       [--sweep stack|direct] [--analytic off|assist|only] <target>...
+//!       [--sweep stack|direct] <target>...
 //!
 //! repro serve [--socket PATH | --listen tcp:PORT] [--max-inflight N]
 //!             [--queue N] [--store DIR] [--checkpoint-dir DIR]
@@ -37,15 +37,9 @@
 //! cross-check helper, `membw_core::error::sweep_jobs`, and report any
 //! divergence through the auditor.
 //!
-//! `--analytic` selects the ECM fast path's role: `off` (default)
-//! never consults the model and is byte-identical to earlier releases;
-//! `assist` runs the normal simulation and additionally checks every
-//! simulated `fig3` cell against the model's prediction and error
-//! bound through the `analytic-bound` auditor invariant (fatal under
-//! `--audit strict`; stdout unchanged); `only` answers `fig3` from
-//! trace signatures alone in microseconds, with the model version and
-//! bounds printed in the output (not byte-compatible with simulation,
-//! by design) and no `--json` archives.
+//! `--analytic` (and `repro serve --analytic`, `repro query
+//! --analytic-rel`) are retired: they exit 2 with the reason, the way
+//! the retired fault variables do.
 //!
 //! `--jobs N` (or the `MEMBW_JOBS` environment variable) sets the run
 //! engine's thread count. Experiment output on stdout is byte-identical
@@ -71,9 +65,7 @@
 //! stdout byte-identity: a cancelled run resumed with `--resume`, or a
 //! budgeted run, prints exactly what an undisturbed run prints.
 
-use membw_core::analytic::ecm::{self, AnalyticMode};
 use membw_core::audit;
-use membw_core::fastpath;
 use membw_core::report::{self, TargetTiming};
 use membw_core::runner;
 use membw_core::runner::persist;
@@ -96,8 +88,12 @@ struct Options {
     checkpoint_dir: PathBuf,
     deadline: Option<Duration>,
     sweep: SweepMode,
-    analytic: AnalyticMode,
 }
+
+/// Why the analytic lane's flags are refused.
+const ANALYTIC_RETIRED: &str = "the analytic fast lane is retired: its fig3 bounds \
+     (900-990 permille) never fit a client's tolerance and its predictions disagreed \
+     with simulation; drop the flag to get the simulated answer";
 
 /// Reject malformed environment configuration up front, before any
 /// target runs or the daemon binds: the lazy readers would otherwise
@@ -144,7 +140,6 @@ fn parse_args() -> Result<Options, String> {
     let mut deadline = None;
     let mut mem_budget_mb: Option<u64> = None;
     let mut sweep = SweepMode::default();
-    let mut analytic = AnalyticMode::Off;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -194,12 +189,7 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--sweep needs a mode (stack|direct)")?;
                 sweep = SweepMode::parse(&v)?;
             }
-            "--analytic" => {
-                let v = args
-                    .next()
-                    .ok_or("--analytic needs a mode (off|assist|only)")?;
-                analytic = v.parse()?;
-            }
+            "--analytic" => return Err(format!("--analytic: {ANALYTIC_RETIRED}")),
             "--resume" => resume = true,
             "--no-resume" => resume = false,
             "--checkpoint-dir" => {
@@ -211,8 +201,7 @@ fn parse_args() -> Result<Options, String> {
                 println!("             [--retries N] [--job-timeout SECS] [--deadline SECS]");
                 println!("             [--mem-budget MB] [--resume|--no-resume]");
                 println!("             [--checkpoint-dir DIR] [--audit off|warn|strict]");
-                println!("             [--sweep stack|direct] [--analytic off|assist|only]");
-                println!("             <target>...");
+                println!("             [--sweep stack|direct] <target>...");
                 println!("       repro serve [--socket PATH|--listen tcp:PORT] ... (see repro serve --help)");
                 println!("       repro query [--socket PATH] <target>...         (see repro query --help)");
                 println!("targets: fig1 table1 table2 table3 params fig3 table6 table7");
@@ -247,11 +236,6 @@ fn parse_args() -> Result<Options, String> {
                 );
                 println!("through the one cross-check helper, membw_core::error::sweep_jobs:");
                 println!("one bit-exact sweep-exact audit check per job.");
-                println!("--analytic MODE sets the ECM fast path's role: off (default) never");
-                println!("consults the model; assist also checks each simulated fig3 cell");
-                println!("against the model's bound (analytic-bound invariant, fatal under");
-                println!("--audit strict; stdout unchanged); only answers fig3 from trace");
-                println!("signatures in microseconds, bounds printed, no simulation, no --json.");
                 println!(
                     "{} caps the in-memory trace cache (whole MiB; 0 disables caching).",
                     membw_core::trace::replay::TRACE_CACHE_MB_ENV
@@ -281,26 +265,6 @@ fn parse_args() -> Result<Options, String> {
     for t in &targets {
         validate_target(t)?;
     }
-    if analytic == AnalyticMode::Only {
-        // Reject up front: an analytic-only run must never silently
-        // fall back to simulation for a target the model cannot answer,
-        // nor silently skip the archives `--json` asked for.
-        if json_dir.is_some() {
-            return Err(
-                "--analytic only writes no JSON archives; drop --json or use --analytic off|assist"
-                    .to_string(),
-            );
-        }
-        for t in &targets {
-            if !fastpath::analytic_supported(t) {
-                return Err(format!(
-                    "--analytic only cannot answer target '{t}'; supported targets: {}",
-                    fastpath::ANALYTIC_TARGETS.join(" ")
-                ));
-            }
-        }
-    }
-    ecm::set_mode(analytic);
     Ok(Options {
         scale,
         json_dir,
@@ -309,7 +273,6 @@ fn parse_args() -> Result<Options, String> {
         checkpoint_dir,
         deadline,
         sweep,
-        analytic,
     })
 }
 
@@ -335,21 +298,6 @@ fn run_target(
 }
 
 fn run_leaf(opts: &Options, target: &str) -> Result<(), MembwError> {
-    if opts.analytic == AnalyticMode::Only {
-        // Microsecond path: answer from the ECM predictor and trace
-        // signatures alone — no simulation, no trace arena. The output
-        // is labelled with the model version and carries error bounds;
-        // it is intentionally NOT byte-compatible with a simulated run.
-        let render = fastpath::render_target_analytic(target, opts.scale)
-            .expect("unsupported targets were rejected at argument parsing");
-        print!("{}", render.rendered.stdout);
-        eprintln!(
-            "analytic: {target}: model {}, worst relative bound {:.2}",
-            ecm::MODEL_VERSION,
-            render.worst_rel
-        );
-        return Ok(());
-    }
     if target == "dump" {
         // Dump every benchmark's reference stream as .mwtr files — the
         // one target with filesystem side effects instead of a
@@ -395,7 +343,7 @@ fn serve_usage() {
     println!("                   [--max-inflight N] [--queue N] [--conn-limit N]");
     println!("                   [--store DIR] [--checkpoint-dir DIR]");
     println!("                   [--jobs N] [--mem-budget MB] [--read-timeout-ms N]");
-    println!("                   [--analytic off|assist] [--supervise]");
+    println!("                   [--supervise]");
     println!("Resident daemon speaking newline-delimited JSON requests");
     println!("  {{\"target\":\"table7\",\"scale\":\"small\",\"sweep\":\"stack\",");
     println!("    \"audit\":\"warn\",\"deadline_ms\":0,\"priority\":0}}");
@@ -408,13 +356,7 @@ fn serve_usage() {
     println!("daemon answers warm requests from the store without recomputing.");
     println!("SIGTERM drains gracefully: in-flight work checkpoints under");
     println!("--checkpoint-dir, new clients get a draining response, exit 0.");
-    println!("--analytic assist turns on the ECM fast lane: fig3 requests whose");
-    println!("model bound fits the client's tolerance (analytic_rel_permille, default");
-    println!("600; 0 opts out) are answered in microseconds with provenance");
-    println!("(source=analytic, model, bound) instead of queueing a simulation,");
-    println!("and simulated renders audit the model via analytic-bound. The");
-    println!("daemon always keeps the simulation fallback, so there is no");
-    println!("'only' mode. Query target 'stats' for triage counters.");
+    println!("Query target 'stats' for triage counters.");
     println!("--supervise runs the daemon under a restarting parent: a crashed");
     println!("daemon (SIGKILL, abort, injected crash@K) is respawned with");
     println!("bounded deterministic backoff (50ms doubling, cap 2s); 5 fast");
@@ -537,21 +479,7 @@ fn cmd_serve(argv: &[String]) -> i32 {
                         .map_err(|e| e.replace(runner::MEM_BUDGET_MB_ENV, "--mem-budget"))?;
                     mem_budget_mb = Some(mb);
                 }
-                "--analytic" => {
-                    let v = args.next().ok_or("--analytic needs a mode (off|assist)")?;
-                    config.analytic = match v.as_str() {
-                        "off" => false,
-                        "assist" => true,
-                        // The daemon must always be able to fall back to a
-                        // real simulation for loose bounds and unsupported
-                        // targets, so `only` is not a serve mode.
-                        other => {
-                            return Err(format!(
-                                "serve --analytic supports off|assist, got '{other}'"
-                            ))
-                        }
-                    };
-                }
+                "--analytic" => return Err(format!("serve --analytic: {ANALYTIC_RETIRED}")),
                 "--help" | "-h" => {
                     serve_usage();
                     std::process::exit(0);
@@ -569,15 +497,6 @@ fn cmd_serve(argv: &[String]) -> i32 {
     }
     if let Some(mb) = mem_budget_mb {
         runner::set_mem_budget(Some(mb));
-    }
-    if config.analytic {
-        // Simulated renders on an assist daemon carry the same
-        // analytic-bound audits as `repro --analytic assist` runs.
-        ecm::set_mode(AnalyticMode::Assist);
-        eprintln!(
-            "serve: analytic fast lane enabled (model {})",
-            ecm::MODEL_VERSION
-        );
     }
     // SIGINT/SIGTERM request the drain; a second signal force-exits.
     runner::install_signal_drain();
@@ -639,14 +558,10 @@ fn query_usage() {
     println!("usage: repro query [--socket PATH|tcp:HOST:PORT] [--scale test|small|full]");
     println!("                   [--sweep stack|direct] [--audit off|warn|strict]");
     println!("                   [--deadline-ms N] [--priority P] [--retries N]");
-    println!("                   [--analytic-rel PERMILLE] <target>...");
+    println!("                   <target>...");
     println!("Sends one request per target to a repro serve daemon and prints each");
     println!("ok response's stdout payload (byte-identical to the CLI run);");
-    println!("source/job accounting goes to stderr. Analytic answers also report");
-    println!("their model version and error bound on stderr.");
-    println!("--analytic-rel PERMILLE is the widest model bound (permille of the");
-    println!("prediction) this client accepts from the daemon's analytic fast");
-    println!("lane; 0 demands real simulation (default 600).");
+    println!("source/job accounting goes to stderr.");
     println!("The pseudo-target 'stats' returns the daemon's triage counters.");
     println!("--retries N retries retryable outcomes (busy, transient errors,");
     println!("torn replies, connection resets — e.g. a daemon restarting under");
@@ -694,12 +609,7 @@ fn cmd_query(argv: &[String]) -> i32 {
                         .map_err(|_| format!("--priority needs 0-255, got '{v}'"))?;
                 }
                 "--analytic-rel" => {
-                    let v = args
-                        .next()
-                        .ok_or("--analytic-rel needs permille (0 = simulate)")?;
-                    template.analytic_rel_permille = v
-                        .parse::<u32>()
-                        .map_err(|_| format!("--analytic-rel needs permille, got '{v}'"))?;
+                    return Err(format!("query --analytic-rel: {ANALYTIC_RETIRED}"))
                 }
                 "--retries" => {
                     let v = args.next().ok_or("--retries needs a count")?;
@@ -767,8 +677,6 @@ fn cmd_query(argv: &[String]) -> i32 {
                 fnv64,
                 jobs,
                 resumed,
-                model,
-                bound_rel_permille,
                 stdout,
                 ..
             } => {
@@ -781,23 +689,14 @@ fn cmd_query(argv: &[String]) -> i32 {
                     return 1;
                 }
                 print!("{stdout}");
-                match (model, bound_rel_permille) {
-                    (Some(model), Some(bound)) => eprintln!(
-                        "query: {target}: source: {source} (model {model}, \
-                         bound {bound} permille)"
-                    ),
-                    _ => eprintln!(
-                        "query: {target}: source: {source} ({jobs} job(s), {resumed} resumed)"
-                    ),
-                }
+                eprintln!("query: {target}: source: {source} ({jobs} job(s), {resumed} resumed)");
             }
             ServiceResponse::Stats(stats) => {
                 println!(
-                    "stats: analytic {} simulated {} store {} coalesced {} rejected {} \
+                    "stats: simulated {} store {} coalesced {} rejected {} \
                      store-hit {} permille quarantined {} retention-dropped {} \
                      save-failures {} net-timeouts {} oversize-rejected {} \
                      malformed-rejected {} reply-aborted {} supervisor-restarts {}",
-                    stats.analytic,
                     stats.simulated,
                     stats.store,
                     stats.coalesced,

@@ -188,28 +188,74 @@ fn seconds_too_large_for_a_duration_are_a_usage_error() {
 }
 
 #[test]
-fn analytic_only_with_json_is_a_usage_error() {
-    let dir = scratch("analytic_json");
+fn retired_analytic_flags_are_usage_errors_that_say_why() {
+    let dir = scratch("analytic_retired");
     let json = dir.join("json");
-    let out = repro(
-        &[
-            "--scale",
-            "test",
+    let json_arg = json.to_str().expect("utf8 path");
+    let ckpt = dir.join("ckpt");
+    let ckpt_arg = ckpt.to_str().expect("utf8 path");
+    let sock = dir.join("membw.sock");
+    let sock_arg = sock.to_str().expect("utf8 path");
+    let store = dir.join("store");
+    let store_arg = store.to_str().expect("utf8 path");
+    let run = ["--scale", "test", "--checkpoint-dir", ckpt_arg];
+    let cases: [(&str, Vec<&str>); 5] = [
+        ("--analytic", [&run[..], &["--analytic", "only", "fig3"]].concat()),
+        (
             "--analytic",
-            "only",
-            "fig3",
-            "--json",
-            json.to_str().expect("utf8 path"),
-        ],
-        &[],
-        &dir.join("ckpt"),
-    );
-    let err = stderr_str(&out);
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2: {err}");
-    for flag in ["--analytic only", "--json"] {
-        assert!(err.contains(flag), "error names {flag}: {err}");
+            [&run[..], &["--analytic", "assist", "fig3", "--json", json_arg]].concat(),
+        ),
+        ("--analytic", [&run[..], &["--analytic", "off", "fig1"]].concat()),
+        (
+            "serve --analytic",
+            vec![
+                "serve",
+                "--socket",
+                sock_arg,
+                "--store",
+                store_arg,
+                "--checkpoint-dir",
+                ckpt_arg,
+                "--analytic",
+                "assist",
+            ],
+        ),
+        (
+            "query --analytic-rel",
+            vec!["query", "--socket", sock_arg, "--analytic-rel", "600", "fig3"],
+        ),
+    ];
+    for (flag, args) in cases {
+        // A daemon that accepted the flag would serve forever: bound
+        // the wait, then kill it and fail.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(&args)
+            .env_remove("MEMBW_FAULT")
+            .env_remove("MEMBW_JOBS")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("repro spawns");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while child.try_wait().expect("wait").is_none() {
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("repro {args:?} ran instead of exiting");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect output");
+        let err = stderr_str(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?} exits 2: {err}");
+        assert!(err.contains(flag), "{args:?}: error names {flag}: {err}");
+        assert!(err.contains("retired"), "{args:?}: error says retired: {err}");
+        assert!(
+            err.contains("simulation"),
+            "{args:?}: error says why: {err}"
+        );
+        assert!(stdout_str(&out).is_empty(), "{args:?}: nothing rendered");
     }
-    assert!(stdout_str(&out).is_empty(), "nothing rendered");
     assert!(!json.exists(), "no JSON directory created");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -123,11 +123,6 @@ impl Hierarchy {
             .map(|c| c.stats().traffic_ratio().unwrap_or(0.0))
             .collect()
     }
-
-    /// Product of all per-level traffic ratios: the divisor of Eq. 5.
-    pub fn combined_traffic_ratio(&self) -> f64 {
-        self.traffic_ratios().iter().product()
-    }
 }
 
 fn below_to_ref(req: BelowRequest) -> MemRef {
@@ -215,16 +210,5 @@ mod tests {
     #[should_panic(expected = "at least one level")]
     fn empty_hierarchy_panics() {
         let _ = Hierarchy::new(vec![]);
-    }
-
-    #[test]
-    fn combined_ratio_is_product() {
-        let mut h = h(256, 2048);
-        for i in 0..4000u64 {
-            h.access(MemRef::read((i * 36) % 16384, 4));
-        }
-        h.flush();
-        let rs = h.traffic_ratios();
-        assert!((h.combined_traffic_ratio() - rs[0] * rs[1]).abs() < 1e-12);
     }
 }

@@ -61,25 +61,6 @@ pub fn traffic_ratio<W: Workload + ?Sized>(
     }
 }
 
-/// Sweep one workload across a list of cache sizes, holding the rest of
-/// the configuration fixed. Returns one report per size.
-///
-/// # Panics
-///
-/// Panics if any size yields an invalid configuration (e.g. smaller than
-/// the block size).
-pub fn sweep_sizes<W: Workload + ?Sized>(
-    workload: &W,
-    sizes: &[u64],
-    make_cfg: impl Fn(u64) -> CacheConfig,
-    footprint_bytes: u64,
-) -> Vec<TrafficReport> {
-    sizes
-        .iter()
-        .map(|&s| traffic_ratio(workload, make_cfg(s), footprint_bytes))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,12 +91,10 @@ mod tests {
     fn ratio_falls_as_cache_grows() {
         let w = UniformRandom::new(0, 64 * 1024, 100_000, 11);
         let sizes = [1024, 4096, 16384, 65536];
-        let reps = sweep_sizes(
-            &w,
-            &sizes,
-            |s| CacheConfig::builder(s, 32).build().unwrap(),
-            0,
-        );
+        let reps: Vec<TrafficReport> = sizes
+            .iter()
+            .map(|&s| traffic_ratio(&w, CacheConfig::builder(s, 32).build().unwrap(), 0))
+            .collect();
         for pair in reps.windows(2) {
             assert!(
                 pair[1].ratio.unwrap() <= pair[0].ratio.unwrap() + 1e-9,

@@ -31,7 +31,6 @@
 //! | `mtc-bound` | MTC traffic ≤ any real cache's traffic at equal capacity | §5 |
 //! | `finite` / `positive` | reported scalars are finite (and positive where required) | — |
 //! | `sweep-exact` | one-pass sweep-engine cells equal direct simulation (`MEMBW_SWEEP_VERIFY=1`) | — |
-//! | `analytic-bound` | \|ECM prediction − simulation\| ≤ the asserted bound (`--analytic assist`) | Eq. 1–6 |
 //!
 //! The integration suites (`tests/decomposition_invariants.rs`,
 //! `tests/mtc_bounds.rs`) call the same checks through
@@ -328,32 +327,6 @@ impl Auditor {
         self.check(cell, "sweep-exact", ok, detail);
     }
 
-    /// `--analytic assist`: the ECM predictor's asserted error bound
-    /// must cover the simulated value — |prediction − simulation| ≤
-    /// bound. A failure means the model (version `model`) has drifted
-    /// from the simulator and must be recalibrated.
-    pub fn analytic_bound(
-        &mut self,
-        cell: &str,
-        model: &str,
-        predicted: f64,
-        bound: f64,
-        simulated: f64,
-    ) {
-        let err = (predicted - simulated).abs();
-        self.check(
-            cell,
-            "analytic-bound",
-            err.is_finite() && err <= bound + EPS,
-            || {
-                format!(
-                    "|prediction − simulation| = |{predicted:.1} − {simulated:.1}| = {err:.1} \
-                     exceeds the asserted bound {bound:.1} (model {model})"
-                )
-            },
-        );
-    }
-
     /// A reported scalar that must be finite and strictly positive.
     pub fn positive(&mut self, cell: &str, what: &str, v: f64) {
         self.check(cell, "positive", v.is_finite() && v > 0.0, || {
@@ -505,17 +478,6 @@ mod tests {
         a.traffic_ratio("c", 0.0);
         a.traffic_ratio("c", f64::INFINITY);
         assert_eq!(a.violations().len(), 2);
-    }
-
-    #[test]
-    fn analytic_bound_checks_distance() {
-        let mut a = Auditor::strict("fig3");
-        a.analytic_bound("compress/A", "ecm-1", 100.0, 20.0, 110.0);
-        assert!(a.violations().is_empty());
-        a.analytic_bound("compress/B", "ecm-1", 100.0, 5.0, 110.0);
-        a.analytic_bound("compress/C", "ecm-1", f64::NAN, 5.0, 110.0);
-        assert_eq!(a.violations().len(), 2);
-        assert_eq!(a.violations()[0].invariant, "analytic-bound");
     }
 
     #[test]

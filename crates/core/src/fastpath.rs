@@ -1,44 +1,27 @@
-//! The analytic fast path: machine-spec bridge, the assist-mode audit
-//! hook, and the analytic-only Figure 3 renderer.
-//!
-//! Three entry points, one per `--analytic` mode consumer:
+//! The ECM model's Figure 3 renderer, kept only for the benchmark's
+//! `analytic.*` layer metrics. No product path calls it: the analytic
+//! lane was retired because its fig3 bounds never fit a client's
+//! tolerance and its predictions disagreed with simulation (DESIGN.md
+//! §14).
 //!
 //! * [`ecm_config`] converts a full [`MachineSpec`] into the slice the
 //!   ECM predictor reads;
-//! * `assist_fig3` is called by `run_fig3` after simulation to feed
-//!   every simulated cell and its prediction through the auditor's
-//!   `analytic-bound` invariant;
 //! * [`render_target_analytic`] renders a supported target from
-//!   signatures alone — microseconds of arithmetic, no trace arena,
-//!   admitted to the memory governor as *light* work (no arena
-//!   accounting, never throttled).
+//!   signatures alone, with no trace arena.
 //!
 //! Analytic output is deliberately **not** byte-compatible with the
 //! simulated tables: every analytic table is labelled with the model
 //! version and carries a ± relative-bound column, so a prediction can
 //! never be mistaken for a measurement.
 
-use crate::audit::Auditor;
 use crate::report::Table;
-use crate::run_fig3::Fig3Cell;
 use crate::targets::RenderedTarget;
-use membw_analytic::ecm::{self, AnalyticMode, EcmConfig, MODEL_VERSION};
-use membw_runner::ambient_governor;
+use membw_analytic::ecm::{self, EcmConfig, MODEL_VERSION};
 use membw_sim::{Experiment, MachineSpec};
-use membw_workloads::{suite92, suite95, Benchmark, Scale, Suite};
-
-/// `true` when the current thread runs with `--analytic assist`.
-pub fn assist_enabled() -> bool {
-    ecm::configured_mode() == AnalyticMode::Assist
-}
+use membw_workloads::{suite92, suite95, Scale, Suite};
 
 /// The targets [`render_target_analytic`] can answer.
 pub const ANALYTIC_TARGETS: [&str; 1] = ["fig3"];
-
-/// Whether `target` has an analytic rendering.
-pub fn analytic_supported(target: &str) -> bool {
-    ANALYTIC_TARGETS.contains(&target)
-}
 
 /// The slice of a machine specification the ECM model consumes.
 pub fn ecm_config(spec: &MachineSpec) -> EcmConfig {
@@ -66,59 +49,13 @@ fn spec_for(suite: Suite, e: Experiment) -> MachineSpec {
     }
 }
 
-fn calibrating() -> bool {
-    std::env::var("MEMBW_ANALYTIC_CALIBRATE").is_ok_and(|v| v == "1")
-}
-
-fn calibrate_line(cell: &str, predicted: f64, bound: f64, simulated: f64) {
-    if calibrating() {
-        let rel_err = if simulated != 0.0 {
-            (predicted - simulated).abs() / simulated
-        } else {
-            f64::INFINITY
-        };
-        eprintln!(
-            "calibrate[fig3] {cell}: pred={predicted:.1} sim={simulated:.1} \
-             rel_err={rel_err:.3} bound={bound:.1}"
-        );
-    }
-}
-
-/// Assist hook for Figure 3: check every simulated decomposition cell
-/// against the predicted total cycle count.
-pub(crate) fn assist_fig3(
-    audit: &mut Auditor,
-    suite: Suite,
-    benchmarks: &[Benchmark],
-    cells: &[Fig3Cell],
-) {
-    for b in benchmarks {
-        let sig = b.signature();
-        for c in cells.iter().filter(|c| c.benchmark == b.name()) {
-            let Some(&e) = Experiment::ALL.iter().find(|e| e.label() == c.experiment) else {
-                continue;
-            };
-            let cfg = ecm_config(&spec_for(suite, e));
-            let Some(pred) = ecm::predict_time(&sig.kernel, &cfg) else {
-                continue;
-            };
-            let cell = format!("{}/{}", c.benchmark, c.experiment);
-            let simulated = c.decomposition.t as f64;
-            calibrate_line(&cell, pred.cycles, pred.bound, simulated);
-            audit.analytic_bound(&cell, pred.model, pred.cycles, pred.bound, simulated);
-        }
-    }
-}
-
 /// One analytic rendering plus the worst relative bound across its
-/// cells (the serve triage signal).
+/// cells.
 pub struct AnalyticRender {
     /// The rendered output (stdout + artifacts, like a simulated run).
     pub rendered: RenderedTarget,
     /// Worst `bound / prediction` over every rendered cell.
     pub worst_rel: f64,
-    /// Model version that produced the render (serve provenance).
-    pub model: &'static str,
 }
 
 fn fig3_analytic(scale: Scale) -> AnalyticRender {
@@ -175,21 +112,16 @@ fn fig3_analytic(scale: Scale) -> AnalyticRender {
     AnalyticRender {
         rendered: out,
         worst_rel,
-        model: ecm::MODEL_VERSION,
     }
 }
 
 /// Render `target` from trace signatures alone.
 ///
-/// Returns `None` for targets without an analytic model (the caller
-/// falls back to simulation). The computation is admitted to the
-/// memory governor as *light* work: it holds no trace arena, so it
-/// never counts toward the degradation ladder's in-flight estimate.
+/// Returns `None` for targets without an analytic model.
 pub fn render_target_analytic(target: &str, scale: Scale) -> Option<AnalyticRender> {
-    if !analytic_supported(target) {
+    if !ANALYTIC_TARGETS.contains(&target) {
         return None;
     }
-    let _light = ambient_governor().admit_light();
     // `ANALYTIC_TARGETS` is `["fig3"]`.
     Some(fig3_analytic(scale))
 }
@@ -218,11 +150,7 @@ mod tests {
     fn analytic_targets_are_a_subset_of_renderables() {
         for t in ANALYTIC_TARGETS {
             assert!(crate::targets::renderable(t), "{t}");
-            assert!(analytic_supported(t));
         }
-        assert!(!analytic_supported("table7"));
-        assert!(!analytic_supported("fig4"));
-        assert!(!analytic_supported("dump"));
     }
 
     #[test]
@@ -235,5 +163,6 @@ mod tests {
         assert_eq!(a.worst_rel.to_bits(), b.worst_rel.to_bits());
         assert!(render_target_analytic("table7", Scale::Test).is_none());
         assert!(render_target_analytic("fig4", Scale::Test).is_none());
+        assert!(render_target_analytic("dump", Scale::Test).is_none());
     }
 }

@@ -228,13 +228,6 @@ pub fn run_suite(
         audit.decomposition(&cell, &c.decomposition);
         audit.positive(&cell, "normalized time", c.normalized_time);
     }
-    // Under `--analytic assist`, replay every simulated cell through
-    // the ECM predictor and assert the prediction's error bound. Runs
-    // in this serial post-collect section so checkpoint keys and
-    // stdout are untouched.
-    if crate::fastpath::assist_enabled() {
-        crate::fastpath::assist_fig3(&mut audit, suite, &benchmarks, &cells);
-    }
     audit.finish()?;
     Ok(Fig3Result { cells })
 }

@@ -49,18 +49,7 @@ pub struct ServiceRequest {
     pub deadline_ms: u64,
     /// Dispatch priority: higher runs first, FIFO within a priority.
     pub priority: u8,
-    /// Widest relative error bound (in permille) this client accepts
-    /// from the analytic fast lane; the daemon answers analytically
-    /// only when the fast lane is enabled *and* the prediction's worst
-    /// relative bound fits. `0` opts out entirely. Ignored by daemons
-    /// without the fast lane.
-    pub analytic_rel_permille: u32,
 }
-
-/// Default [`ServiceRequest::analytic_rel_permille`]: the serve-triage
-/// tightness threshold ([`crate::analytic::ecm::TRIAGE_MAX_REL`] as
-/// permille).
-pub const DEFAULT_ANALYTIC_REL_PERMILLE: u32 = 600;
 
 impl ServiceRequest {
     /// A request for `target` with every optional field at its default.
@@ -72,7 +61,6 @@ impl ServiceRequest {
             audit: "warn".to_string(),
             deadline_ms: 0,
             priority: 0,
-            analytic_rel_permille: DEFAULT_ANALYTIC_REL_PERMILLE,
         }
     }
 
@@ -110,7 +98,7 @@ impl ServiceRequest {
 
 impl Serialize for ServiceRequest {
     fn to_value(&self) -> Value {
-        let mut fields = vec![
+        Value::Object(vec![
             ("target".to_string(), Value::Str(self.target.clone())),
             ("scale".to_string(), Value::Str(self.scale.clone())),
             ("sweep".to_string(), Value::Str(self.sweep.clone())),
@@ -120,16 +108,7 @@ impl Serialize for ServiceRequest {
                 "priority".to_string(),
                 Value::UInt(u64::from(self.priority)),
             ),
-        ];
-        // Written only when overridden, so pre-fast-lane request
-        // bytes are unchanged.
-        if self.analytic_rel_permille != DEFAULT_ANALYTIC_REL_PERMILLE {
-            fields.push((
-                "analytic_rel_permille".to_string(),
-                Value::UInt(u64::from(self.analytic_rel_permille)),
-            ));
-        }
-        Value::Object(fields)
+        ])
     }
 }
 
@@ -147,6 +126,17 @@ impl Deserialize for ServiceRequest {
         if !matches!(v, Value::Object(_)) {
             return Err(DeError::expected("request object", v));
         }
+        // Refused rather than ignored: a client that sets it expects an
+        // analytic answer, and silently simulating instead would hide
+        // that it will never get one.
+        if v.get("analytic_rel_permille").is_some() {
+            return Err(DeError(
+                "ServiceRequest.analytic_rel_permille: the analytic fast lane is retired \
+                 (its fig3 bounds never fit a client's tolerance and its predictions \
+                 disagreed with simulation); drop the field to get the simulated answer"
+                    .to_string(),
+            ));
+        }
         let target: String = serde::__field(v, "target", "ServiceRequest")?;
         Ok(ServiceRequest {
             target,
@@ -155,11 +145,6 @@ impl Deserialize for ServiceRequest {
             audit: opt_field(v, "audit", "warn".to_string())?,
             deadline_ms: opt_field(v, "deadline_ms", 0)?,
             priority: opt_field(v, "priority", 0)?,
-            analytic_rel_permille: opt_field(
-                v,
-                "analytic_rel_permille",
-                DEFAULT_ANALYTIC_REL_PERMILLE,
-            )?,
         })
     }
 }
@@ -197,9 +182,6 @@ pub mod source {
     pub const COMPUTED: &str = "computed";
     /// Served from the crash-safe result store (checksum verified).
     pub const STORE: &str = "store";
-    /// Answered by the ECM analytic fast lane (no simulation ran);
-    /// the response carries the model version and its error bound.
-    pub const ANALYTIC: &str = "analytic";
 }
 
 /// The target name answered with daemon counters instead of a render.
@@ -208,8 +190,6 @@ pub const STATS_TARGET: &str = "stats";
 /// Daemon triage counters (the `stats` response payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
-    /// Requests answered by the analytic fast lane.
-    pub analytic: u64,
     /// Requests answered by a simulation render in this process.
     pub simulated: u64,
     /// Requests answered from the crash-safe result store.
@@ -244,10 +224,10 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Store hits per thousand answered requests (store + analytic +
-    /// simulated + coalesced); 0 when nothing was answered yet.
+    /// Store hits per thousand answered requests (store + simulated +
+    /// coalesced); 0 when nothing was answered yet.
     pub fn store_hit_permille(&self) -> u64 {
-        let answered = self.analytic + self.simulated + self.store + self.coalesced;
+        let answered = self.simulated + self.store + self.coalesced;
         (self.store * 1000).checked_div(answered).unwrap_or(0)
     }
 }
@@ -274,14 +254,13 @@ pub enum ServiceResponse {
         jobs: u64,
         /// Jobs replayed from checkpoints instead of executing.
         resumed: u64,
-        /// For [`source::ANALYTIC`]: the predictor's model version.
-        /// `None` (and omitted on the wire) for simulated sources.
+        /// Model version of a retired analytic answer. Nothing sets it
+        /// now: always `None`, and then omitted on the wire.
         model: Option<String>,
-        /// For [`source::ANALYTIC`]: the prediction's worst relative
-        /// error bound across the rendered cells, in permille.
+        /// Error bound of a retired analytic answer, in permille.
+        /// Always `None` and omitted on the wire, like `model`.
         bound_rel_permille: Option<u64>,
-        /// Exactly the bytes `repro <target>` prints on stdout (for
-        /// [`source::ANALYTIC`], the analytic rendering of it).
+        /// Exactly the bytes `repro <target>` prints on stdout.
         stdout: String,
     },
     /// Daemon triage counters (reply to [`STATS_TARGET`]).
@@ -377,8 +356,8 @@ impl Serialize for ServiceResponse {
                 fields.push(("fnv64".to_string(), Value::Str(fnv64.clone())));
                 fields.push(("jobs".to_string(), Value::UInt(*jobs)));
                 fields.push(("resumed".to_string(), Value::UInt(*resumed)));
-                // Provenance fields appear only on analytic answers so
-                // simulated response bytes are unchanged.
+                // Written only when set, which nothing does since the
+                // analytic lane was retired.
                 if let Some(m) = model {
                     fields.push(("model".to_string(), Value::Str(m.clone())));
                 }
@@ -388,7 +367,6 @@ impl Serialize for ServiceResponse {
                 fields.push(("stdout".to_string(), Value::Str(stdout.clone())));
             }
             ServiceResponse::Stats(s) => {
-                fields.push(("analytic".to_string(), Value::UInt(s.analytic)));
                 fields.push(("simulated".to_string(), Value::UInt(s.simulated)));
                 fields.push(("store".to_string(), Value::UInt(s.store)));
                 fields.push(("coalesced".to_string(), Value::UInt(s.coalesced)));
@@ -466,7 +444,6 @@ impl Deserialize for ServiceResponse {
                 stdout: serde::__field(v, "stdout", "ServiceResponse")?,
             }),
             "stats" => Ok(ServiceResponse::Stats(ServeStats {
-                analytic: serde::__field(v, "analytic", "ServiceResponse")?,
                 simulated: serde::__field(v, "simulated", "ServiceResponse")?,
                 store: serde::__field(v, "store", "ServiceResponse")?,
                 coalesced: serde::__field(v, "coalesced", "ServiceResponse")?,
@@ -585,20 +562,7 @@ mod tests {
                 bound_rel_permille: None,
                 stdout: "Table 7\nline \"two\"\n".into(),
             },
-            ServiceResponse::Ok {
-                target: "fig4".into(),
-                scale: "test".into(),
-                sweep: "stack".into(),
-                source: source::ANALYTIC.into(),
-                fnv64: "00000000deadbeef".into(),
-                jobs: 0,
-                resumed: 0,
-                model: Some("ecm-1".into()),
-                bound_rel_permille: Some(412),
-                stdout: "Figure 4 (analytic)\n".into(),
-            },
             ServiceResponse::Stats(ServeStats {
-                analytic: 5,
                 simulated: 2,
                 store: 3,
                 coalesced: 1,
@@ -661,25 +625,19 @@ mod tests {
     }
 
     #[test]
-    fn analytic_tolerance_defaults_and_round_trips() {
-        // The default matches the predictor's triage threshold.
-        assert_eq!(
-            DEFAULT_ANALYTIC_REL_PERMILLE,
-            (crate::analytic::ecm::TRIAGE_MAX_REL * 1000.0) as u32
-        );
-        // Absent on the wire at the default; defaulted when parsing.
-        let r = ServiceRequest::new("fig4");
-        assert!(!serde_json::to_string(&r).unwrap().contains("analytic"));
-        let back: ServiceRequest =
-            serde_json::from_str(r#"{"target":"fig4"}"#).expect("minimal request");
-        assert_eq!(back.analytic_rel_permille, DEFAULT_ANALYTIC_REL_PERMILLE);
-        // Overrides survive a round trip.
-        let mut r = ServiceRequest::new("fig4");
-        r.analytic_rel_permille = 5000;
-        let line = serde_json::to_string(&r).unwrap();
-        assert!(line.contains("analytic_rel_permille"), "{line}");
-        let back: ServiceRequest = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
+    fn retired_analytic_tolerance_is_refused_by_name() {
+        for line in [
+            r#"{"target":"fig3","analytic_rel_permille":600}"#,
+            r#"{"target":"fig3","analytic_rel_permille":0}"#,
+            r#"{"target":"fig3","analytic_rel_permille":null}"#,
+        ] {
+            let e = serde_json::from_str::<ServiceRequest>(line).unwrap_err();
+            let e = e.to_string();
+            assert!(e.contains("analytic_rel_permille"), "{e}");
+            assert!(e.contains("retired"), "{e}");
+        }
+        let line = serde_json::to_string(&ServiceRequest::new("fig3")).unwrap();
+        assert!(!line.contains("analytic"), "{line}");
     }
 
     #[test]
@@ -687,8 +645,7 @@ mod tests {
         let mut s = ServeStats::default();
         assert_eq!(s.store_hit_permille(), 0);
         s.store = 1;
-        s.analytic = 1;
-        s.simulated = 1;
+        s.simulated = 2;
         s.coalesced = 1;
         s.rejected = 100; // refusals are not answers
         assert_eq!(s.store_hit_permille(), 250);

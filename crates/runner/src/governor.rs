@@ -88,9 +88,6 @@ pub struct GovernorStats {
     pub forced_evictions: u64,
     /// Times a job waited for serialized admission under `Throttled`.
     pub throttled_admissions: u64,
-    /// Arena-free (analytic-only) admissions via
-    /// [`Governor::admit_light`]; excluded from the in-flight estimate.
-    pub light_admissions: u64,
     /// Escalation events so far.
     pub events: u64,
 }
@@ -109,11 +106,6 @@ pub struct Governor {
     forced_evictions: AtomicU64,
     /// Jobs that waited for serialized admission.
     throttled_admissions: AtomicU64,
-    /// Arena-free admissions (analytic-only work; stats only — never
-    /// part of the projected-usage estimate).
-    light_admissions: AtomicU64,
-    /// Arena-free work currently in flight (stats only).
-    light_inflight: AtomicU64,
     /// Jobs currently admitted (mirrors the mutexed count for lock-free
     /// projection reads).
     inflight_mirror: AtomicU64,
@@ -149,8 +141,6 @@ impl Governor {
             arena_estimate: AtomicU64::new(0),
             forced_evictions: AtomicU64::new(0),
             throttled_admissions: AtomicU64::new(0),
-            light_admissions: AtomicU64::new(0),
-            light_inflight: AtomicU64::new(0),
             inflight_mirror: AtomicU64::new(0),
             admission: Mutex::new(0),
             retired: Condvar::new(),
@@ -246,10 +236,7 @@ impl Governor {
     /// returned guard retires the job on drop.
     pub fn admit(self: &Arc<Self>, cancel: &CancelToken) -> AdmissionGuard {
         if !self.limited() {
-            return AdmissionGuard {
-                gov: None,
-                light: false,
-            };
+            return AdmissionGuard { gov: None };
         }
         let mut inflight = self
             .admission
@@ -278,22 +265,6 @@ impl Governor {
         drop(inflight);
         AdmissionGuard {
             gov: Some(Arc::clone(self)),
-            light: false,
-        }
-    }
-
-    /// Admit arena-free ("light") work: analytic-only renders and other
-    /// jobs that never touch a trace arena. The governor's job is to
-    /// shed *memory* pressure, and light work holds none — so light
-    /// admissions are counted for the stats summary but excluded from
-    /// the ladder's projected-usage estimate (`inflight × arena
-    /// estimate`) and never wait on the `Throttled` serialization gate.
-    pub fn admit_light(self: &Arc<Self>) -> AdmissionGuard {
-        self.light_admissions.fetch_add(1, Ordering::Relaxed);
-        self.light_inflight.fetch_add(1, Ordering::Relaxed);
-        AdmissionGuard {
-            gov: Some(Arc::clone(self)),
-            light: true,
         }
     }
 
@@ -356,7 +327,6 @@ impl Governor {
             arena_estimate_bytes: self.arena_estimate.load(Ordering::Relaxed),
             forced_evictions: self.forced_evictions.load(Ordering::Relaxed),
             throttled_admissions: self.throttled_admissions.load(Ordering::Relaxed),
-            light_admissions: self.light_admissions.load(Ordering::Relaxed),
             events: self
                 .events
                 .lock()
@@ -378,19 +348,11 @@ impl Governor {
 /// the job and wakes throttled waiters.
 pub struct AdmissionGuard {
     gov: Option<Arc<Governor>>,
-    light: bool,
 }
 
 impl Drop for AdmissionGuard {
     fn drop(&mut self) {
         if let Some(gov) = self.gov.take() {
-            if self.light {
-                // Light work never took an admission slot: only the
-                // stats counter retires.
-                let prev = gov.light_inflight.fetch_sub(1, Ordering::Relaxed);
-                debug_assert!(prev > 0, "light admission retired twice");
-                return;
-            }
             let mut inflight = gov.admission.lock().unwrap_or_else(PoisonError::into_inner);
             *inflight = inflight.saturating_sub(1);
             gov.inflight_mirror.store(*inflight, Ordering::Relaxed);
@@ -539,39 +501,6 @@ mod tests {
         assert_eq!(g.stats().level, "cache-shrunk");
         assert_eq!(g.cache_cap(512 * MIB), 50 * MIB);
         assert!(!g.streaming());
-    }
-
-    #[test]
-    fn light_admissions_never_escalate_or_block() {
-        // Even a zero-budget governor with a huge arena estimate must
-        // admit any number of light (arena-free) jobs immediately and
-        // stay at its current ladder level: light work holds no arena,
-        // so it contributes nothing to projected usage.
-        let g = Arc::new(Governor::with_budget_mb(0));
-        g.observe_arena_bytes(64 * MIB);
-        let guards: Vec<AdmissionGuard> = (0..32).map(|_| g.admit_light()).collect();
-        assert_eq!(g.stats().level, "normal");
-        assert_eq!(g.stats().light_admissions, 32);
-        drop(guards);
-        assert_eq!(g.light_inflight.load(Ordering::Relaxed), 0);
-        // And light work does not occupy the throttle gate: a real job
-        // admitted while light work is in flight is a lone job.
-        let _light = g.admit_light();
-        let t = CancelToken::new();
-        let _real = g.admit(&t);
-        assert_eq!(g.stats().throttled_admissions, 0);
-    }
-
-    #[test]
-    fn light_admissions_are_excluded_from_projection() {
-        let g = Arc::new(Governor::with_budget_mb(100));
-        g.observe_arena_bytes(60 * MIB);
-        // 32 light admissions project 0 bytes; one real job projects 60
-        // MiB — under the 100 MiB budget either way.
-        let _lights: Vec<AdmissionGuard> = (0..32).map(|_| g.admit_light()).collect();
-        let _real = g.admit(&CancelToken::new());
-        assert_eq!(g.stats().level, "normal");
-        assert_eq!(g.inflight_mirror.load(Ordering::Relaxed), 1);
     }
 
     #[test]

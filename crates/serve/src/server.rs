@@ -28,7 +28,6 @@
 use crate::net::{Listener, Stream};
 use crate::store::ResultStore;
 use membw_core::audit::{self, AuditLevel};
-use membw_core::fastpath::{self, AnalyticRender};
 use membw_core::runner::persist;
 use membw_core::runner::{self, CancelToken, Dispatcher, JobHandle, JobOutcome, SubmitError};
 use membw_core::service::{
@@ -55,10 +54,6 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Longest accepted request line in bytes.
     pub max_frame: usize,
-    /// Enable the ECM analytic fast lane (`repro serve --analytic
-    /// assist`). Off by default: a daemon without it answers byte-for-
-    /// byte like the seed.
-    pub analytic: bool,
 }
 
 impl Default for ServeConfig {
@@ -69,7 +64,6 @@ impl Default for ServeConfig {
             conn_limit: 64,
             read_timeout: Duration::from_secs(10),
             max_frame: 64 * 1024,
-            analytic: false,
         }
     }
 }
@@ -95,7 +89,6 @@ impl Drop for DedupeGuard {
 /// every answered or refused request.
 #[derive(Default)]
 struct Counters {
-    analytic: AtomicU64,
     simulated: AtomicU64,
     store: AtomicU64,
     coalesced: AtomicU64,
@@ -114,7 +107,6 @@ struct Counters {
 impl Counters {
     fn snapshot(&self) -> ServeStats {
         ServeStats {
-            analytic: self.analytic.load(Ordering::Relaxed),
             simulated: self.simulated.load(Ordering::Relaxed),
             store: self.store.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
@@ -142,10 +134,6 @@ pub struct Server {
     draining: AtomicBool,
     connections: Arc<AtomicUsize>,
     counters: Arc<Counters>,
-    /// Memoized analytic renders keyed by `target|scale`: the first
-    /// fast-lane answer for a key pays the signature computation, every
-    /// later one is histogram arithmetic + a map lookup (microseconds).
-    analytic_cache: Mutex<HashMap<String, Arc<AnalyticRender>>>,
 }
 
 impl Server {
@@ -170,7 +158,6 @@ impl Server {
             draining: AtomicBool::new(false),
             connections: Arc::new(AtomicUsize::new(0)),
             counters: Arc::new(counters),
-            analytic_cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -212,51 +199,6 @@ impl Server {
             bound_rel_permille: None,
             stdout,
         }
-    }
-
-    /// The analytic fast-lane answer for `req`, if the lane is enabled,
-    /// the target is predictable, and the prediction's worst relative
-    /// bound fits the client's tolerance. The render is memoized per
-    /// `(target, scale)`: only the first answer for a key pays the
-    /// signature pass.
-    fn analytic_answer(&self, req: &ServiceRequest) -> Option<ServiceResponse> {
-        if !self.config.analytic
-            || req.analytic_rel_permille == 0
-            || !fastpath::analytic_supported(&req.target)
-        {
-            return None;
-        }
-        let key = format!("{}|{}", req.target, req.scale);
-        let render = {
-            let mut cache = self.analytic_cache.lock().expect("analytic cache");
-            match cache.get(&key) {
-                Some(r) => Arc::clone(r),
-                None => {
-                    let scale = targets::parse_scale(&req.scale).expect("scale validated");
-                    let r = Arc::new(fastpath::render_target_analytic(&req.target, scale)?);
-                    cache.insert(key, Arc::clone(&r));
-                    r
-                }
-            }
-        };
-        let bound_permille = (render.worst_rel * 1000.0).ceil() as u64;
-        if bound_permille > u64::from(req.analytic_rel_permille) {
-            return None; // too loose for this client: simulate instead
-        }
-        self.counters.analytic.fetch_add(1, Ordering::Relaxed);
-        let stdout = render.rendered.stdout.clone();
-        Some(ServiceResponse::Ok {
-            target: req.target.clone(),
-            scale: req.scale.clone(),
-            sweep: req.sweep.clone(),
-            source: source::ANALYTIC.to_string(),
-            fnv64: format!("{:016x}", persist::fnv64(&stdout)),
-            jobs: 0,
-            resumed: 0,
-            model: Some(render.model.to_string()),
-            bound_rel_permille: Some(bound_permille),
-            stdout,
-        })
     }
 
     fn error(kind: &str, message: impl Into<String>) -> ServiceResponse {
@@ -340,14 +282,9 @@ impl Server {
             return ServiceResponse::Draining;
         }
         let key = req.coalesce_key();
-        // Triage order: exact stored bytes beat an analytic answer;
-        // a tight-enough analytic answer beats queueing a simulation.
         if let Some(stdout) = self.store.load(&key) {
             self.counters.store.fetch_add(1, Ordering::Relaxed);
             return Self::ok_response(req, source::STORE, 0, 0, stdout);
-        }
-        if let Some(resp) = self.analytic_answer(req) {
-            return resp;
         }
         let handle = {
             // Hold the dedupe lock across the submit so two identical
@@ -550,11 +487,11 @@ pub fn serve(
 ) -> std::io::Result<u64> {
     listener.set_nonblocking(true)?;
     let mut served: u64 = 0;
-    // Admission latency is part of the analytic fast lane's budget: a
-    // coarse idle sleep would put a ~25 ms floor under every answer,
-    // including the microsecond ones. Poll eagerly while traffic is
-    // flowing (request trains, benchmark loops, bursts), and only doze
-    // once the socket has stayed quiet.
+    // A store hit is answered in tens of microseconds, so accept
+    // latency dominates its round trip: a coarse idle sleep would put
+    // a ~25 ms floor under every warm answer. Poll eagerly while
+    // traffic is flowing (request trains, benchmark loops, bursts),
+    // and only doze once the socket has stayed quiet.
     let mut last_activity = std::time::Instant::now();
     while !cancel.is_cancelled() {
         match listener.accept() {

@@ -1,6 +1,7 @@
 //! Coalescing proof: N concurrent identical requests trigger exactly
 //! one simulation run and N byte-identical responses — at engine
-//! `--jobs 1` and `--jobs 8`.
+//! `--jobs 1` and `--jobs 8` — and the `stats` counters say so: one
+//! render, N−1 coalesced, then store hits.
 //!
 //! The run engine's process-global job counter is the witness: a burst
 //! of N identical requests must advance it by exactly the job count of
@@ -15,7 +16,7 @@
 //! than raced for.
 
 use membw_core::runner;
-use membw_core::service::{source, ServiceRequest, ServiceResponse};
+use membw_core::service::{source, ServeStats, ServiceRequest, ServiceResponse, STATS_TARGET};
 use membw_core::sweep::SweepMode;
 use membw_core::targets;
 use membw_core::workloads::Scale;
@@ -60,6 +61,13 @@ fn burst(server: &Arc<Server>, req: &ServiceRequest, n: usize) -> Vec<ServiceRes
         .into_iter()
         .map(|h| h.join().expect("burst thread"))
         .collect()
+}
+
+fn stats(server: &Server) -> ServeStats {
+    match server.handle_request(&ServiceRequest::new(STATS_TARGET)) {
+        ServiceResponse::Stats(s) => s,
+        other => panic!("stats request must get stats, got {}", response_bytes(&other)),
+    }
 }
 
 fn response_bytes(resp: &ServiceResponse) -> String {
@@ -127,6 +135,25 @@ fn run_phase(phase: &str) {
             "burst response {i} must be byte-identical to response 0 (phase {phase})"
         );
     }
+    // The blocker and the burst leader rendered; every follower joined.
+    let s = stats(&server);
+    assert_eq!(
+        (s.simulated, s.coalesced, s.store),
+        (2, N as u64 - 1, 0),
+        "phase {phase}: {s:?}"
+    );
+
+    // One repeat: answered from the store, and counted as a store hit.
+    let repeat = server.handle_request(&request(BURST_TARGET));
+    assert_ok_with(&repeat, source::STORE, &want_stdout);
+    let s = stats(&server);
+    assert_eq!(
+        (s.simulated, s.coalesced, s.store),
+        (2, N as u64 - 1, 1),
+        "phase {phase}: {s:?}"
+    );
+    // 1 store hit out of 2 + (N − 1) + 1 answered requests.
+    assert_eq!(s.store_hit_permille(), 1000 / (N as u64 + 2), "phase {phase}");
 
     // Second burst: the store is warm, so zero jobs run and every
     // response is an identical store hit.

@@ -56,7 +56,6 @@ fn storage_faults_move_counters_never_bytes() {
         conn_limit: 8,
         read_timeout: Duration::from_millis(400),
         max_frame: 2048,
-        analytic: false,
     };
     let store = ResultStore::open(&store_dir).expect("open store");
     let server = Arc::new(Server::new(config, store));

@@ -127,7 +127,6 @@ fn soak_daemon_survives_chaos_and_drains_clean() {
         conn_limit: 32,
         read_timeout: Duration::from_millis(400), // quick slow-loris verdicts
         max_frame: 2048,
-        analytic: false,
     };
     let store = ResultStore::open(&store_dir).expect("open store");
     let server = Arc::new(Server::new(config, store));

@@ -83,7 +83,6 @@ fn child_daemon() {
         conn_limit: 16,
         read_timeout: Duration::from_secs(2),
         max_frame: 64 * 1024,
-        analytic: false,
     };
     let server = std::sync::Arc::new(membw_serve::Server::new(config, store));
     let listener = endpoint.listen().expect("listen");

@@ -168,20 +168,6 @@ impl ReuseProfile {
             self.lru_misses(capacity_blocks) as f64 / self.total as f64
         }
     }
-
-    /// The smallest capacity (in blocks) whose LRU miss ratio is at most
-    /// `target`, scanning powers of two up to `max_blocks`. Returns `None`
-    /// if no capacity in range reaches the target.
-    pub fn working_set_knee(&self, target: f64, max_blocks: u64) -> Option<u64> {
-        let mut c = 1u64;
-        while c <= max_blocks {
-            if self.lru_miss_ratio(c) <= target {
-                return Some(c);
-            }
-            c *= 2;
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -237,14 +223,6 @@ mod tests {
         // At 4-byte granularity they are distinct blocks.
         let p4 = ReuseProfile::measure(&w, 4);
         assert_eq!(p4.cold_misses(), 2);
-    }
-
-    #[test]
-    fn working_set_knee_finds_loop_size() {
-        let seq: Vec<u64> = (0..400).map(|i| i % 8).collect();
-        let p = ReuseProfile::measure(&trace_of(&seq), 32);
-        assert_eq!(p.working_set_knee(0.05, 1024), Some(8));
-        assert_eq!(p.working_set_knee(0.0, 4), None);
     }
 
     #[test]

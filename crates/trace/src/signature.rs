@@ -1,5 +1,6 @@
-//! Trace signatures: the few-KB summary the analytic fast path reads
-//! instead of the trace arena.
+//! Trace signatures: the few-KB summary the ECM model reads instead of
+//! the trace arena. No product path computes them any more; the
+//! benchmark's `analytic.*` layer metrics still do.
 //!
 //! A [`TraceSignature`] condenses one (benchmark, scale) trace into
 //! exactly what the ECM time predictor

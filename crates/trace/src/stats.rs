@@ -65,11 +65,6 @@ impl TraceStats {
     pub fn footprint_bytes(&self, _block_size: u64) -> u64 {
         self.unique_words * 4
     }
-
-    /// Footprint in mebibytes (the unit of the paper's Table 3).
-    pub fn footprint_mib(&self) -> f64 {
-        (self.unique_words * 4) as f64 / (1024.0 * 1024.0)
-    }
 }
 
 /// Incremental builder for [`TraceStats`], usable as a streaming recorder.
@@ -147,6 +142,5 @@ mod tests {
         let refs: Vec<_> = (0..1024).map(|i| MemRef::read(i * 4, 4)).collect();
         let s = TraceStats::of(&VecWorkload::new("t", refs));
         assert_eq!(s.footprint_bytes(4), 4096);
-        assert!((s.footprint_mib() - 4096.0 / 1048576.0).abs() < 1e-12);
     }
 }

@@ -63,11 +63,6 @@ impl OpClass {
     pub fn is_mem(self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)
     }
-
-    /// `true` for floating-point classes.
-    pub fn is_fp(self) -> bool {
-        matches!(self, OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv)
-    }
 }
 
 /// Identity and outcome of a conditional branch.
@@ -202,8 +197,6 @@ mod tests {
         assert!(OpClass::Load.is_mem());
         assert!(OpClass::Store.is_mem());
         assert!(!OpClass::Branch.is_mem());
-        assert!(OpClass::FpAdd.is_fp());
-        assert!(!OpClass::IntAlu.is_fp());
     }
 
     #[test]

@@ -97,8 +97,8 @@ impl Benchmark {
 
     /// This benchmark's trace signature, via the process-wide
     /// [`SignatureCache`]: loaded from the sealed store when present,
-    /// computed once from the recorded trace otherwise. The analytic
-    /// fast path reads only this — never the trace arena.
+    /// computed once from the recorded trace otherwise. The ECM
+    /// model's renderer reads only this — never the trace arena.
     pub fn signature(&self) -> Arc<membw_trace::TraceSignature> {
         SignatureCache::global().get_or_compute(self.name, self.variant(), &self.replayable())
     }

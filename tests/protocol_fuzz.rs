@@ -174,7 +174,6 @@ fn fuzzed_frames_never_panic_never_answer_wrong_never_leak_a_slot() {
         conn_limit: CONN_LIMIT,
         read_timeout: Duration::from_millis(400),
         max_frame: MAX_FRAME,
-        analytic: false,
     };
     let store = ResultStore::open(&base.join("store")).expect("open store");
     let server = Arc::new(Server::new(config, store));
@@ -219,6 +218,30 @@ fn fuzzed_frames_never_panic_never_answer_wrong_never_leak_a_slot() {
     for (i, frame) in directed.iter().enumerate() {
         let reply = exchange_raw(&socket, frame);
         assert_replies_structured(&reply, frame, &canonical, &expected, 10_000 + i as u64);
+    }
+
+    // The retired analytic tolerance is refused by name, and the same
+    // connection goes on to answer the next frame byte-exact.
+    {
+        let mut frames =
+            br#"{"target":"table2","scale":"test","analytic_rel_permille":600}"#.to_vec();
+        frames.push(b'\n');
+        frames.extend_from_slice(&clean);
+        let reply = exchange_raw(&socket, &frames);
+        let replies: Vec<ServiceResponse> = String::from_utf8(reply)
+            .expect("UTF-8 replies")
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("structured reply"))
+            .collect();
+        match &replies[..] {
+            [ServiceResponse::Error { kind, message, .. }, ServiceResponse::Ok { stdout, .. }] => {
+                assert_eq!(kind, "bad-request");
+                assert!(message.contains("analytic_rel_permille"), "{message}");
+                assert!(message.contains("retired"), "{message}");
+                assert_eq!(stdout, &expected, "the next frame still answers byte-exact");
+            }
+            other => panic!("expected bad-request then ok, got {other:?}"),
+        }
     }
 
     for i in 0..FUZZ_MUTATIONS {
