@@ -69,7 +69,7 @@ use membw_core::audit;
 use membw_core::report::{self, TargetTiming};
 use membw_core::runner;
 use membw_core::runner::persist;
-use membw_core::runner::CheckpointConfig;
+use membw_core::runner::{CheckpointConfig, Governor, RunContext};
 use membw_core::service::{ServiceRequest, ServiceResponse};
 use membw_core::sweep::SweepMode;
 use membw_core::targets::{self, parse_scale, validate_target, ALL_TARGETS};
@@ -117,6 +117,18 @@ fn validate_env() -> Result<Option<u64>, String> {
         .transpose()
 }
 
+/// The `--jobs` value: [`runner::parse_jobs`], naming the flag.
+fn parse_jobs_flag(v: Option<&str>) -> Result<usize, String> {
+    let v = v.ok_or("--jobs needs a count")?;
+    runner::parse_jobs(v).map_err(|e| e.replace(runner::JOBS_ENV, "--jobs"))
+}
+
+/// Install a memory governor budgeted at `mb` MiB in the process-wide
+/// run context.
+fn install_mem_budget(mb: u64) {
+    RunContext::configure(|c| c.governor = Arc::new(Governor::with_budget_mb(mb)));
+}
+
 /// The value of `flag` as a positive number of seconds that a
 /// `Duration` can hold.
 fn parse_seconds(flag: &str, v: Option<String>) -> Result<Duration, String> {
@@ -147,16 +159,7 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--scale needs a value")?;
                 scale = parse_scale(&v)?;
             }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--jobs needs a positive integer, got '{v}'"))?;
-                if n == 0 {
-                    return Err("--jobs needs a positive integer".to_string());
-                }
-                runner::set_jobs(n);
-            }
+            "--jobs" => runner::set_jobs(parse_jobs_flag(args.next().as_deref())?),
             "--json" => {
                 let v = args.next().ok_or("--json needs a directory")?;
                 json_dir = Some(PathBuf::from(v));
@@ -166,10 +169,11 @@ fn parse_args() -> Result<Options, String> {
                 let n: u32 = v
                     .parse()
                     .map_err(|_| format!("--retries needs a non-negative integer, got '{v}'"))?;
-                runner::set_retries(n);
+                RunContext::configure(|c| c.retries = n);
             }
             "--job-timeout" => {
-                runner::set_job_timeout(Some(parse_seconds("--job-timeout", args.next())?));
+                let d = parse_seconds("--job-timeout", args.next())?;
+                RunContext::configure(|c| c.job_timeout = Some(d));
             }
             "--deadline" => deadline = Some(parse_seconds("--deadline", args.next())?),
             "--mem-budget" => {
@@ -257,7 +261,7 @@ fn parse_args() -> Result<Options, String> {
     let env_mb = validate_env()?;
     let mem_budget_mb = mem_budget_mb.or(env_mb);
     if let Some(mb) = mem_budget_mb {
-        runner::set_mem_budget(Some(mb));
+        install_mem_budget(mb);
     }
     if targets.is_empty() {
         targets.push("all".to_string());
@@ -464,15 +468,7 @@ fn cmd_serve(argv: &[String]) -> i32 {
                     let v = args.next().ok_or("--checkpoint-dir needs a directory")?;
                     checkpoint_dir = PathBuf::from(v);
                 }
-                "--jobs" => {
-                    let v = args.next().ok_or("--jobs needs a count")?;
-                    let n = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|n| *n > 0)
-                        .ok_or_else(|| format!("--jobs needs a positive integer, got '{v}'"))?;
-                    runner::set_jobs(n);
-                }
+                "--jobs" => runner::set_jobs(parse_jobs_flag(args.next().map(String::as_str))?),
                 "--mem-budget" => {
                     let v = args.next().ok_or("--mem-budget needs whole MiB")?;
                     let mb = runner::parse_mem_budget_mb(v)
@@ -496,7 +492,7 @@ fn cmd_serve(argv: &[String]) -> i32 {
         return 2;
     }
     if let Some(mb) = mem_budget_mb {
-        runner::set_mem_budget(Some(mb));
+        install_mem_budget(mb);
     }
     // SIGINT/SIGTERM request the drain; a second signal force-exits.
     runner::install_signal_drain();
@@ -804,7 +800,7 @@ fn main() {
         eprintln!();
         eprintln!(
             "{}",
-            report::timing_table(&timings, runner::configured_jobs()).render()
+            report::timing_table(&timings, RunContext::current().jobs).render()
         );
     }
     let audit_summary = audit::summary();
@@ -824,17 +820,21 @@ fn main() {
             trace_failures,
         );
     }
-    let gov = runner::global_governor();
-    if gov.limited() {
-        let s = gov.stats();
+    let ctx = RunContext::current();
+    if ctx.governor.limited() {
+        let s = ctx.governor.stats();
         eprintln!(
             "governor[{} MiB]: finished at level {}; {} escalation event(s), \
-             {} forced eviction(s), {} throttled admission(s)",
+             {} forced eviction(s), {} throttled admission(s), \
+             {} byte(s) of trace cache resident",
             s.budget_bytes.unwrap_or(0) / (1024 * 1024),
             s.level,
             s.events,
             s.forced_evictions,
             s.throttled_admissions,
+            membw_core::trace::TraceCache::global()
+                .stats()
+                .resident_bytes,
         );
     }
     if let Some(reason) = cancel.cancel_reason() {

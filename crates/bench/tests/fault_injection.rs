@@ -260,6 +260,40 @@ fn retired_analytic_flags_are_usage_errors_that_say_why() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Run `repro serve` on a socket and store under `dir` with the extra
+/// flags `args` and environment `envs`, expecting it to exit on its own
+/// (a daemon that started would serve forever: it is killed after a
+/// generous bound and the test fails).
+fn serve_expecting_exit(dir: &std::path::Path, args: &[&str], envs: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.arg("serve")
+        .arg("--socket")
+        .arg(dir.join("membw.sock"))
+        .arg("--store")
+        .arg(dir.join("store"))
+        .arg("--checkpoint-dir")
+        .arg(dir.join("ckpt"))
+        .args(args)
+        .env_remove("MEMBW_FAULT")
+        .env_remove("MEMBW_JOBS")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped());
+    for (k, v) in envs {
+        cmd.env(k, v);
+    }
+    let mut child = cmd.spawn().expect("repro serve spawns");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("wait").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("repro serve {args:?} with {envs:?} started instead of exiting");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect stderr")
+}
+
 #[test]
 fn serve_rejects_malformed_environment_like_the_cli() {
     let dir = scratch("serve_env");
@@ -267,36 +301,28 @@ fn serve_rejects_malformed_environment_like_the_cli() {
         ("MEMBW_SWEEP_VERIFY", "yes"),
         ("MEMBW_TRACE_CACHE_MB", "lots"),
     ] {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .arg("serve")
-            .arg("--socket")
-            .arg(dir.join("membw.sock"))
-            .arg("--store")
-            .arg(dir.join("store"))
-            .arg("--checkpoint-dir")
-            .arg(dir.join("ckpt"))
-            .env_remove("MEMBW_FAULT")
-            .env_remove("MEMBW_JOBS")
-            .env(var, bad)
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("repro serve spawns");
-        // A daemon that accepted the value would serve forever: give it
-        // a generous bound, then kill it and fail.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while child.try_wait().expect("wait").is_none() {
-            if Instant::now() > deadline {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("repro serve started with {var}={bad} instead of exiting");
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let out = child.wait_with_output().expect("collect stderr");
+        let out = serve_expecting_exit(&dir, &[], &[(var, bad)]);
         assert_eq!(out.status.code(), Some(2), "{var}={bad} is a usage error");
         let err = stderr_str(&out);
         assert!(err.contains(var), "error names {var}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_jobs_is_a_usage_error_on_both_subcommands() {
+    let dir = scratch("zero_jobs");
+    let cli = repro(
+        &["--scale", "test", "--jobs", "0", "table1"],
+        &[],
+        &dir.join("ckpt"),
+    );
+    let serve = serve_expecting_exit(&dir, &["--jobs", "0"], &[]);
+    for (name, out) in [("repro", cli), ("repro serve", serve)] {
+        assert_eq!(out.status.code(), Some(2), "{name} --jobs 0 exits 2");
+        let err = stderr_str(&out);
+        assert!(err.contains("invalid --jobs value \"0\""), "{name}: {err}");
+        assert!(stdout_str(&out).is_empty(), "{name}: nothing rendered");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

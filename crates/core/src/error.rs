@@ -7,7 +7,7 @@
 //! summarize what failed, and exit nonzero.
 
 use crate::audit::Auditor;
-use membw_runner::{JobFailure, Runner};
+use membw_runner::JobFailure;
 use membw_sweep::SweepMode;
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
@@ -137,8 +137,8 @@ impl MembwError {
     }
 }
 
-/// Split a fault-isolated batch ([`membw_runner::Runner::try_run`] /
-/// `checkpointed`) into its successes, or a [`MembwError::Jobs`]
+/// Split a fault-isolated batch ([`membw_runner::checkpointed`]) into
+/// its successes, or a [`MembwError::Jobs`]
 /// carrying every failure. `name` resolves a job index to the human
 /// name of its matrix cell.
 ///
@@ -219,7 +219,7 @@ where
     T: Send + Serialize + Deserialize,
     F: Fn(usize, SweepMode) -> T + Sync,
 {
-    let raw = Runner::from_env().checkpointed(label, key, n, |i| job(i, mode));
+    let raw = membw_runner::checkpointed(label, key, n, |i| job(i, mode));
     let out = collect_jobs(label, raw, &cell)?;
     if verify {
         for (i, got) in out.iter().enumerate() {

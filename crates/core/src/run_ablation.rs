@@ -11,7 +11,7 @@ use crate::audit::Auditor;
 use crate::error::{collect_jobs, MembwError};
 use crate::report::Table;
 use membw_cache::{BypassCache, Cache, CacheConfig, CacheStats, StreamBuffers, VictimCache};
-use membw_runner::Runner;
+use membw_runner::checkpointed;
 use membw_trace::{MemRef, Workload};
 use membw_workloads::{suite92, Scale};
 use serde::{Deserialize, Serialize};
@@ -125,7 +125,7 @@ pub fn run(scale: Scale, cache_bytes: u64) -> Result<(AblationResult, Table), Me
         suite.len(),
         n_t
     );
-    let raw = Runner::from_env().checkpointed("ablation", &key, suite.len() * n_t, |k| {
+    let raw = checkpointed("ablation", &key, suite.len() * n_t, |k| {
         let b = &suite[k / n_t];
         let t = TECHNIQUES[k % n_t];
         let refs = b.replayable().collect_mem_refs();

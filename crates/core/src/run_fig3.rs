@@ -4,7 +4,7 @@
 use crate::audit::Auditor;
 use crate::error::{collect_jobs, MembwError};
 use crate::report::{count_uops, Table};
-use membw_runner::Runner;
+use membw_runner::checkpointed;
 use membw_sim::{decompose_group, Decomposition, Experiment, MachineSpec};
 use membw_workloads::{suite92, suite95, Scale, Suite};
 use serde::{Deserialize, Serialize};
@@ -147,7 +147,7 @@ pub fn run_suite(
             .collect::<Vec<_>>()
             .join("|")
     );
-    let raw = Runner::from_env().checkpointed(&label, &key, benchmarks.len() * n_g, |k| {
+    let raw = checkpointed(&label, &key, benchmarks.len() * n_g, |k| {
         let b = &benchmarks[k / n_g];
         let specs: Vec<MachineSpec> = groups[k % n_g]
             .iter()

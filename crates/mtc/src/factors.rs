@@ -188,7 +188,9 @@ pub fn factor_gaps<W: Workload + ?Sized>(
         if let Some(i) = indices.iter().position(|(b, _)| *b == block) {
             return &indices[i].1;
         }
-        membw_runner::ambient_governor().observe_arena_bytes(refs.len() as u64 * 8);
+        membw_runner::RunContext::current()
+            .governor
+            .observe_arena_bytes(refs.len() as u64 * 8);
         indices.push((block, NextUseIndex::build(refs, block)));
         &indices.last().expect("just pushed").1
     }

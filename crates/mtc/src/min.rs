@@ -171,7 +171,9 @@ impl MinCache {
     /// (a [`Workload`] must emit the identical stream every time).
     pub fn simulate_workload(cfg: &MinConfig, workload: &dyn Workload) -> CacheStats {
         let index = NextUseIndex::from_stream(cfg.block_size, |f| workload.for_each_mem_ref(f));
-        membw_runner::ambient_governor().observe_arena_bytes(index.len() as u64 * 8);
+        membw_runner::RunContext::current()
+            .governor
+            .observe_arena_bytes(index.len() as u64 * 8);
         let mut cache = Self::new(*cfg);
         index.replay(workload, |r, block, next_use| {
             cache.access(r, block, next_use);
@@ -208,7 +210,8 @@ impl MinCache {
         let mut cache = Self::new(*cfg);
         // Poll the ambient cancel token on the scan so a drain or
         // deadline stops a long MTC pass within milliseconds.
-        let cancel = membw_runner::ambient_cancel_token();
+        let ctx = membw_runner::RunContext::current();
+        let cancel = &ctx.cancel;
         for (i, r) in refs.iter().enumerate() {
             if i.is_multiple_of(8192) {
                 cancel.check();

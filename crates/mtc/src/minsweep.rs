@@ -107,7 +107,9 @@ pub fn min_sweep<W: Workload + ?Sized>(cfgs: &[MinConfig], workload: &W) -> Vec<
     let index = NextUseIndex::from_stream(block, |f| workload.for_each_mem_ref(f));
     // The shared next-use index (8 bytes per reference) is the sweep's
     // big allocation; let the governor see it.
-    membw_runner::ambient_governor().observe_arena_bytes(index.len() as u64 * 8);
+    membw_runner::RunContext::current()
+        .governor
+        .observe_arena_bytes(index.len() as u64 * 8);
     if cfgs
         .iter()
         .all(|c| c.write == first.write && c.bypass == first.bypass)

@@ -82,7 +82,8 @@ impl NextUseIndex {
         workload: &W,
         mut f: impl FnMut(MemRef, u64, u64),
     ) {
-        let cancel = membw_runner::ambient_cancel_token();
+        let ctx = membw_runner::RunContext::current();
+        let cancel = &ctx.cancel;
         let mut i = 0usize;
         workload.for_each_mem_ref(&mut |r| {
             assert!(

@@ -21,13 +21,12 @@
 //!
 //! # Ambient installation
 //!
-//! Like the jobs/retries/checkpoint configuration, the token is
-//! installed ambiently: [`global_cancel_token`] is the process-wide
-//! token (the one SIGINT flips), and [`with_cancel_token`] overrides it
-//! thread-locally so tests can cancel an isolated batch without
-//! touching process state. [`Runner`](crate::Runner) captures the
-//! ambient token when a batch starts and re-installs it inside every
-//! worker and watchdog thread, so jobs always see the right one.
+//! The token jobs poll is the [`RunContext`](crate::RunContext)'s
+//! `cancel` field. The process-wide context carries
+//! [`global_cancel_token`] (the one SIGINT flips); tests cancel an
+//! isolated batch by scoping a context with a fresh token, and the run
+//! engine installs the batch's context inside every worker and watchdog
+//! thread, so jobs always see the right one.
 //!
 //! # Deadlines
 //!
@@ -234,37 +233,6 @@ pub fn global_cancel_token() -> CancelToken {
     CancelToken { core: Core::Global }
 }
 
-thread_local! {
-    /// Thread-local override installed by [`with_cancel_token`].
-    static TL_CANCEL: std::cell::RefCell<Option<CancelToken>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Run `f` with `token` as the ambient cancel token on this thread,
-/// restoring the previous override afterwards. Tests cancel an
-/// isolated batch this way without touching the process-wide token.
-pub fn with_cancel_token<R>(token: CancelToken, f: impl FnOnce() -> R) -> R {
-    let prev = TL_CANCEL.with(|c| c.replace(Some(token)));
-    struct Restore(Option<CancelToken>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_CANCEL.with(|c| {
-                *c.borrow_mut() = self.0.take();
-            });
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The ambient token on this thread: the [`with_cancel_token`]
-/// override if one is installed, else the process-wide token.
-pub fn ambient_cancel_token() -> CancelToken {
-    TL_CANCEL
-        .with(|c| c.borrow().clone())
-        .unwrap_or_else(global_cancel_token)
-}
-
 /// Async-signal-safe SIGINT/SIGTERM handler: first delivery flips the
 /// global token to `INTERRUPTED` (drain mode — in-flight jobs cancel
 /// cooperatively and completed work flushes); a second delivery
@@ -363,16 +331,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(40));
         assert!(t.is_cancelled());
         assert_eq!(t.cancel_reason(), Some(CancelReason::DeadlineExceeded));
-    }
-
-    #[test]
-    fn ambient_override_restores() {
-        let t = CancelToken::new();
-        t.cancel(CancelReason::Interrupted);
-        let seen = with_cancel_token(t, || ambient_cancel_token().is_cancelled());
-        assert!(seen);
-        // Outside the override the ambient token is the (live) global.
-        assert!(!ambient_cancel_token().is_cancelled());
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl std::fmt::Display for JobError {
 
 /// A job that ultimately failed after every allowed attempt.
 ///
-/// Returned as the `Err` arm of [`crate::Runner::try_run`]; the job's
+/// Returned as the `Err` arm of [`crate::checkpointed`]; the job's
 /// siblings are unaffected and their results are still delivered in
 /// canonical index order.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -23,7 +23,7 @@
 //! | `net:crash@K` | abort (exit 134) immediately before net point K |
 //! | `job:panic@LABEL:IDX` | the matching job panics on every attempt |
 //! | `job:slow@LABEL:IDX:MS` | the matching job sleeps MS ms (cancel-aware) before running |
-//! | `job:cancel@LABEL:IDX` | dispatching the matching job cancels the ambient token |
+//! | `job:cancel@LABEL:IDX` | dispatching the matching job cancels the run context's token |
 //! | `count:PATH` | no faults; after every point, PATH holds each domain's running total |
 //!
 //! `IDX` is a job index of the batch `LABEL` (`"table8"`,
@@ -50,7 +50,8 @@
 //! start (exit 2), never a silently ignored hook; so is any of the six
 //! retired per-hook variables, whose error gives the new spelling.
 
-use crate::cancel::{ambient_cancel_token, CancelReason};
+use crate::cancel::CancelReason;
+use crate::context::RunContext;
 use std::fmt::Display;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -588,10 +589,12 @@ pub fn net_wrote(n: usize) {
 // ---------------------------------------------------------------------
 // The job hook the run engine calls at dispatch.
 
-/// Sleep `ms` milliseconds in 50 ms slices, polling the ambient cancel
-/// token between slices: an injected delay never holds a drain hostage.
+/// Sleep `ms` milliseconds in 50 ms slices, polling the run context's
+/// cancel token between slices: an injected delay never holds a drain
+/// hostage.
 fn cancellable_sleep(ms: u64) {
-    let token = ambient_cancel_token();
+    let ctx = RunContext::current();
+    let token = &ctx.cancel;
     let mut remaining = Duration::from_millis(ms);
     const SLICE: Duration = Duration::from_millis(50);
     while !remaining.is_zero() {
@@ -608,8 +611,8 @@ fn cancellable_sleep(ms: u64) {
 /// # Panics
 ///
 /// Deliberately, on `job:panic@`; the engine's catch_unwind turns it
-/// into a per-job failure. A `job:cancel@` match cancels the ambient
-/// token and unwinds through the normal cancellation poll.
+/// into a per-job failure. A `job:cancel@` match cancels the run
+/// context's token and unwinds through the normal cancellation poll.
 pub(crate) fn on_dispatch(label: &str, index: usize) {
     let Some(plan) = active(JOB) else {
         return;
@@ -620,7 +623,9 @@ pub(crate) fn on_dispatch(label: &str, index: usize) {
         .filter(|j| j.label == label && j.index.is_none_or(|i| i == index));
     for job in hits {
         match job.action {
-            JobAction::Cancel => ambient_cancel_token().cancel(CancelReason::Interrupted),
+            JobAction::Cancel => RunContext::current()
+                .cancel
+                .cancel(CancelReason::Interrupted),
             JobAction::Slow(ms) => cancellable_sleep(ms),
             JobAction::Panic => panic!("injected fault at {label}:{index} ({FAULT_ENV})"),
         }
@@ -765,13 +770,14 @@ mod tests {
 
     #[test]
     fn cancellable_sleep_aborts_early_when_cancelled() {
-        use crate::cancel::{with_cancel_token, CancelToken};
-        let token = CancelToken::new();
+        let token = crate::CancelToken::new();
         token.cancel(CancelReason::Interrupted);
         let t0 = Instant::now();
-        let unwound = with_cancel_token(token, || {
-            catch_unwind(AssertUnwindSafe(|| cancellable_sleep(10_000))).is_err()
-        });
+        let unwound = RunContext {
+            cancel: token,
+            ..RunContext::clone(&RunContext::current())
+        }
+        .scope(|| catch_unwind(AssertUnwindSafe(|| cancellable_sleep(10_000))).is_err());
         assert!(unwound, "a cancelled sleep must unwind");
         assert!(
             t0.elapsed() < Duration::from_secs(2),

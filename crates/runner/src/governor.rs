@@ -36,16 +36,16 @@
 //!
 //! # Ambient installation
 //!
-//! Mirrors the jobs/retries/checkpoint/cancel pattern:
-//! [`global_governor`] is the process-wide instance `repro
-//! --mem-budget` configures via [`set_mem_budget`]; [`with_governor`]
-//! installs a scoped override for tests. The run engine captures the
-//! ambient governor per batch and re-installs it inside worker
-//! threads; the trace cache consults it on every lookup.
+//! The governor a batch answers to is its
+//! [`RunContext`](crate::RunContext)'s `governor` field. `repro
+//! --mem-budget` installs a budgeted one in the process-wide context;
+//! tests scope a context with their own. The run engine admits every
+//! job through the batch's governor, and the trace cache consults the
+//! current context's governor on every lookup.
 
 use crate::cancel::CancelToken;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Environment variable naming the invocation-wide memory budget in
@@ -95,7 +95,7 @@ pub struct GovernorStats {
 /// See the [module docs](self) for the state machine.
 pub struct Governor {
     /// Budget in bytes; `UNLIMITED` disables the governor entirely.
-    budget_bytes: AtomicU64,
+    budget_bytes: u64,
     /// Current ladder level (monotonic within a run).
     level: AtomicU8,
     /// Last cache residency report.
@@ -135,7 +135,7 @@ impl Governor {
     /// A governor with no budget: every consultation is a cheap no-op.
     pub fn unlimited() -> Self {
         Governor {
-            budget_bytes: AtomicU64::new(UNLIMITED),
+            budget_bytes: UNLIMITED,
             level: AtomicU8::new(NORMAL),
             cache_resident: AtomicU64::new(0),
             arena_estimate: AtomicU64::new(0),
@@ -151,21 +151,16 @@ impl Governor {
     /// A governor budgeted at `mb` mebibytes (0 = strictest: full
     /// degradation from the first job).
     pub fn with_budget_mb(mb: u64) -> Self {
-        let g = Self::unlimited();
-        g.set_budget_mb(Some(mb));
-        g
-    }
-
-    /// (Re)configure the budget; `None` disables the governor.
-    pub fn set_budget_mb(&self, mb: Option<u64>) {
-        let bytes = mb.map_or(UNLIMITED, |m| m.saturating_mul(MIB));
-        self.budget_bytes.store(bytes, Ordering::SeqCst);
+        Governor {
+            budget_bytes: mb.saturating_mul(MIB),
+            ..Self::unlimited()
+        }
     }
 
     /// Whether a budget is configured at all — the fast-path gate every
     /// consultation checks first.
     pub fn limited(&self) -> bool {
-        self.budget_bytes.load(Ordering::Relaxed) != UNLIMITED
+        self.budget_bytes != UNLIMITED
     }
 
     fn level_now(&self) -> u8 {
@@ -175,7 +170,7 @@ impl Governor {
     /// Cache residency the ladder level would permit, given the actual
     /// residency `resident`.
     fn cache_allowance(&self, level: u8, resident: u64) -> u64 {
-        let budget = self.budget_bytes.load(Ordering::Relaxed);
+        let budget = self.budget_bytes;
         match level {
             NORMAL => resident,
             CACHE_SHRUNK => resident.min(budget / 2),
@@ -197,7 +192,7 @@ impl Governor {
         if !self.limited() {
             return;
         }
-        let budget = self.budget_bytes.load(Ordering::Relaxed);
+        let budget = self.budget_bytes;
         loop {
             let level = self.level_now();
             if level >= THROTTLED {
@@ -291,22 +286,18 @@ impl Governor {
     /// The byte cap the ladder currently imposes on the trace cache,
     /// given the cache's own `configured` budget. `Normal` passes the
     /// configured cap through; `CacheShrunk` clamps it to half the
-    /// governor budget; `Streaming`/`Throttled` return 0 (no caching).
+    /// governor budget; `Streaming`/`Throttled` return 0: the cache
+    /// must hold nothing, and replays record-stream instead.
     pub fn cache_cap(&self, configured: u64) -> u64 {
         if !self.limited() {
             return configured;
         }
-        let budget = self.budget_bytes.load(Ordering::Relaxed);
+        let budget = self.budget_bytes;
         match self.level_now() {
             NORMAL => configured,
             CACHE_SHRUNK => configured.min(budget / 2),
             _ => 0,
         }
-    }
-
-    /// Whether replays should skip the cache entirely and record-stream.
-    pub fn streaming(&self) -> bool {
-        self.limited() && self.level_now() >= STREAMING
     }
 
     /// Count evictions the governor forced beyond the cache's own
@@ -319,7 +310,7 @@ impl Governor {
 
     /// Snapshot the governor accounting.
     pub fn stats(&self) -> GovernorStats {
-        let budget = self.budget_bytes.load(Ordering::Relaxed);
+        let budget = self.budget_bytes;
         GovernorStats {
             budget_bytes: (budget != UNLIMITED).then_some(budget),
             level: level_name(self.level_now()),
@@ -362,50 +353,6 @@ impl Drop for AdmissionGuard {
     }
 }
 
-/// The process-wide governor (`repro --mem-budget` configures it via
-/// [`set_mem_budget`]; unlimited until then).
-pub fn global_governor() -> Arc<Governor> {
-    static GLOBAL: OnceLock<Arc<Governor>> = OnceLock::new();
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(Governor::unlimited())))
-}
-
-/// Configure the process-wide governor's budget (`--mem-budget MB` /
-/// `MEMBW_MEM_BUDGET_MB`); `None` disables it.
-pub fn set_mem_budget(mb: Option<u64>) {
-    global_governor().set_budget_mb(mb);
-}
-
-thread_local! {
-    /// Thread-local override installed by [`with_governor`].
-    static TL_GOVERNOR: std::cell::RefCell<Option<Arc<Governor>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Run `f` with `gov` as the ambient governor on this thread,
-/// restoring the previous override afterwards (tests budget an
-/// isolated batch without touching process state).
-pub fn with_governor<R>(gov: Arc<Governor>, f: impl FnOnce() -> R) -> R {
-    let prev = TL_GOVERNOR.with(|c| c.replace(Some(gov)));
-    struct Restore(Option<Arc<Governor>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_GOVERNOR.with(|c| {
-                *c.borrow_mut() = self.0.take();
-            });
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The ambient governor on this thread: the [`with_governor`] override
-/// if installed, else the process-wide instance.
-pub fn ambient_governor() -> Arc<Governor> {
-    TL_GOVERNOR
-        .with(|c| c.borrow().clone())
-        .unwrap_or_else(global_governor)
-}
-
 /// Strictly parse a mebibyte budget (for `--mem-budget` and
 /// `MEMBW_MEM_BUDGET_MB`): a bare non-negative integer. 0 is legal and
 /// means "strictest" — degrade everything from the start.
@@ -430,7 +377,6 @@ mod tests {
         g.report_cache_resident(1 << 40);
         g.observe_arena_bytes(1 << 40);
         assert_eq!(g.cache_cap(123), 123);
-        assert!(!g.streaming());
         assert_eq!(g.stats().level, "normal");
         let _a = g.admit(&CancelToken::new());
         let _b = g.admit(&CancelToken::new());
@@ -448,7 +394,6 @@ mod tests {
         // still over with the 8 MiB job — so the ladder runs to
         // Streaming (cache 0 + 8 MiB job fits 10 MiB).
         assert_eq!(g.stats().level, "streaming");
-        assert!(g.streaming());
         assert_eq!(g.cache_cap(512 * MIB), 0);
         let events = g.events();
         assert_eq!(events.len(), 2);
@@ -500,7 +445,6 @@ mod tests {
         g.report_cache_resident(80 * MIB);
         assert_eq!(g.stats().level, "cache-shrunk");
         assert_eq!(g.cache_cap(512 * MIB), 50 * MIB);
-        assert!(!g.streaming());
     }
 
     #[test]
@@ -511,15 +455,5 @@ mod tests {
         assert!(err.contains(MEM_BUDGET_MB_ENV), "{err}");
         assert!(parse_mem_budget_mb("-3").is_err());
         assert!(parse_mem_budget_mb("").is_err());
-    }
-
-    #[test]
-    fn ambient_override_restores() {
-        let g = Arc::new(Governor::with_budget_mb(7));
-        let seen = with_governor(Arc::clone(&g), || ambient_governor().limited());
-        assert!(seen);
-        // Outside the override: the global governor (unlimited unless
-        // a concurrent test configured it — don't assert on that).
-        let _ = ambient_governor();
     }
 }

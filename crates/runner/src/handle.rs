@@ -1,11 +1,11 @@
 //! Job handles: submit work to a resident pool and await, poll, or
 //! cancel it **without owning the process**.
 //!
-//! [`Runner`](crate::Runner) is batch-shaped: the caller blocks until
-//! the whole matrix is merged. A long-lived service (`membw serve`)
-//! needs the opposite shape — requests arrive one at a time, each wants
-//! its own completion, and the process keeps running whatever any
-//! individual job does. [`Dispatcher`] provides that shape on the same
+//! [`checkpointed`](crate::checkpointed) is batch-shaped: the caller
+//! blocks until the whole matrix is merged. A long-lived service
+//! (`membw serve`) needs the opposite shape — requests arrive one at a
+//! time, each wants its own completion, and the process keeps running
+//! whatever any individual job does. [`Dispatcher`] provides that shape on the same
 //! foundations:
 //!
 //! * **Deterministic ordering** — queued jobs execute strictly by
@@ -20,23 +20,19 @@
 //!   [`JobOutcome::Panicked`] with the panic message; the worker thread
 //!   and every other job are untouched.
 //! * **Cooperative cancellation** — every job gets a private
-//!   [`CancelToken`], installed ambiently while it runs so the sim hot
-//!   loops poll it exactly as they poll SIGINT in CLI runs.
+//!   [`CancelToken`], installed as its context's token while it runs so
+//!   the sim hot loops poll it exactly as they poll SIGINT in CLI runs.
 //!   [`JobHandle::cancel`] stops a queued job before it starts and
 //!   drains a running one at the next poll.
 //!
-//! Workers capture the *submitting context's* ambient configuration
-//! (checkpoint store, memory governor, thread count, retries, job
-//! timeout) at construction, so dispatched jobs behave exactly like
-//! jobs the constructing thread would have run inline.
+//! The dispatcher captures the constructing thread's
+//! [`RunContext`] once and runs every job under it, with only the
+//! cancel token swapped for the job's own, so dispatched jobs behave
+//! exactly like jobs the constructing thread would have run inline.
 
-use crate::cancel::{with_cancel_token, CancelReason, CancelToken, CancelUnwind};
-use crate::governor::{ambient_governor, with_governor, Governor};
-use crate::{
-    configured_checkpoint, configured_job_timeout, configured_jobs, configured_retries,
-    failure::panic_message, with_checkpoint, with_job_timeout, with_jobs, with_retries,
-    CheckpointConfig,
-};
+use crate::cancel::{CancelReason, CancelToken, CancelUnwind};
+use crate::context::RunContext;
+use crate::failure::panic_message;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -199,18 +195,8 @@ struct Shared<T> {
     /// Signalled when a job retires (drain waits on this).
     retired: Condvar,
     queue_bound: usize,
-    /// Ambient context captured at construction, re-installed in every
-    /// worker so dispatched jobs see the constructor's configuration.
-    ctx: AmbientCtx,
-}
-
-/// The ambient configuration a dispatcher's workers inherit.
-struct AmbientCtx {
-    jobs: usize,
-    retries: u32,
-    timeout: Option<Duration>,
-    checkpoint: Option<CheckpointConfig>,
-    governor: Arc<Governor>,
+    /// The constructor's context, installed around every job.
+    ctx: Arc<RunContext>,
 }
 
 /// See the [module docs](self).
@@ -222,8 +208,8 @@ pub struct Dispatcher<T: Send + Sync + 'static> {
 impl<T: Send + Sync + 'static> Dispatcher<T> {
     /// A dispatcher with `workers` concurrent executors and room for
     /// `queue_bound` waiting jobs (both clamped to at least 1). The
-    /// calling thread's ambient configuration (jobs, retries, timeout,
-    /// checkpoint, governor) is captured and installed in every worker.
+    /// calling thread's [`RunContext`] is captured and installed around
+    /// every job.
     pub fn new(workers: usize, queue_bound: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
@@ -235,13 +221,7 @@ impl<T: Send + Sync + 'static> Dispatcher<T> {
             available: Condvar::new(),
             retired: Condvar::new(),
             queue_bound: queue_bound.max(1),
-            ctx: AmbientCtx {
-                jobs: configured_jobs(),
-                retries: configured_retries(),
-                timeout: configured_job_timeout(),
-                checkpoint: configured_checkpoint(),
-                governor: ambient_governor(),
-            },
+            ctx: RunContext::current(),
         });
         let workers = (0..workers.max(1))
             .map(|_| {
@@ -391,24 +371,17 @@ fn worker_loop<T: Send + Sync + 'static>(shared: &Shared<T>) {
     }
 }
 
-/// Execute one job under the captured ambient context with per-job
-/// panic isolation and cancellation accounting.
-fn run_one<T>(ctx: &AmbientCtx, token: &CancelToken, job: Job<T>) -> JobOutcome<T> {
+/// Execute one job under the captured context and its own token, with
+/// per-job panic isolation and cancellation accounting.
+fn run_one<T>(ctx: &RunContext, token: &CancelToken, job: Job<T>) -> JobOutcome<T> {
     if let Some(reason) = token.cancel_reason() {
         return JobOutcome::Cancelled(reason);
     }
-    let tok = token.clone();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        with_jobs(ctx.jobs, || {
-            with_retries(ctx.retries, || {
-                with_job_timeout(ctx.timeout, || {
-                    with_checkpoint(ctx.checkpoint.clone(), || {
-                        with_governor(Arc::clone(&ctx.governor), || with_cancel_token(tok, job))
-                    })
-                })
-            })
-        })
-    }));
+    let scoped = RunContext {
+        cancel: token.clone(),
+        ..ctx.clone()
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| scoped.scope(job)));
     match result {
         Ok(v) => JobOutcome::Completed(Arc::new(v)),
         Err(p) => match p.downcast_ref::<CancelUnwind>() {
@@ -580,8 +553,8 @@ mod tests {
         let d = Dispatcher::new(1, 4);
         let h = d
             .submit(0, || {
-                // The ambient token inside the job is the handle's.
-                let tok = crate::ambient_cancel_token();
+                // The context's token inside the job is the handle's.
+                let tok = RunContext::current().cancel.clone();
                 tok.cancel(CancelReason::Interrupted);
                 tok.check(); // unwinds -> Cancelled, not Panicked
             })
@@ -654,12 +627,12 @@ mod tests {
     }
 
     #[test]
-    fn workers_inherit_the_constructor_ambient_config() {
+    fn workers_inherit_the_constructor_context() {
         // with_jobs is thread-local; the dispatcher must carry it into
         // its workers or dispatched runs would see the global default.
-        let seen = with_jobs(3, || {
+        let seen = crate::with_jobs(3, || {
             let d = Dispatcher::new(1, 4);
-            let h = d.submit(0, configured_jobs).unwrap();
+            let h = d.submit(0, || RunContext::current().jobs).unwrap();
             let out = match h.wait() {
                 JobOutcome::Completed(v) => *v,
                 other => panic!("unexpected outcome: {other:?}"),

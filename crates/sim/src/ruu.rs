@@ -10,7 +10,7 @@
 use crate::bpred::{BranchPredictor, TwoLevelPredictor};
 use crate::machine::MachineSpec;
 use crate::memsys::MemSystem;
-use membw_runner::{ambient_cancel_token, CancelToken};
+use membw_runner::{CancelToken, RunContext};
 use membw_trace::uop::NUM_REGS;
 use membw_trace::{OpClass, TraceSink, Uop, Workload};
 use std::collections::VecDeque;
@@ -133,7 +133,7 @@ impl RuuCore {
             mispredict_penalty: spec.mispredict_penalty,
             finish: 0,
             uops: 0,
-            cancel: ambient_cancel_token(),
+            cancel: RunContext::current().cancel.clone(),
         }
     }
 

@@ -440,8 +440,8 @@ impl LruSweep {
         mut self,
         workload: &W,
     ) -> Vec<Option<CacheStats>> {
-        let cancel = membw_runner::ambient_cancel_token();
-        let governor = membw_runner::ambient_governor();
+        let ctx = membw_runner::RunContext::current();
+        let (cancel, governor) = (&ctx.cancel, &ctx.governor);
         let mut n = 0usize;
         workload.for_each_mem_ref(&mut |r| {
             if n.is_multiple_of(CANCEL_POLL) {
@@ -630,7 +630,11 @@ mod tests {
         let spec = SweepSpec::new(4).associativity(Associativity::Ways(4));
         let caps: Vec<u64> = (6..=22).map(|p| 1u64 << p).collect();
         let gov = std::sync::Arc::new(membw_runner::Governor::with_budget_mb(1 << 20));
-        let swept = membw_runner::with_governor(gov.clone(), || sweep_lru(&spec, &caps, &refs[..]));
+        let swept = membw_runner::RunContext {
+            governor: gov.clone(),
+            ..membw_runner::RunContext::clone(&membw_runner::RunContext::current())
+        }
+        .scope(|| sweep_lru(&spec, &caps, &refs[..]));
 
         // The same pass by hand: what the levels hold once it is done.
         let mut engine = LruSweep::new(&spec, &caps).expect("LRU spec");

@@ -35,7 +35,7 @@ use crate::record::MemRef;
 use crate::sink::TraceSink;
 use crate::uop::{BranchInfo, OpClass, Reg, Uop};
 use crate::Workload;
-use membw_runner::{ambient_cancel_token, ambient_governor, CancelToken};
+use membw_runner::{CancelToken, RunContext};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -357,9 +357,10 @@ impl Workload for RecordedTrace {
     }
 
     fn generate(&self, sink: &mut dyn TraceSink) {
-        // Poll the ambient cancel token so replay into sinks that do
-        // not poll themselves still stops promptly under a drain.
-        let cancel = ambient_cancel_token();
+        // Poll the run context's cancel token so replay into sinks that
+        // do not poll themselves still stops promptly under a drain.
+        let ctx = RunContext::current();
+        let cancel = &ctx.cancel;
         let mut d = Decoder::new(self);
         for i in 0..self.len {
             if i.is_multiple_of(CANCEL_POLL_UOPS) {
@@ -374,7 +375,8 @@ impl Workload for RecordedTrace {
     fn for_each_mem_ref(&self, f: &mut dyn FnMut(MemRef)) {
         // Skip the full Uop copy: only each template's reference and
         // the address stream matter here.
-        let cancel = ambient_cancel_token();
+        let ctx = RunContext::current();
+        let cancel = &ctx.cancel;
         let mut d = Decoder::new(self);
         for i in 0..self.len {
             if i.is_multiple_of(CANCEL_POLL_UOPS) {
@@ -446,7 +448,7 @@ impl RecordingSink {
             },
             shape_ids: HashMap::default(),
             last_addr: 0,
-            cancel: ambient_cancel_token(),
+            cancel: RunContext::current().cancel.clone(),
         }
     }
 
@@ -624,15 +626,17 @@ impl TraceCache {
         if self.is_disabled() {
             return None;
         }
-        // Memory-governor consultation: under the Streaming level the
-        // cache steps aside entirely (callers record-stream, which is
-        // byte-identical); under CacheShrunk the effective byte cap is
-        // clamped below the configured budget.
-        let gov = ambient_governor();
-        if gov.streaming() {
+        // Memory-governor consultation: under CacheShrunk the effective
+        // byte cap is clamped below the configured budget; at a cap of
+        // 0 the cache empties and steps aside (callers record-stream,
+        // which is byte-identical).
+        let ctx = RunContext::current();
+        let gov = &*ctx.governor;
+        if gov.cache_cap(self.budget_bytes) == 0 {
+            let mut inner = self.inner.lock().expect("trace cache poisoned");
+            self.fit_to_governed_budget(&mut inner, gov);
             return None;
         }
-        let effective_budget = gov.cache_cap(self.budget_bytes);
         let slot = {
             let mut inner = self.inner.lock().expect("trace cache poisoned");
             inner.tick += 1;
@@ -664,8 +668,7 @@ impl TraceCache {
                 // Honour a cap the governor shrank since the arena
                 // landed: evict on the hit path too, and keep the
                 // governor's residency view current.
-                self.evict_to_effective_budget(&mut inner, effective_budget, &gov);
-                gov.report_cache_resident(inner.stats.resident_bytes);
+                self.fit_to_governed_budget(&mut inner, gov);
                 return Some(trace);
             }
             // The cached arena no longer matches its sealed checksum
@@ -704,8 +707,9 @@ impl TraceCache {
                 inner.stats.resident_bytes -= old - bytes;
             }
         }
-        self.evict_to_effective_budget(&mut inner, effective_budget, &gov);
-        gov.report_cache_resident(inner.stats.resident_bytes);
+        // The cap is read afresh: the governor may have escalated while
+        // this arena was recording.
+        self.fit_to_governed_budget(&mut inner, gov);
         Some(trace)
     }
 
@@ -755,22 +759,20 @@ impl TraceCache {
     }
 
     /// [`evict_to_budget`](Self::evict_to_budget) against the
-    /// governor-clamped cap, crediting evictions the clamp forced
-    /// (beyond what the configured budget alone would have evicted) to
-    /// the governor's accounting.
-    fn evict_to_effective_budget(
-        &self,
-        inner: &mut CacheInner,
-        effective_budget: u64,
-        gov: &membw_runner::Governor,
-    ) {
+    /// configured budget, then against the governor's current cap,
+    /// crediting evictions the cap forced (beyond what the configured
+    /// budget alone would have evicted) to the governor's accounting,
+    /// and report the new residency to the governor.
+    fn fit_to_governed_budget(&self, inner: &mut CacheInner, gov: &membw_runner::Governor) {
         let before = inner.stats.evictions;
         self.evict_to_budget(inner, self.budget_bytes);
         let own = inner.stats.evictions - before;
-        if effective_budget < self.budget_bytes {
-            self.evict_to_budget(inner, effective_budget);
+        let cap = gov.cache_cap(self.budget_bytes);
+        if cap < self.budget_bytes {
+            self.evict_to_budget(inner, cap);
             gov.note_forced_evictions(inner.stats.evictions - before - own);
         }
+        gov.report_cache_resident(inner.stats.resident_bytes);
     }
 }
 
@@ -1084,7 +1086,11 @@ mod tests {
         let token = CancelToken::new();
         let mut seen = 0usize;
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            membw_runner::with_cancel_token(token.clone(), || {
+            RunContext {
+                cancel: token.clone(),
+                ..RunContext::clone(&RunContext::current())
+            }
+            .scope(|| {
                 rec.for_each_mem_ref(&mut |_| {
                     seen += 1;
                     if seen == 100 {
@@ -1164,5 +1170,42 @@ mod tests {
             assert!(Arc::ptr_eq(&traces[0], t), "all threads share one arena");
         }
         assert_eq!(cache.stats().misses, 1, "exactly one recording happened");
+    }
+
+    #[test]
+    fn a_governor_at_streaming_empties_the_cache() {
+        // Scattered addresses: ~0.9 MiB of arena, over half the budget.
+        let mut x = 0x9E37_79B9_u64;
+        let refs = (0..120_000)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                MemRef::read((x >> 16) & !7, 8)
+            })
+            .collect();
+        let w = crate::VecWorkload::new("scattered", refs);
+        let gov = Arc::new(membw_runner::Governor::with_budget_mb(1));
+        let cache = TraceCache::with_budget(u64::MAX);
+        let ctx = RunContext {
+            governor: Arc::clone(&gov),
+            ..RunContext::clone(&RunContext::current())
+        };
+        ctx.scope(|| {
+            let _slot = gov.admit(&CancelToken::new());
+            let arena = cache
+                .get_or_record("w", "t", &w)
+                .expect("normal level caches");
+            let bytes = arena.arena_bytes();
+            assert!((512 << 10..1 << 20).contains(&bytes), "arena is {bytes} B");
+            // One job's arena plus the cached copy exceed the budget.
+            assert_eq!(gov.stats().level, "streaming");
+            assert!(
+                cache.get_or_record("w", "t", &w).is_none(),
+                "cache steps aside"
+            );
+        });
+        let s = cache.stats();
+        assert_eq!((s.resident_bytes, s.evictions), (0, 1), "{s:?}");
+        assert_eq!(gov.stats().cache_resident_bytes, 0);
+        assert_eq!(gov.stats().forced_evictions, 1);
     }
 }

@@ -6,8 +6,8 @@
 //! output.
 
 use membw::runner::{
-    fault, metrics, metrics_delta, with_cancel_token, with_checkpoint, with_governor, with_jobs,
-    CancelToken, CheckpointConfig, Governor, Runner,
+    checkpointed, fault, metrics, metrics_delta, with_checkpoint, with_jobs, CancelToken,
+    CheckpointConfig, Governor, RunContext,
 };
 use membw::sim::{Decomposition, Experiment, MemSystemStats};
 use membw::workloads::{Scale, Suite};
@@ -82,11 +82,13 @@ fn cancelled_run_resumes_byte_identically_at_any_jobs_setting() {
         {
             let _plan = PlanGuard::set("job:cancel@table7:1");
             let token = CancelToken::new();
-            let err = with_cancel_token(token.clone(), || {
-                with_checkpoint(ckpt.config(false), || {
-                    with_jobs(jobs, || run_table7::run(Scale::Test))
-                })
-            })
+            let err = RunContext {
+                jobs,
+                checkpoint: ckpt.config(false),
+                cancel: token.clone(),
+                ..RunContext::clone(&RunContext::current())
+            }
+            .scope(|| run_table7::run(Scale::Test))
             .expect_err("the cancelled batch must surface an error");
             assert!(token.is_cancelled(), "the injected cancel tripped");
             let failures = err.failed_jobs();
@@ -127,9 +129,12 @@ fn deadline_cancels_with_its_own_reason_and_rerun_is_identical() {
     let token = CancelToken::new();
     token.set_deadline(Duration::from_nanos(1));
     std::thread::sleep(Duration::from_millis(2));
-    let err = with_cancel_token(token.clone(), || {
-        with_jobs(4, || run_table8::run(Scale::Test))
-    })
+    let err = RunContext {
+        jobs: 4,
+        cancel: token.clone(),
+        ..RunContext::clone(&RunContext::current())
+    }
+    .scope(|| run_table8::run(Scale::Test))
     .expect_err("the expired deadline must cancel the batch");
     assert!(token.is_cancelled());
     let failures = err.failed_jobs();
@@ -161,9 +166,14 @@ fn zero_mem_budget_degrades_without_changing_output() {
     // (cache shrink -> record-streaming -> throttled admission) instead
     // of exceeding it, and the science must not notice.
     let gov = Arc::new(Governor::with_budget_mb(0));
-    let (t7, t8) = with_governor(Arc::clone(&gov), || {
-        let (_, t7) = with_jobs(8, || run_table7::run(Scale::Test)).expect("budgeted table7");
-        let (_, t8) = with_jobs(8, || run_table8::run(Scale::Test)).expect("budgeted table8");
+    let (t7, t8) = RunContext {
+        jobs: 8,
+        governor: Arc::clone(&gov),
+        ..RunContext::clone(&RunContext::current())
+    }
+    .scope(|| {
+        let (_, t7) = run_table7::run(Scale::Test).expect("budgeted table7");
+        let (_, t8) = run_table8::run(Scale::Test).expect("budgeted table8");
         (t7, t8)
     });
     assert_eq!(t7.render(), clean7.render(), "table7 byte-identical");
@@ -205,7 +215,7 @@ fn v1_fig3_checkpoint_is_not_resumed_into_the_grouped_job_layout() {
         uops: 1,
     };
     let archived = with_checkpoint(ckpt.config(false), || {
-        Runner::from_env().checkpointed(
+        checkpointed(
             "fig3/SPEC92",
             "v1/fig3/SPEC92/Test/7x[A,B,C,D,E,F]",
             42,

@@ -15,7 +15,7 @@
 
 use membw::analytic::ecm;
 use membw::fastpath;
-use membw::runner::{with_checkpoint, CheckpointConfig, Runner};
+use membw::runner::{checkpointed, with_checkpoint, with_jobs, CheckpointConfig};
 use membw::sim::{Experiment, MachineSpec};
 use membw::trace::io::{read_refs, write_refs};
 use membw::trace::pattern::Zipf;
@@ -105,8 +105,8 @@ fn mutated_checkpoint_files_never_panic_and_never_corrupt() {
             .map(|k| (i * 8 + k) as f64 * 0.1 + 1.0 / (k + 1) as f64)
             .collect()
     };
-    let clean: Vec<Vec<f64>> = with_checkpoint(cfg.clone(), || {
-        Runner::new(1).checkpointed("fuzz", "v1/fuzz/2", 2, job)
+    let clean: Vec<Vec<f64>> = with_jobs(1, || {
+        with_checkpoint(cfg.clone(), || checkpointed("fuzz", "v1/fuzz/2", 2, job))
     })
     .into_iter()
     .map(|r| r.expect("clean run"))
@@ -128,8 +128,8 @@ fn mutated_checkpoint_files_never_panic_and_never_corrupt() {
         let mut bytes = clean_bytes.clone();
         mutate(&mut bytes, &mut rng);
         fs::write(&artifact, &bytes).expect("write mutated artifact");
-        let resumed: Vec<Vec<f64>> = with_checkpoint(cfg.clone(), || {
-            Runner::new(1).checkpointed("fuzz", "v1/fuzz/2", 2, job)
+        let resumed: Vec<Vec<f64>> = with_jobs(1, || {
+            with_checkpoint(cfg.clone(), || checkpointed("fuzz", "v1/fuzz/2", 2, job))
         })
         .into_iter()
         .map(|r| r.expect("resume never fails outright"))

@@ -4,7 +4,7 @@
 //! fault at any `--jobs` setting, and the failure is reported as a
 //! typed error naming the job.
 
-use membw::runner::{fault, with_job_timeout, with_jobs};
+use membw::runner::{fault, with_jobs, RunContext};
 use membw::workloads::Scale;
 use membw::{run_table7, run_table8};
 use std::sync::Mutex;
@@ -83,9 +83,12 @@ fn injected_stall_trips_the_job_deadline() {
     // Job 1 sleeps 1.2 s against a 300 ms deadline; healthy Test-scale
     // jobs finish well inside it.
     let _plan = PlanGuard::set("job:slow@table7:1:1200");
-    let err = with_job_timeout(Some(Duration::from_millis(300)), || {
-        with_jobs(4, || run_table7::run(Scale::Test))
-    })
+    let err = RunContext {
+        jobs: 4,
+        job_timeout: Some(Duration::from_millis(300)),
+        ..RunContext::clone(&RunContext::current())
+    }
+    .scope(|| run_table7::run(Scale::Test))
     .expect_err("the stalled job must be marked failed");
     let failures = err.failed_jobs();
     assert_eq!(failures.len(), 1);
