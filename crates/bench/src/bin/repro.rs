@@ -384,7 +384,11 @@ fn cmd_serve_supervised(argv: &[String]) -> i32 {
             return 1;
         }
     };
-    let child_args: Vec<String> = argv.iter().filter(|a| *a != "--supervise").cloned().collect();
+    let child_args: Vec<String> = argv
+        .iter()
+        .filter(|a| *a != "--supervise")
+        .cloned()
+        .collect();
     // The parent validates nothing itself: a config typo makes the
     // child exit 2 and the supervisor propagates it without looping.
     runner::install_signal_drain();

@@ -200,12 +200,22 @@ fn retired_analytic_flags_are_usage_errors_that_say_why() {
     let store_arg = store.to_str().expect("utf8 path");
     let run = ["--scale", "test", "--checkpoint-dir", ckpt_arg];
     let cases: [(&str, Vec<&str>); 5] = [
-        ("--analytic", [&run[..], &["--analytic", "only", "fig3"]].concat()),
         (
             "--analytic",
-            [&run[..], &["--analytic", "assist", "fig3", "--json", json_arg]].concat(),
+            [&run[..], &["--analytic", "only", "fig3"]].concat(),
         ),
-        ("--analytic", [&run[..], &["--analytic", "off", "fig1"]].concat()),
+        (
+            "--analytic",
+            [
+                &run[..],
+                &["--analytic", "assist", "fig3", "--json", json_arg],
+            ]
+            .concat(),
+        ),
+        (
+            "--analytic",
+            [&run[..], &["--analytic", "off", "fig1"]].concat(),
+        ),
         (
             "serve --analytic",
             vec![
@@ -222,7 +232,14 @@ fn retired_analytic_flags_are_usage_errors_that_say_why() {
         ),
         (
             "query --analytic-rel",
-            vec!["query", "--socket", sock_arg, "--analytic-rel", "600", "fig3"],
+            vec![
+                "query",
+                "--socket",
+                sock_arg,
+                "--analytic-rel",
+                "600",
+                "fig3",
+            ],
         ),
     ];
     for (flag, args) in cases {
@@ -249,7 +266,10 @@ fn retired_analytic_flags_are_usage_errors_that_say_why() {
         let err = stderr_str(&out);
         assert_eq!(out.status.code(), Some(2), "{args:?} exits 2: {err}");
         assert!(err.contains(flag), "{args:?}: error names {flag}: {err}");
-        assert!(err.contains("retired"), "{args:?}: error says retired: {err}");
+        assert!(
+            err.contains("retired"),
+            "{args:?}: error says retired: {err}"
+        );
         assert!(
             err.contains("simulation"),
             "{args:?}: error says why: {err}"

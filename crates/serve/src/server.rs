@@ -376,7 +376,9 @@ impl Server {
                 let resp = match serde_json::from_str::<ServiceRequest>(line) {
                     Ok(req) => self.handle_request(&req),
                     Err(e) => {
-                        self.counters.malformed_rejected.fetch_add(1, Ordering::Relaxed);
+                        self.counters
+                            .malformed_rejected
+                            .fetch_add(1, Ordering::Relaxed);
                         Self::error(error_kind::BAD_REQUEST, format!("unparseable request: {e}"))
                     }
                 };
@@ -389,7 +391,9 @@ impl Server {
                 }
             }
             if buf.len() > self.config.max_frame {
-                self.counters.oversize_rejected.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .oversize_rejected
+                    .fetch_add(1, Ordering::Relaxed);
                 let resp = Self::error(
                     error_kind::FRAME_TOO_LONG,
                     format!("request line exceeds {} bytes", self.config.max_frame),

@@ -83,9 +83,7 @@ impl SupervisorConfig {
     /// `initial × 2^(n-1)`, saturating at [`Self::backoff_cap`].
     pub fn backoff(&self, n: u32) -> Duration {
         let doublings = n.saturating_sub(1).min(16);
-        let delay = self
-            .backoff_initial
-            .saturating_mul(1u32 << doublings);
+        let delay = self.backoff_initial.saturating_mul(1u32 << doublings);
         delay.min(self.backoff_cap)
     }
 }
@@ -264,9 +262,9 @@ pub fn supervise(
 pub fn restarts_from_env() -> Result<u64, String> {
     match std::env::var(RESTARTS_ENV) {
         Err(_) => Ok(0),
-        Ok(v) => v.parse::<u64>().map_err(|_| {
-            format!("invalid {RESTARTS_ENV}={v:?}: expected a non-negative integer")
-        }),
+        Ok(v) => v
+            .parse::<u64>()
+            .map_err(|_| format!("invalid {RESTARTS_ENV}={v:?}: expected a non-negative integer")),
     }
 }
 
@@ -342,10 +340,7 @@ mod tests {
                 seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 // The make_cmd hook sees monotonically increasing
                 // generations.
-                assert_eq!(
-                    restarts,
-                    seen.load(std::sync::atomic::Ordering::SeqCst) - 1
-                );
+                assert_eq!(restarts, seen.load(std::sync::atomic::Ordering::SeqCst) - 1);
                 let mut c = Command::new("sh");
                 c.args(["-c", "exit 7"]);
                 c

@@ -66,7 +66,10 @@ fn burst(server: &Arc<Server>, req: &ServiceRequest, n: usize) -> Vec<ServiceRes
 fn stats(server: &Server) -> ServeStats {
     match server.handle_request(&ServiceRequest::new(STATS_TARGET)) {
         ServiceResponse::Stats(s) => s,
-        other => panic!("stats request must get stats, got {}", response_bytes(&other)),
+        other => panic!(
+            "stats request must get stats, got {}",
+            response_bytes(&other)
+        ),
     }
 }
 
@@ -153,7 +156,11 @@ fn run_phase(phase: &str) {
         "phase {phase}: {s:?}"
     );
     // 1 store hit out of 2 + (N − 1) + 1 answered requests.
-    assert_eq!(s.store_hit_permille(), 1000 / (N as u64 + 2), "phase {phase}");
+    assert_eq!(
+        s.store_hit_permille(),
+        1000 / (N as u64 + 2),
+        "phase {phase}"
+    );
 
     // Second burst: the store is warm, so zero jobs run and every
     // response is an identical store hit.

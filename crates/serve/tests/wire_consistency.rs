@@ -178,7 +178,10 @@ fn terminate(spec: &DaemonSpec, child: &mut std::process::Child) {
         .status();
     let _ = spec;
     let out = child.wait().expect("reap daemon child");
-    assert!(out.success(), "daemon child must drain cleanly, got {out:?}");
+    assert!(
+        out.success(),
+        "daemon child must drain cleanly, got {out:?}"
+    );
 }
 
 /// Pre-seed a store directory so the exchange is a warm store hit.
@@ -226,7 +229,10 @@ fn enumerate_points(tag: &str, jobs: usize, warm: bool, reference: &str) -> u64 
     terminate(&spec, &mut child);
     let n = fault::read_count(&count_file, Domain::Net).expect("count file holds the net total");
     let _ = std::fs::remove_dir_all(&base);
-    assert!(n >= 4, "an exchange has at least accept+read+write+eof: {n}");
+    assert!(
+        n >= 4,
+        "an exchange has at least accept+read+write+eof: {n}"
+    );
     n
 }
 
@@ -279,8 +285,13 @@ fn converge(endpoint: &Endpoint, reference: &str, what: &str) {
         cap: Duration::from_millis(500),
         attempts: 10,
     };
-    let resp = client::query_with_backoff(endpoint, &request(), Some(Duration::from_secs(120)), &policy)
-        .unwrap_or_else(|e| panic!("{what}: bounded retry must converge: {e}"));
+    let resp = client::query_with_backoff(
+        endpoint,
+        &request(),
+        Some(Duration::from_secs(120)),
+        &policy,
+    )
+    .unwrap_or_else(|e| panic!("{what}: bounded retry must converge: {e}"));
     assert_eq!(
         ok_stdout(&resp, what),
         reference,
@@ -529,7 +540,9 @@ fn supervised_crash_converges(k: u64, jobs: usize, warm: bool, reference: &str) 
 
     // Stop: TERM the live generation; its clean exit ends supervision.
     let pid = read_pid(&spec);
-    let _ = Command::new("kill").args(["-TERM", &pid.to_string()]).status();
+    let _ = Command::new("kill")
+        .args(["-TERM", &pid.to_string()])
+        .status();
     let code = sup.join().expect("supervisor thread");
     assert_eq!(code, 0, "{what}: supervisor must end 0 after a clean drain");
     let _ = std::fs::remove_dir_all(&base);

@@ -115,7 +115,13 @@ fn exchange_raw(socket: &std::path::Path, frame: &[u8]) -> Vec<u8> {
 /// The wire contract for whatever came back: every *complete* line
 /// parses as a [`ServiceResponse`]; `ok` replies are self-consistent;
 /// a reply to the untouched canonical request is byte-exact.
-fn assert_replies_structured(reply: &[u8], sent: &[u8], canonical: &ServiceRequest, expected: &str, seed: u64) {
+fn assert_replies_structured(
+    reply: &[u8],
+    sent: &[u8],
+    canonical: &ServiceRequest,
+    expected: &str,
+    seed: u64,
+) {
     let mut rest = reply;
     while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
         let line = std::str::from_utf8(&rest[..pos])
@@ -191,29 +197,30 @@ fn fuzzed_frames_never_panic_never_answer_wrong_never_leak_a_slot() {
 
     let canonical = request("table2");
     let expected = reference("table2");
-    let mut clean = serde_json::to_string(&canonical).expect("encode request").into_bytes();
+    let mut clean = serde_json::to_string(&canonical)
+        .expect("encode request")
+        .into_bytes();
     clean.push(b'\n');
 
     // Directed corpus first: the shapes a random mutator finds rarely.
     let directed: Vec<Vec<u8>> = vec![
-        Vec::new(),                                   // connect-and-leave
-        b"\n".to_vec(),                               // empty frame
-        b"\n\n\n\n".to_vec(),                         // empty frame train
-        b"{}\n".to_vec(),                             // valid JSON, no target
-        b"{\"target\":\"dump\"}\n".to_vec(),          // unservable target
-        b"not json at all\n".to_vec(),                // plain garbage
-        vec![0xff, 0xfe, 0x80, b'\n'],                // non-UTF-8 frame
+        Vec::new(),                          // connect-and-leave
+        b"\n".to_vec(),                      // empty frame
+        b"\n\n\n\n".to_vec(),                // empty frame train
+        b"{}\n".to_vec(),                    // valid JSON, no target
+        b"{\"target\":\"dump\"}\n".to_vec(), // unservable target
+        b"not json at all\n".to_vec(),       // plain garbage
+        vec![0xff, 0xfe, 0x80, b'\n'],       // non-UTF-8 frame
         {
-            let mut two = clean.clone();              // interleaved frames
+            let mut two = clean.clone(); // interleaved frames
             two.extend_from_slice(&clean);
             two
-        }
-        ,
+        },
         // Oversize with no terminator: a complete over-long *line* is
         // merely malformed; the oversize refusal guards the unbounded
         // *accumulation* of a frame that never ends.
         vec![b'{'; MAX_FRAME + 64],
-        clean[..clean.len() - 1].to_vec(),            // torn request (no newline)
+        clean[..clean.len() - 1].to_vec(), // torn request (no newline)
     ];
     for (i, frame) in directed.iter().enumerate() {
         let reply = exchange_raw(&socket, frame);
@@ -261,8 +268,12 @@ fn fuzzed_frames_never_panic_never_answer_wrong_never_leak_a_slot() {
             .map(|_| {
                 let endpoint = &endpoint;
                 scope.spawn(move || {
-                    client::query(endpoint, &request(STATS_TARGET), Some(Duration::from_secs(30)))
-                        .expect("stats query on a post-fuzz daemon")
+                    client::query(
+                        endpoint,
+                        &request(STATS_TARGET),
+                        Some(Duration::from_secs(30)),
+                    )
+                    .expect("stats query on a post-fuzz daemon")
                 })
             })
             .collect();
@@ -315,8 +326,12 @@ fn fuzzed_frames_never_panic_never_answer_wrong_never_leak_a_slot() {
     }
 
     // The rejections were counted, on the wire, in the stats reply.
-    let stats = match client::query(&endpoint, &request(STATS_TARGET), Some(Duration::from_secs(30)))
-        .expect("stats query")
+    let stats = match client::query(
+        &endpoint,
+        &request(STATS_TARGET),
+        Some(Duration::from_secs(30)),
+    )
+    .expect("stats query")
     {
         ServiceResponse::Stats(s) => s,
         other => panic!("expected stats, got {other:?}"),
@@ -339,7 +354,10 @@ fn fuzzed_frames_never_panic_never_answer_wrong_never_leak_a_slot() {
     );
 
     cancel.cancel(CancelReason::Interrupted);
-    serve_thread.join().expect("serve thread").expect("serve loop");
+    serve_thread
+        .join()
+        .expect("serve thread")
+        .expect("serve loop");
     assert_eq!(
         PANICS.load(Ordering::SeqCst),
         0,
