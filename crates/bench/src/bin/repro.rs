@@ -14,10 +14,10 @@
 //!
 //! repro query [--socket PATH|tcp:HOST:PORT] [--scale S] [--sweep M]
 //!             [--audit L] [--deadline-ms N] [--priority P] <target>...
-//!
-//! targets: fig1 table1 table2 table3 params fig3 table6 table7 table8
-//!          fig4 table9 extrapolate all
 //! ```
+//!
+//! The targets are the names in `membw_core::targets::TARGETS` plus
+//! `all`; `repro --help` prints that list.
 //!
 //! `repro serve` keeps a resident daemon answering the same questions
 //! over newline-delimited JSON (see `membw_core::service`), with
@@ -68,11 +68,12 @@
 use membw_core::audit;
 use membw_core::report::{self, TargetTiming};
 use membw_core::runner;
+use membw_core::runner::counters::{self, Counter};
 use membw_core::runner::persist;
 use membw_core::runner::{CheckpointConfig, Governor, RunContext};
-use membw_core::service::{ServiceRequest, ServiceResponse};
+use membw_core::service::{store_hit_permille, ServiceRequest, ServiceResponse};
 use membw_core::sweep::SweepMode;
-use membw_core::targets::{self, parse_scale, validate_target, ALL_TARGETS};
+use membw_core::targets::{self, parse_scale, validate_target, ALL_TARGETS, TARGETS};
 use membw_core::workloads::Scale;
 use membw_core::MembwError;
 use membw_serve::{client, serve, Endpoint, ResultStore, ServeConfig, Server};
@@ -208,9 +209,7 @@ fn parse_args() -> Result<Options, String> {
                 println!("             [--sweep stack|direct] <target>...");
                 println!("       repro serve [--socket PATH|--listen tcp:PORT] ... (see repro serve --help)");
                 println!("       repro query [--socket PATH] <target>...         (see repro query --help)");
-                println!("targets: fig1 table1 table2 table3 params fig3 table6 table7");
-                println!("         table8 fig4 table9 epin extrapolate ablation interference");
-                println!("         dram speculation swprefetch dump all");
+                println!("targets: {} all", TARGETS.join(" "));
                 println!("--jobs N (default: MEMBW_JOBS or all cores) sets run-engine threads;");
                 println!("stdout is byte-identical at every setting.");
                 println!("--retries N retries a panicked job N more times (default 0;");
@@ -288,7 +287,7 @@ fn run_target(
 ) -> Result<(), MembwError> {
     let wall_start = Instant::now();
     let metrics_before = runner::metrics();
-    let uops_before = report::uops_executed();
+    let uops_before = counters::get(Counter::Uops);
     run_leaf(opts, target)?;
     let delta = runner::metrics_delta(metrics_before, runner::metrics());
     timings.push(TargetTiming {
@@ -296,7 +295,7 @@ fn run_target(
         wall: wall_start.elapsed(),
         jobs: delta.jobs,
         busy: delta.busy(),
-        uops: report::uops_executed() - uops_before,
+        uops: counters::get(Counter::Uops) - uops_before,
     });
     Ok(())
 }
@@ -360,14 +359,14 @@ fn serve_usage() {
     println!("daemon answers warm requests from the store without recomputing.");
     println!("SIGTERM drains gracefully: in-flight work checkpoints under");
     println!("--checkpoint-dir, new clients get a draining response, exit 0.");
-    println!("Query target 'stats' for triage counters.");
+    println!("Query target 'stats' for the daemon's counters.");
     println!("--supervise runs the daemon under a restarting parent: a crashed");
     println!("daemon (SIGKILL, abort, injected crash@K) is respawned with");
     println!("bounded deterministic backoff (50ms doubling, cap 2s); 5 fast");
     println!("crashes in a row give up loudly with exit 1. Restarted children");
     println!("run with MEMBW_FAULT cleared (injected faults test one");
     println!("generation, not the healed service) and report their");
-    println!("generation as the stats counter supervisor-restarts.");
+    println!("generation as the stats counter supervisor_restarts.");
     println!("exit codes: 0 clean drain, 1 fatal/crash-loop give-up, 2 usage,");
     println!("            130 interrupted (SIGTERM/SIGINT),");
     println!("            134 MEMBW_FAULT=net:crash@K or io:crash@K abort.");
@@ -562,7 +561,8 @@ fn query_usage() {
     println!("Sends one request per target to a repro serve daemon and prints each");
     println!("ok response's stdout payload (byte-identical to the CLI run);");
     println!("source/job accounting goes to stderr.");
-    println!("The pseudo-target 'stats' returns the daemon's triage counters.");
+    println!("The pseudo-target 'stats' prints the daemon's counters as name value");
+    println!("pairs on one line, then store_hit_permille.");
     println!("--retries N retries retryable outcomes (busy, transient errors,");
     println!("torn replies, connection resets — e.g. a daemon restarting under");
     println!("serve --supervise) up to N times with bounded exponential backoff");
@@ -692,25 +692,11 @@ fn cmd_query(argv: &[String]) -> i32 {
                 eprintln!("query: {target}: source: {source} ({jobs} job(s), {resumed} resumed)");
             }
             ServiceResponse::Stats(stats) => {
-                println!(
-                    "stats: simulated {} store {} coalesced {} rejected {} \
-                     store-hit {} permille quarantined {} retention-dropped {} \
-                     save-failures {} net-timeouts {} oversize-rejected {} \
-                     malformed-rejected {} reply-aborted {} supervisor-restarts {}",
-                    stats.simulated,
-                    stats.store,
-                    stats.coalesced,
-                    stats.rejected,
-                    stats.store_hit_permille(),
-                    stats.quarantined,
-                    stats.retention_dropped,
-                    stats.save_failures,
-                    stats.net_timeouts,
-                    stats.oversize_rejected,
-                    stats.malformed_rejected,
-                    stats.reply_aborted,
-                    stats.supervisor_restarts
-                );
+                let mut line = String::from("stats:");
+                for (name, v) in &stats.0 {
+                    line.push_str(&format!(" {name} {v}"));
+                }
+                println!("{line} store_hit_permille {}", store_hit_permille(&stats));
             }
             ServiceResponse::Busy { queued, bound } => {
                 eprintln!("query: {target}: busy ({queued} queued, bound {bound}); retry later");
@@ -807,9 +793,8 @@ fn main() {
             report::timing_table(&timings, RunContext::current().jobs).render()
         );
     }
-    let audit_summary = audit::summary();
-    if audit_summary.targets > 0 || audit::configured_level() != audit::AuditLevel::Off {
-        let quarantined = runner::quarantined_artifacts();
+    let audit_targets = counters::get(Counter::AuditTargets);
+    if audit_targets > 0 || audit::configured_level() != audit::AuditLevel::Off {
         let trace_failures = membw_core::trace::TraceCache::global()
             .stats()
             .verify_failures;
@@ -817,10 +802,10 @@ fn main() {
             "audit[{}]: {} check(s) across {} target(s), {} violation(s); \
              {} artifact(s) quarantined, {} cached trace(s) failed verification",
             audit::configured_level().as_str(),
-            audit_summary.checks,
-            audit_summary.targets,
-            audit_summary.violations,
-            quarantined,
+            counters::get(Counter::AuditChecks),
+            audit_targets,
+            counters::get(Counter::AuditViolations),
+            counters::get(Counter::CheckpointQuarantined),
             trace_failures,
         );
     }

@@ -176,6 +176,24 @@ fn unknown_target_suggests_the_nearest_name() {
 }
 
 #[test]
+fn help_lists_every_target() {
+    let dir = scratch("help");
+    let out = repro(&["--help"], &[], &dir.join("ckpt"));
+    assert_eq!(out.status.code(), Some(0));
+    let help = stdout_str(&out);
+    let listed: Vec<&str> = help
+        .lines()
+        .find_map(|l| l.strip_prefix("targets: "))
+        .expect("a targets line")
+        .split_whitespace()
+        .collect();
+    for t in membw_core::targets::TARGETS.iter().chain(&["all"]) {
+        assert!(listed.contains(t), "--help omits {t}: {listed:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn seconds_too_large_for_a_duration_are_a_usage_error() {
     let dir = scratch("huge_secs");
     for (flag, secs) in [("--deadline", "1e30"), ("--job-timeout", "1e300")] {

@@ -38,9 +38,10 @@
 //! drift apart.
 
 use crate::error::MembwError;
+use crate::runner::counters::{self, Counter};
 use membw_sim::Decomposition;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How hard the auditor reacts to a violated invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -131,32 +132,6 @@ pub fn with_level<R>(level: AuditLevel, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(prev);
     f()
-}
-
-/// Process-wide audit accounting, for the per-run summary `repro`
-/// prints on stderr.
-static AUDIT_CHECKS: AtomicU64 = AtomicU64::new(0);
-static AUDIT_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-static AUDIT_TARGETS: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide audit counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AuditSummary {
-    /// Individual invariant checks evaluated.
-    pub checks: u64,
-    /// Checks that failed.
-    pub violations: u64,
-    /// `run_*` targets audited (one [`Auditor::finish`] each).
-    pub targets: u64,
-}
-
-/// Snapshot the process-wide audit counters.
-pub fn summary() -> AuditSummary {
-    AuditSummary {
-        checks: AUDIT_CHECKS.load(Ordering::Relaxed),
-        violations: AUDIT_VIOLATIONS.load(Ordering::Relaxed),
-        targets: AUDIT_TARGETS.load(Ordering::Relaxed),
-    }
 }
 
 /// One violated invariant: which target, which matrix cell, which
@@ -361,8 +336,8 @@ impl Auditor {
         &self.violations
     }
 
-    /// Close out the audit: fold the counts into the process-wide
-    /// summary and, under [`AuditLevel::Strict`], fail on any violation.
+    /// Close out the audit: add the counts to the process-wide
+    /// [`counters`] and, under [`AuditLevel::Strict`], fail on any violation.
     ///
     /// # Errors
     ///
@@ -373,9 +348,9 @@ impl Auditor {
         if self.is_off() {
             return Ok(());
         }
-        AUDIT_TARGETS.fetch_add(1, Ordering::Relaxed);
-        AUDIT_CHECKS.fetch_add(self.checks, Ordering::Relaxed);
-        AUDIT_VIOLATIONS.fetch_add(self.violations.len() as u64, Ordering::Relaxed);
+        counters::add(Counter::AuditTargets, 1);
+        counters::add(Counter::AuditChecks, self.checks);
+        counters::add(Counter::AuditViolations, self.violations.len() as u64);
         if self.level == AuditLevel::Strict && !self.violations.is_empty() {
             return Err(MembwError::InvariantViolation {
                 violations: self.violations,
@@ -481,15 +456,23 @@ mod tests {
     }
 
     #[test]
-    fn summary_accumulates() {
-        let before = summary();
+    fn finish_adds_to_the_audit_counters() {
+        let audit = || {
+            [
+                Counter::AuditChecks,
+                Counter::AuditViolations,
+                Counter::AuditTargets,
+            ]
+            .map(counters::get)
+        };
+        let before = audit();
         let mut a = Auditor::strict("sum");
         a.positive("c", "x", 1.0);
         a.positive("c", "y", -1.0);
         let _ = a.finish();
-        let after = summary();
-        assert!(after.checks >= before.checks + 2);
-        assert!(after.violations > before.violations);
-        assert!(after.targets > before.targets);
+        let after = audit();
+        assert!(after[0] >= before[0] + 2);
+        assert!(after[1] > before[1]);
+        assert!(after[2] > before[2]);
     }
 }

@@ -2,7 +2,6 @@
 //! accounting for the run engine.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// A simple column-aligned table with a title, rendered as monospace
@@ -99,22 +98,6 @@ impl Table {
     }
 }
 
-/// Simulated micro-ops retired process-wide, accumulated by the run
-/// targets as their jobs finish. Feeds the uops/s column of
-/// [`timing_table`].
-static UOPS_EXECUTED: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` simulated micro-ops (called from inside run-engine jobs;
-/// the counter is atomic so any merge order yields the same total).
-pub fn count_uops(n: u64) {
-    UOPS_EXECUTED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total simulated micro-ops recorded so far.
-pub fn uops_executed() -> u64 {
-    UOPS_EXECUTED.load(Ordering::Relaxed)
-}
-
 /// Wall-clock and throughput accounting for one repro target, printed
 /// on **stderr** so experiment output on stdout stays byte-identical
 /// across `--jobs` settings.
@@ -128,7 +111,7 @@ pub struct TargetTiming {
     pub jobs: u64,
     /// Summed per-job wall time (exceeds `wall` when jobs overlap).
     pub busy: Duration,
-    /// Simulated micro-ops retired during this target.
+    /// Micro-ops consumed by the core simulations this target finished.
     pub uops: u64,
 }
 

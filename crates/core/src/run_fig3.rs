@@ -3,7 +3,7 @@
 
 use crate::audit::Auditor;
 use crate::error::{collect_jobs, MembwError};
-use crate::report::{count_uops, Table};
+use crate::report::Table;
 use membw_runner::checkpointed;
 use membw_sim::{decompose_group, Decomposition, Experiment, MachineSpec};
 use membw_workloads::{suite92, suite95, Scale, Suite};
@@ -159,7 +159,6 @@ pub fn run_suite(
         ds.into_iter()
             .zip(&specs)
             .map(|(d, spec)| {
-                count_uops(d.uops);
                 let seconds = d.t as f64 / spec.cpu_mhz as f64;
                 let tp_seconds = d.t_p as f64 / spec.cpu_mhz as f64;
                 (d, seconds, tp_seconds)

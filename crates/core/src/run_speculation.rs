@@ -95,4 +95,15 @@ mod tests {
         );
         assert!(last.cycles > first.cycles, "squashes cost time too");
     }
+
+    #[test]
+    fn finished_simulations_advance_the_uops_counter() {
+        use crate::runner::counters::{self, Counter};
+        let before = counters::get(Counter::Uops);
+        run().expect("audit passes");
+        assert!(
+            counters::get(Counter::Uops) > before,
+            "the timing table's Uops/s column reads this counter"
+        );
+    }
 }

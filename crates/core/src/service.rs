@@ -25,6 +25,7 @@
 
 use crate::audit::AuditLevel;
 use crate::error::MembwError;
+use crate::runner::counters::{Counter, Snapshot};
 use serde::json::Value;
 use serde::{DeError, Deserialize, Serialize};
 
@@ -187,49 +188,14 @@ pub mod source {
 /// The target name answered with daemon counters instead of a render.
 pub const STATS_TARGET: &str = "stats";
 
-/// Daemon triage counters (the `stats` response payload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
-    /// Requests answered by a simulation render in this process.
-    pub simulated: u64,
-    /// Requests answered from the crash-safe result store.
-    pub store: u64,
-    /// Requests that joined an identical in-flight computation.
-    pub coalesced: u64,
-    /// Requests refused (queue at bound, or daemon draining).
-    pub rejected: u64,
-    /// Store entries quarantined (seal/identity verification failed);
-    /// each one cost a recompute, never a corrupt answer.
-    pub quarantined: u64,
-    /// Quarantined generations deleted by the retention sweep at store
-    /// open, bounding the `.corrupt` backlog.
-    pub retention_dropped: u64,
-    /// Completed renders that could not be persisted (`ENOSPC`, failed
-    /// fsync); the result was still served, only durability was lost.
-    pub save_failures: u64,
-    /// Connections ended by the wire, not the client: read timeouts on
-    /// a half-sent frame (slow-loris bound included).
-    pub net_timeouts: u64,
-    /// Request frames refused for exceeding the daemon's `max_frame`.
-    pub oversize_rejected: u64,
-    /// Request frames refused as unparseable NDJSON.
-    pub malformed_rejected: u64,
-    /// Replies whose client vanished mid-write. The render itself
-    /// succeeded (and persisted); only delivery on that one connection
-    /// was lost.
-    pub reply_aborted: u64,
-    /// Times a `--supervise` parent has restarted this daemon (0 when
-    /// unsupervised or still the first generation).
-    pub supervisor_restarts: u64,
-}
-
-impl ServeStats {
-    /// Store hits per thousand answered requests (store + simulated +
-    /// coalesced); 0 when nothing was answered yet.
-    pub fn store_hit_permille(&self) -> u64 {
-        let answered = self.simulated + self.store + self.coalesced;
-        (self.store * 1000).checked_div(answered).unwrap_or(0)
-    }
+/// Store hits per thousand answered requests (store + simulated +
+/// coalesced) in a `stats` snapshot; 0 when nothing was answered yet.
+/// The `stats` reply carries it after the counters.
+pub fn store_hit_permille(s: &Snapshot) -> u64 {
+    let answered = s.get(Counter::Simulated) + s.get(Counter::Store) + s.get(Counter::Coalesced);
+    (s.get(Counter::Store) * 1000)
+        .checked_div(answered)
+        .unwrap_or(0)
 }
 
 /// One response line, tagged by `status`.
@@ -263,8 +229,9 @@ pub enum ServiceResponse {
         /// Exactly the bytes `repro <target>` prints on stdout.
         stdout: String,
     },
-    /// Daemon triage counters (reply to [`STATS_TARGET`]).
-    Stats(ServeStats),
+    /// The daemon process's [`counters`](crate::runner::counters)
+    /// snapshot (reply to [`STATS_TARGET`]).
+    Stats(Snapshot),
     /// The wait queue is at its bound; retry later (429 analogue).
     Busy {
         /// Requests waiting when this one was refused.
@@ -367,33 +334,10 @@ impl Serialize for ServiceResponse {
                 fields.push(("stdout".to_string(), Value::Str(stdout.clone())));
             }
             ServiceResponse::Stats(s) => {
-                fields.push(("simulated".to_string(), Value::UInt(s.simulated)));
-                fields.push(("store".to_string(), Value::UInt(s.store)));
-                fields.push(("coalesced".to_string(), Value::UInt(s.coalesced)));
-                fields.push(("rejected".to_string(), Value::UInt(s.rejected)));
-                fields.push(("quarantined".to_string(), Value::UInt(s.quarantined)));
-                fields.push((
-                    "retention_dropped".to_string(),
-                    Value::UInt(s.retention_dropped),
-                ));
-                fields.push(("save_failures".to_string(), Value::UInt(s.save_failures)));
-                fields.push(("net_timeouts".to_string(), Value::UInt(s.net_timeouts)));
-                fields.push((
-                    "oversize_rejected".to_string(),
-                    Value::UInt(s.oversize_rejected),
-                ));
-                fields.push((
-                    "malformed_rejected".to_string(),
-                    Value::UInt(s.malformed_rejected),
-                ));
-                fields.push(("reply_aborted".to_string(), Value::UInt(s.reply_aborted)));
-                fields.push((
-                    "supervisor_restarts".to_string(),
-                    Value::UInt(s.supervisor_restarts),
-                ));
+                fields.extend(s.0.iter().map(|(n, v)| (n.clone(), Value::UInt(*v))));
                 fields.push((
                     "store_hit_permille".to_string(),
-                    Value::UInt(s.store_hit_permille()),
+                    Value::UInt(store_hit_permille(s)),
                 ));
             }
             ServiceResponse::Busy { queued, bound } => {
@@ -443,22 +387,21 @@ impl Deserialize for ServiceResponse {
                 bound_rel_permille: opt_field(v, "bound_rel_permille", None)?,
                 stdout: serde::__field(v, "stdout", "ServiceResponse")?,
             }),
-            "stats" => Ok(ServiceResponse::Stats(ServeStats {
-                simulated: serde::__field(v, "simulated", "ServiceResponse")?,
-                store: serde::__field(v, "store", "ServiceResponse")?,
-                coalesced: serde::__field(v, "coalesced", "ServiceResponse")?,
-                rejected: serde::__field(v, "rejected", "ServiceResponse")?,
-                // Optional so pre-taxonomy daemons still parse.
-                quarantined: opt_field(v, "quarantined", 0)?,
-                retention_dropped: opt_field(v, "retention_dropped", 0)?,
-                save_failures: opt_field(v, "save_failures", 0)?,
-                // Optional so pre-wire-robustness daemons still parse.
-                net_timeouts: opt_field(v, "net_timeouts", 0)?,
-                oversize_rejected: opt_field(v, "oversize_rejected", 0)?,
-                malformed_rejected: opt_field(v, "malformed_rejected", 0)?,
-                reply_aborted: opt_field(v, "reply_aborted", 0)?,
-                supervisor_restarts: opt_field(v, "supervisor_restarts", 0)?,
-            })),
+            // Every unsigned field but the derived hit rate is a
+            // counter, so daemons with fewer or more counters parse.
+            "stats" => match v {
+                Value::Object(fields) => Ok(ServiceResponse::Stats(Snapshot(
+                    fields
+                        .iter()
+                        .filter(|(name, _)| name != "store_hit_permille")
+                        .filter_map(|(name, v)| match v {
+                            Value::UInt(n) => Some((name.clone(), *n)),
+                            _ => None,
+                        })
+                        .collect(),
+                ))),
+                _ => Err(DeError("stats response is not an object".to_string())),
+            },
             "busy" => Ok(ServiceResponse::Busy {
                 queued: serde::__field(v, "queued", "ServiceResponse")?,
                 bound: serde::__field(v, "bound", "ServiceResponse")?,
@@ -562,20 +505,12 @@ mod tests {
                 bound_rel_permille: None,
                 stdout: "Table 7\nline \"two\"\n".into(),
             },
-            ServiceResponse::Stats(ServeStats {
-                simulated: 2,
-                store: 3,
-                coalesced: 1,
-                rejected: 4,
-                quarantined: 2,
-                retention_dropped: 1,
-                save_failures: 1,
-                net_timeouts: 2,
-                oversize_rejected: 1,
-                malformed_rejected: 7,
-                reply_aborted: 1,
-                supervisor_restarts: 3,
-            }),
+            ServiceResponse::Stats(Snapshot(vec![
+                ("simulated".into(), 2),
+                ("store".into(), 3),
+                ("save_failures".into(), 1),
+                ("a_newer_counter".into(), 7),
+            ])),
             ServiceResponse::Busy {
                 queued: 8,
                 bound: 8,
@@ -642,13 +577,56 @@ mod tests {
 
     #[test]
     fn store_hit_rate_counts_answered_requests_only() {
-        let mut s = ServeStats::default();
-        assert_eq!(s.store_hit_permille(), 0);
-        s.store = 1;
-        s.simulated = 2;
-        s.coalesced = 1;
-        s.rejected = 100; // refusals are not answers
-        assert_eq!(s.store_hit_permille(), 250);
+        assert_eq!(store_hit_permille(&Snapshot::default()), 0);
+        let s = Snapshot(vec![
+            ("simulated".into(), 2),
+            ("store".into(), 1),
+            ("coalesced".into(), 1),
+            ("rejected".into(), 100), // refusals are not answers
+        ]);
+        assert_eq!(store_hit_permille(&s), 250);
+    }
+
+    #[test]
+    fn stats_reply_is_the_snapshot_in_order_then_the_hit_rate() {
+        let s = crate::runner::counters::snapshot();
+        let first: Vec<&str> = s.0.iter().take(12).map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            first,
+            [
+                "simulated",
+                "store",
+                "coalesced",
+                "rejected",
+                "quarantined",
+                "retention_dropped",
+                "save_failures",
+                "net_timeouts",
+                "oversize_rejected",
+                "malformed_rejected",
+                "reply_aborted",
+                "supervisor_restarts",
+            ],
+            "the 12 original wire names come first, in order"
+        );
+        let line = serde_json::to_string(&ServiceResponse::Stats(s)).unwrap();
+        assert!(
+            line.starts_with(r#"{"status":"stats","simulated":"#),
+            "{line}"
+        );
+        assert!(line.contains(r#","uops":"#), "{line}");
+        let (_, last) = line.rsplit_once(',').unwrap();
+        assert!(last.starts_with(r#""store_hit_permille":"#), "{line}");
+        // A pre-taxonomy daemon's reply (four counters) still parses.
+        let old = r#"{"status":"stats","simulated":1,"store":1,"coalesced":0,"rejected":0,"store_hit_permille":500}"#;
+        match serde_json::from_str::<ServiceResponse>(old).unwrap() {
+            ServiceResponse::Stats(s) => {
+                assert_eq!(s.get(Counter::Store), 1);
+                assert_eq!(s.get(Counter::SaveFailures), 0);
+                assert_eq!(store_hit_permille(&s), 500);
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
     }
 
     #[test]

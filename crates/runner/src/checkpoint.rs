@@ -41,10 +41,10 @@
 //! floats), a resumed run's merged output is byte-identical to an
 //! uninterrupted one at any thread count.
 
+use crate::counters::{self, Counter};
 use crate::persist;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Where checkpoints live and whether existing ones may be replayed.
@@ -56,15 +56,6 @@ pub struct CheckpointConfig {
     /// When false, everything is recomputed and checkpoints are
     /// overwritten in place.
     pub resume: bool,
-}
-
-/// Checkpoint artifacts quarantined (renamed to `*.corrupt`) by this
-/// process because their checksum or structure did not verify.
-static QUARANTINED: AtomicU64 = AtomicU64::new(0);
-
-/// How many corrupt checkpoint artifacts this process has quarantined.
-pub fn quarantined_artifacts() -> u64 {
-    QUARANTINED.load(Ordering::Relaxed)
 }
 
 /// Keep only filesystem-safe characters from a batch label.
@@ -156,7 +147,7 @@ impl Store {
     /// bounds how many generations accumulate.
     fn quarantine(&self, path: &Path) {
         let corrupt = persist::quarantine_path(path);
-        QUARANTINED.fetch_add(1, Ordering::Relaxed);
+        counters::add(Counter::CheckpointQuarantined, 1);
         match crate::faultio::rename(path, &corrupt) {
             Ok(()) => eprintln!(
                 "warning: checkpoint {} failed verification; quarantined to {} and recomputing",
@@ -283,9 +274,10 @@ mod tests {
         };
         let store = Store::open(&cfg, "x", "v1/x", 2).expect("open");
         std::fs::write(store.dir.join("0.json"), "{ not json").unwrap();
-        let before = quarantined_artifacts();
+        let quarantined = || counters::get(Counter::CheckpointQuarantined);
+        let before = quarantined();
         assert_eq!(store.load::<u64>(0), None);
-        assert_eq!(quarantined_artifacts(), before + 1);
+        assert_eq!(quarantined(), before + 1);
         assert!(
             store.dir.join("0.json.corrupt").exists(),
             "bad artifact preserved under quarantine"
@@ -293,7 +285,7 @@ mod tests {
         assert!(!store.dir.join("0.json").exists());
         // A second load sees nothing (no double quarantine, no crash).
         assert_eq!(store.load::<u64>(0), None);
-        assert_eq!(quarantined_artifacts(), before + 1);
+        assert_eq!(quarantined(), before + 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 

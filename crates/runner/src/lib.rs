@@ -71,6 +71,7 @@
 mod cancel;
 mod checkpoint;
 mod context;
+pub mod counters;
 mod failure;
 pub mod fault;
 pub mod faultio;
@@ -81,7 +82,7 @@ pub mod persist;
 pub use cancel::{
     global_cancel_token, install_signal_drain, CancelReason, CancelToken, CancelUnwind,
 };
-pub use checkpoint::{quarantined_artifacts, CheckpointConfig};
+pub use checkpoint::CheckpointConfig;
 pub use context::RunContext;
 pub use failure::{JobError, JobFailure};
 pub use fault::validate_env as validate_fault_env;
@@ -90,7 +91,9 @@ pub use governor::{
 };
 pub use handle::{Dispatcher, JobHandle, JobOutcome, SubmitError};
 
+use counters::Counter;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -151,26 +154,24 @@ pub fn with_checkpoint<R>(cfg: Option<CheckpointConfig>, f: impl FnOnce() -> R) 
     .scope(f)
 }
 
-/// Aggregate accounting of the jobs a process has executed, for the
-/// report layer (wall-clock summaries stay on stderr so stdout remains
-/// byte-identical across thread counts).
+/// The run engine's job counters: a typed view of their rows in the
+/// [`counters`] table, where each field's [`Counter`] is documented.
+/// `repro` prints deltas of it on stderr, never stdout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Metrics {
-    /// Job batches dispatched ([`checkpointed`] calls that ran anything).
+    /// [`Counter::Batches`].
     pub batches: u64,
-    /// Jobs executed.
+    /// [`Counter::Jobs`].
     pub jobs: u64,
-    /// Summed per-job wall time in nanoseconds (CPU-side cost; exceeds
-    /// real wall time when jobs overlap).
+    /// [`Counter::BusyNanos`] (exceeds wall time when jobs overlap).
     pub busy_nanos: u64,
-    /// Job attempts re-run under the retry policy.
+    /// [`Counter::Retries`].
     pub retries: u64,
-    /// Jobs that ultimately failed (after all attempts).
+    /// [`Counter::Failures`].
     pub failures: u64,
-    /// Jobs satisfied from a checkpoint instead of executing.
+    /// [`Counter::Resumed`].
     pub resumed: u64,
-    /// Jobs cancelled by an interrupt drain or deadline (not counted
-    /// as failures: their work is simply deferred to a `--resume` run).
+    /// [`Counter::Cancelled`] (deferred to a `--resume` run, not failed).
     pub cancelled: u64,
 }
 
@@ -181,24 +182,17 @@ impl Metrics {
     }
 }
 
-static METRIC_BATCHES: AtomicU64 = AtomicU64::new(0);
-static METRIC_JOBS: AtomicU64 = AtomicU64::new(0);
-static METRIC_BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
-static METRIC_RETRIES: AtomicU64 = AtomicU64::new(0);
-static METRIC_FAILURES: AtomicU64 = AtomicU64::new(0);
-static METRIC_RESUMED: AtomicU64 = AtomicU64::new(0);
-static METRIC_CANCELLED: AtomicU64 = AtomicU64::new(0);
-
 /// Snapshot the process-wide job metrics.
 pub fn metrics() -> Metrics {
+    let get = counters::get;
     Metrics {
-        batches: METRIC_BATCHES.load(Ordering::Relaxed),
-        jobs: METRIC_JOBS.load(Ordering::Relaxed),
-        busy_nanos: METRIC_BUSY_NANOS.load(Ordering::Relaxed),
-        retries: METRIC_RETRIES.load(Ordering::Relaxed),
-        failures: METRIC_FAILURES.load(Ordering::Relaxed),
-        resumed: METRIC_RESUMED.load(Ordering::Relaxed),
-        cancelled: METRIC_CANCELLED.load(Ordering::Relaxed),
+        batches: get(Counter::Batches),
+        jobs: get(Counter::Jobs),
+        busy_nanos: get(Counter::BusyNanos),
+        retries: get(Counter::Retries),
+        failures: get(Counter::Failures),
+        resumed: get(Counter::Resumed),
+        cancelled: get(Counter::Cancelled),
     }
 }
 
@@ -213,6 +207,44 @@ pub fn metrics_delta(earlier: Metrics, later: Metrics) -> Metrics {
         failures: later.failures.saturating_sub(earlier.failures),
         resumed: later.resumed.saturating_sub(earlier.resumed),
         cancelled: later.cancelled.saturating_sub(earlier.cancelled),
+    }
+}
+
+thread_local! {
+    /// Jobs executed and jobs resumed by the batches this thread has
+    /// started, for [`count_own_jobs`].
+    static OWN_JOBS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Run `f` and return its result with the jobs executed (retried
+/// attempts included) and the jobs resumed by the batches `f` starts on
+/// this thread. Unlike a [`metrics_delta`], this leaves out batches
+/// that other threads run meanwhile, so the daemon can report each
+/// reply's own jobs while other renders overlap it. A batch blocks the
+/// thread that starts it and every batch of one render starts on that
+/// render's thread, so the count is exactly the render's.
+pub fn count_own_jobs<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let before = OWN_JOBS.with(Cell::get);
+    let out = f();
+    let after = OWN_JOBS.with(Cell::get);
+    (out, after.0 - before.0, after.1 - before.1)
+}
+
+/// One batch's executed and resumed jobs, credited to the thread that
+/// started the batch when it returns.
+#[derive(Default)]
+struct BatchTally {
+    ran: AtomicU64,
+    resumed: AtomicU64,
+}
+
+impl Drop for BatchTally {
+    fn drop(&mut self) {
+        let (ran, resumed) = (*self.ran.get_mut(), *self.resumed.get_mut());
+        let _ = OWN_JOBS.try_with(|own| {
+            let (r, s) = own.get();
+            own.set((r + ran, s + resumed));
+        });
     }
 }
 
@@ -243,7 +275,8 @@ where
     if n == 0 {
         return Vec::new();
     }
-    METRIC_BATCHES.fetch_add(1, Ordering::Relaxed);
+    counters::add(Counter::Batches, 1);
+    let tally = BatchTally::default();
     // Read the context once, on the calling thread; every worker and
     // watchdog thread below installs this same value.
     let ctx = RunContext::current();
@@ -257,13 +290,14 @@ where
     // A cancellation unwind (the token's private payload) is kept
     // distinct from a genuine panic.
     let attempt_inline = |i: usize| -> Result<T, JobError> {
-        METRIC_JOBS.fetch_add(1, Ordering::Relaxed);
+        counters::add(Counter::Jobs, 1);
+        tally.ran.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let out = catch_unwind(AssertUnwindSafe(|| {
             fault::on_dispatch(label, i);
             f(i)
         }));
-        METRIC_BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        counters::add(Counter::BusyNanos, t0.elapsed().as_nanos() as u64);
         out.map_err(|p| match p.downcast_ref::<CancelUnwind>() {
             Some(cu) => JobError::Cancelled(cu.0),
             None => JobError::Panicked(failure::panic_message(p.as_ref())),
@@ -278,7 +312,7 @@ where
         // (attempts = 0 — they never started) so the batch returns
         // within a poll interval of the request.
         if let Some(reason) = ctx.cancel.cancel_reason() {
-            METRIC_CANCELLED.fetch_add(1, Ordering::Relaxed);
+            counters::add(Counter::Cancelled, 1);
             return Err(JobFailure {
                 index: i,
                 attempts: 0,
@@ -286,7 +320,8 @@ where
             });
         }
         if let Some(v) = store.as_ref().and_then(|s| s.load(i)) {
-            METRIC_RESUMED.fetch_add(1, Ordering::Relaxed);
+            counters::add(Counter::Resumed, 1);
+            tally.resumed.fetch_add(1, Ordering::Relaxed);
             return Ok(v);
         }
         // Memory-governor gate: under the Throttled level this
@@ -296,7 +331,7 @@ where
         let mut attempts = 0;
         loop {
             if attempts > 0 {
-                METRIC_RETRIES.fetch_add(1, Ordering::Relaxed);
+                counters::add(Counter::Retries, 1);
             }
             attempts += 1;
             match attempt(i) {
@@ -316,9 +351,9 @@ where
                     let retryable = matches!(e, JobError::Panicked(_));
                     if !retryable || attempts >= attempts_allowed {
                         if matches!(e, JobError::Cancelled(_)) {
-                            METRIC_CANCELLED.fetch_add(1, Ordering::Relaxed);
+                            counters::add(Counter::Cancelled, 1);
                         } else {
-                            METRIC_FAILURES.fetch_add(1, Ordering::Relaxed);
+                            counters::add(Counter::Failures, 1);
                         }
                         return Err(JobFailure {
                             index: i,

@@ -28,16 +28,15 @@
 use crate::net::{Listener, Stream};
 use crate::store::ResultStore;
 use membw_core::audit::{self, AuditLevel};
+use membw_core::runner::counters::{self, Counter};
 use membw_core::runner::persist;
 use membw_core::runner::{self, CancelToken, Dispatcher, JobHandle, JobOutcome, SubmitError};
-use membw_core::service::{
-    error_kind, source, ServeStats, ServiceRequest, ServiceResponse, STATS_TARGET,
-};
+use membw_core::service::{error_kind, source, ServiceRequest, ServiceResponse, STATS_TARGET};
 use membw_core::sweep::SweepMode;
 use membw_core::targets;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -85,46 +84,6 @@ impl Drop for DedupeGuard {
     }
 }
 
-/// Triage counters behind the `stats` request, updated lock-free on
-/// every answered or refused request.
-#[derive(Default)]
-struct Counters {
-    simulated: AtomicU64,
-    store: AtomicU64,
-    coalesced: AtomicU64,
-    rejected: AtomicU64,
-    // Wire-health counters (PR 10): how often the network edge, not
-    // the compute path, ended an exchange.
-    net_timeouts: AtomicU64,
-    oversize_rejected: AtomicU64,
-    malformed_rejected: AtomicU64,
-    reply_aborted: AtomicU64,
-    /// Restart generation under `--supervise` (0 unsupervised); set
-    /// once at construction from [`crate::supervisor::RESTARTS_ENV`].
-    supervisor_restarts: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> ServeStats {
-        ServeStats {
-            simulated: self.simulated.load(Ordering::Relaxed),
-            store: self.store.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            // Durability counters live with the store module (they
-            // move inside load/save/open, not the request path).
-            quarantined: crate::store::quarantined(),
-            retention_dropped: crate::store::retention_dropped(),
-            save_failures: crate::store::save_failures(),
-            net_timeouts: self.net_timeouts.load(Ordering::Relaxed),
-            oversize_rejected: self.oversize_rejected.load(Ordering::Relaxed),
-            malformed_rejected: self.malformed_rejected.load(Ordering::Relaxed),
-            reply_aborted: self.reply_aborted.load(Ordering::Relaxed),
-            supervisor_restarts: self.supervisor_restarts.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// See the [module docs](self).
 pub struct Server {
     config: ServeConfig,
@@ -133,7 +92,6 @@ pub struct Server {
     dedupe: Arc<Dedupe>,
     draining: AtomicBool,
     connections: Arc<AtomicUsize>,
-    counters: Arc<Counters>,
 }
 
 impl Server {
@@ -143,13 +101,10 @@ impl Server {
     /// behaves exactly like a CLI run configured the same way.
     pub fn new(config: ServeConfig, store: ResultStore) -> Self {
         let dispatcher = Dispatcher::new(config.max_inflight.max(1), config.queue_bound.max(1));
-        let counters = Counters::default();
         // A garbage generation env is survivable noise (the supervisor
         // always writes a number); count it as generation 0.
         let restarts = crate::supervisor::restarts_from_env().unwrap_or(0);
-        counters
-            .supervisor_restarts
-            .store(restarts, Ordering::Relaxed);
+        counters::add(Counter::SupervisorRestarts, restarts);
         Server {
             config,
             dispatcher,
@@ -157,7 +112,6 @@ impl Server {
             dedupe: Arc::new(Mutex::new(HashMap::new())),
             draining: AtomicBool::new(false),
             connections: Arc::new(AtomicUsize::new(0)),
-            counters: Arc::new(counters),
         }
     }
 
@@ -221,7 +175,6 @@ impl Server {
     ) -> impl FnOnce() -> ServiceResponse + Send + 'static {
         let store = Arc::clone(&self.store);
         let dedupe = Arc::clone(&self.dedupe);
-        let counters = Arc::clone(&self.counters);
         let req = req.clone();
         move || {
             let _cleanup = DedupeGuard {
@@ -232,29 +185,24 @@ impl Server {
             let scale = targets::parse_scale(&req.scale).expect("scale validated");
             let sweep = SweepMode::parse(&req.sweep).expect("sweep validated");
             let level: AuditLevel = req.audit.parse().expect("audit validated");
-            let before = runner::metrics();
-            let result =
-                audit::with_level(level, || targets::render_target(&req.target, scale, sweep));
-            let delta = runner::metrics_delta(before, runner::metrics());
+            // This render's own batches only: other renders may be
+            // running on the dispatcher's other workers meanwhile.
+            let (result, jobs, resumed) = runner::count_own_jobs(|| {
+                audit::with_level(level, || targets::render_target(&req.target, scale, sweep))
+            });
             match result {
                 Ok(rendered) => {
-                    counters.simulated.fetch_add(1, Ordering::Relaxed);
+                    counters::add(Counter::Simulated, 1);
                     if let Err((step, path, e)) = store.save(&key, &rendered.stdout) {
                         // The client still gets its answer; only the
                         // warm-restart cache misses out.
-                        crate::store::note_save_failure();
+                        counters::add(Counter::SaveFailures, 1);
                         eprintln!(
                             "serve: warning: cannot {step} {}: {e} (result served, not persisted)",
                             path.display()
                         );
                     }
-                    Self::ok_response(
-                        &req,
-                        source::COMPUTED,
-                        delta.jobs,
-                        delta.resumed,
-                        rendered.stdout,
-                    )
+                    Self::ok_response(&req, source::COMPUTED, jobs, resumed, rendered.stdout)
                 }
                 Err(e) => ServiceResponse::from_error(&e),
             }
@@ -267,7 +215,7 @@ impl Server {
     pub fn handle_request(&self, req: &ServiceRequest) -> ServiceResponse {
         // `stats` is answered from counters, never dispatched.
         if req.target == STATS_TARGET {
-            return ServiceResponse::Stats(self.counters.snapshot());
+            return ServiceResponse::Stats(counters::snapshot());
         }
         if let Err(msg) = req.validate() {
             let kind = if targets::renderable(&req.target) {
@@ -278,12 +226,12 @@ impl Server {
             return Self::error(kind, msg);
         }
         if self.draining.load(Ordering::SeqCst) {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            counters::add(Counter::Rejected, 1);
             return ServiceResponse::Draining;
         }
         let key = req.coalesce_key();
         if let Some(stdout) = self.store.load(&key) {
-            self.counters.store.fetch_add(1, Ordering::Relaxed);
+            counters::add(Counter::Store, 1);
             return Self::ok_response(req, source::STORE, 0, 0, stdout);
         }
         let handle = {
@@ -292,7 +240,7 @@ impl Server {
             let mut map = self.dedupe.lock().expect("dedupe map");
             match map.get(&key) {
                 Some(h) => {
-                    self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                    counters::add(Counter::Coalesced, 1);
                     h.clone()
                 }
                 None => match self
@@ -304,14 +252,14 @@ impl Server {
                         h
                     }
                     Err(SubmitError::QueueFull { bound }) => {
-                        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                        counters::add(Counter::Rejected, 1);
                         return ServiceResponse::Busy {
                             queued: self.dispatcher.queued() as u64,
                             bound: bound as u64,
                         };
                     }
                     Err(SubmitError::Draining) => {
-                        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                        counters::add(Counter::Rejected, 1);
                         return ServiceResponse::Draining;
                     }
                 },
@@ -355,7 +303,7 @@ impl Server {
     /// Failure classification matters here: a client that vanishes
     /// mid-reply has *not* failed the job — the render completed, the
     /// result is in the store, and coalesced waiters each hold their
-    /// own handle clone — so a write failure only bumps `reply-aborted`
+    /// own handle clone — so a write failure only bumps `reply_aborted`
     /// and ends this connection. The dedupe entry is owned by the job's
     /// [`DedupeGuard`], never by the connection, so a dying client
     /// cannot poison it for other waiters.
@@ -376,9 +324,7 @@ impl Server {
                 let resp = match serde_json::from_str::<ServiceRequest>(line) {
                     Ok(req) => self.handle_request(&req),
                     Err(e) => {
-                        self.counters
-                            .malformed_rejected
-                            .fetch_add(1, Ordering::Relaxed);
+                        counters::add(Counter::MalformedRejected, 1);
                         Self::error(error_kind::BAD_REQUEST, format!("unparseable request: {e}"))
                     }
                 };
@@ -386,14 +332,12 @@ impl Server {
                     // Client went away mid-reply. The job is NOT failed:
                     // the result is persisted/coalesced independently of
                     // this connection; only the delivery was lost.
-                    self.counters.reply_aborted.fetch_add(1, Ordering::Relaxed);
+                    counters::add(Counter::ReplyAborted, 1);
                     return;
                 }
             }
             if buf.len() > self.config.max_frame {
-                self.counters
-                    .oversize_rejected
-                    .fetch_add(1, Ordering::Relaxed);
+                counters::add(Counter::OversizeRejected, 1);
                 let resp = Self::error(
                     error_kind::FRAME_TOO_LONG,
                     format!("request line exceeds {} bytes", self.config.max_frame),
@@ -405,7 +349,7 @@ impl Server {
             // timeout of its first byte, however slowly bytes drip in.
             if let Some(t0) = frame_started {
                 if t0.elapsed() > self.config.read_timeout {
-                    self.counters.net_timeouts.fetch_add(1, Ordering::Relaxed);
+                    counters::add(Counter::NetTimeouts, 1);
                     return;
                 }
             }
@@ -425,7 +369,7 @@ impl Server {
                     // frame counts as a wire timeout; a client holding
                     // an idle keepalive connection open is normal.
                     if frame_started.is_some() || !buf.is_empty() {
-                        self.counters.net_timeouts.fetch_add(1, Ordering::Relaxed);
+                        counters::add(Counter::NetTimeouts, 1);
                     }
                     return;
                 }
@@ -504,6 +448,7 @@ pub fn serve(
                 served += 1;
                 let Some(slot) = ConnSlot::acquire(&server.connections, server.config.conn_limit)
                 else {
+                    counters::add(Counter::Rejected, 1);
                     let mut stream = stream;
                     let _ = write_response(
                         &mut stream,

@@ -11,39 +11,11 @@
 //! generation for the next recompute to replace, and never reaches a
 //! client.
 
+use membw_core::runner::counters::{self, Counter};
 use membw_core::runner::{faultio, persist};
 use serde::json::Value;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Store entries quarantined by this process (seal/identity failures).
-static QUARANTINED: AtomicU64 = AtomicU64::new(0);
-/// Quarantined generations deleted by the retention sweep at open.
-static RETENTION_DROPPED: AtomicU64 = AtomicU64::new(0);
-/// Completed renders whose durable save failed (result still served).
-static SAVE_FAILURES: AtomicU64 = AtomicU64::new(0);
-
-/// Store entries this process has quarantined instead of serving.
-pub fn quarantined() -> u64 {
-    QUARANTINED.load(Ordering::Relaxed)
-}
-
-/// Quarantine generations the retention sweep has deleted.
-pub fn retention_dropped() -> u64 {
-    RETENTION_DROPPED.load(Ordering::Relaxed)
-}
-
-/// Failed durable saves (recorded by the daemon's request path).
-pub fn save_failures() -> u64 {
-    SAVE_FAILURES.load(Ordering::Relaxed)
-}
-
-/// Record one failed durable save (the caller served the result
-/// anyway; this keeps the loss visible in `stats`).
-pub fn note_save_failure() {
-    SAVE_FAILURES.fetch_add(1, Ordering::Relaxed);
-}
 
 /// See the [module docs](self).
 pub struct ResultStore {
@@ -62,7 +34,7 @@ impl ResultStore {
         faultio::create_dir_all(dir)?;
         persist::sweep_orphaned_tmp(dir);
         let dropped = persist::sweep_corrupt_retention(dir, persist::CORRUPT_KEEP_DEFAULT);
-        RETENTION_DROPPED.fetch_add(dropped as u64, Ordering::Relaxed);
+        counters::add(Counter::RetentionDropped, dropped as u64);
         Ok(ResultStore {
             dir: dir.to_path_buf(),
         })
@@ -85,7 +57,7 @@ impl ResultStore {
             Some(stdout) => Some(stdout),
             None => {
                 let quarantine = persist::quarantine_path(&path);
-                QUARANTINED.fetch_add(1, Ordering::Relaxed);
+                counters::add(Counter::Quarantined, 1);
                 eprintln!(
                     "serve: store entry {} failed verification; quarantined to {}",
                     path.display(),

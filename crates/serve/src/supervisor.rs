@@ -34,7 +34,7 @@
 //!   a torn PID while generations change.
 //! * **Restart counter on the wire** — each child is told its restart
 //!   generation through [`RESTARTS_ENV`]; the server surfaces it as the
-//!   `supervisor-restarts` field of the `stats` pseudo-target, so a
+//!   `supervisor_restarts` field of the `stats` pseudo-target, so a
 //!   client can ask the service itself how many times it has died.
 //!
 //! Exit-code contract (the driver documents this table): child exit 0 →
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 /// Environment variable telling a supervised child its restart
 /// generation (0 for the first spawn). The server exports it as the
-/// `supervisor-restarts` stats counter.
+/// `supervisor_restarts` stats counter.
 pub const RESTARTS_ENV: &str = "MEMBW_SUPERVISOR_RESTARTS";
 
 /// Supervision policy. The defaults are what `repro serve --supervise`

@@ -16,7 +16,10 @@
 //! than raced for.
 
 use membw_core::runner;
-use membw_core::service::{source, ServeStats, ServiceRequest, ServiceResponse, STATS_TARGET};
+use membw_core::runner::counters::{Counter, Snapshot};
+use membw_core::service::{
+    source, store_hit_permille, ServiceRequest, ServiceResponse, STATS_TARGET,
+};
 use membw_core::sweep::SweepMode;
 use membw_core::targets;
 use membw_core::workloads::Scale;
@@ -63,7 +66,7 @@ fn burst(server: &Arc<Server>, req: &ServiceRequest, n: usize) -> Vec<ServiceRes
         .collect()
 }
 
-fn stats(server: &Server) -> ServeStats {
+fn stats(server: &Server) -> Snapshot {
     match server.handle_request(&ServiceRequest::new(STATS_TARGET)) {
         ServiceResponse::Stats(s) => s,
         other => panic!(
@@ -71,6 +74,19 @@ fn stats(server: &Server) -> ServeStats {
             response_bytes(&other)
         ),
     }
+}
+
+/// How far each counter moved since `base`. The counters are
+/// process-wide, so each phase asserts its own deltas.
+fn stats_since(server: &Server, base: &Snapshot) -> Snapshot {
+    let now = stats(server);
+    Snapshot(
+        now.0
+            .iter()
+            .zip(&base.0)
+            .map(|((name, v), (_, b))| (name.clone(), v - b))
+            .collect(),
+    )
 }
 
 fn response_bytes(resp: &ServiceResponse) -> String {
@@ -106,6 +122,7 @@ fn run_phase(phase: &str) {
     };
     let store = ResultStore::open(&dir).expect("open store");
     let server = Arc::new(Server::new(config, store));
+    let base = stats(&server);
 
     // Occupy the lone worker: the blocker's first inner job sleeps (see
     // the `job:slow@` plan below), so the burst's shared computation stays
@@ -139,25 +156,19 @@ fn run_phase(phase: &str) {
         );
     }
     // The blocker and the burst leader rendered; every follower joined.
-    let s = stats(&server);
-    assert_eq!(
-        (s.simulated, s.coalesced, s.store),
-        (2, N as u64 - 1, 0),
-        "phase {phase}: {s:?}"
-    );
+    let answered =
+        |s: &Snapshot| [Counter::Simulated, Counter::Coalesced, Counter::Store].map(|c| s.get(c));
+    let s = stats_since(&server, &base);
+    assert_eq!(answered(&s), [2, N as u64 - 1, 0], "phase {phase}: {s:?}");
 
     // One repeat: answered from the store, and counted as a store hit.
     let repeat = server.handle_request(&request(BURST_TARGET));
     assert_ok_with(&repeat, source::STORE, &want_stdout);
-    let s = stats(&server);
-    assert_eq!(
-        (s.simulated, s.coalesced, s.store),
-        (2, N as u64 - 1, 1),
-        "phase {phase}: {s:?}"
-    );
+    let s = stats_since(&server, &base);
+    assert_eq!(answered(&s), [2, N as u64 - 1, 1], "phase {phase}: {s:?}");
     // 1 store hit out of 2 + (N − 1) + 1 answered requests.
     assert_eq!(
-        s.store_hit_permille(),
+        store_hit_permille(&s),
         1000 / (N as u64 + 2),
         "phase {phase}"
     );

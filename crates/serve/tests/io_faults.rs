@@ -10,6 +10,7 @@
 //! process-global ([`fault::set_plan`]); sharing a process with the
 //! chaos soak would race the plans.
 
+use membw_core::runner::counters::{Counter, Snapshot};
 use membw_core::runner::fault::{self, FaultPlan};
 use membw_core::runner::{persist, CancelReason, CancelToken};
 use membw_core::service::{ServiceRequest, ServiceResponse, STATS_TARGET};
@@ -71,7 +72,7 @@ fn storage_faults_move_counters_never_bytes() {
         "daemon never came up"
     );
 
-    let stats = |label: &str| -> membw_core::service::ServeStats {
+    let stats = |label: &str| -> Snapshot {
         match client::query(
             &endpoint,
             &request(STATS_TARGET),
@@ -83,7 +84,7 @@ fn storage_faults_move_counters_never_bytes() {
             other => panic!("{label}: expected stats, got {other:?}"),
         }
     };
-    assert_eq!(stats("baseline").save_failures, 0);
+    assert_eq!(stats("baseline").get(Counter::SaveFailures), 0);
 
     // One exchange while `spec` fails durable writes in the whole
     // (in-process) daemon.
@@ -104,10 +105,11 @@ fn storage_faults_move_counters_never_bytes() {
 
     let after = stats("after faults");
     assert_eq!(
-        after.save_failures, 2,
+        after.get(Counter::SaveFailures),
+        2,
         "each faulted save must be counted, not swallowed"
     );
-    assert_eq!(after.quarantined, 0, "no entry rotted yet");
+    assert_eq!(after.get(Counter::Quarantined), 0, "no entry rotted yet");
 
     // Neither failed save may have published anything: both requests
     // are store misses now and recompute to the same bytes.
@@ -145,7 +147,11 @@ fn storage_faults_move_counters_never_bytes() {
         other => panic!("recompute after quarantine must succeed, got {other:?}"),
     }
     let end = stats("after quarantine");
-    assert_eq!(end.quarantined, 1, "the rotted entry must be counted");
+    assert_eq!(
+        end.get(Counter::Quarantined),
+        1,
+        "the rotted entry must be counted"
+    );
 
     // --- Drain: no stray temp files despite the injected failures. ---
     cancel.cancel(CancelReason::Interrupted);

@@ -20,6 +20,7 @@
 //! compared against `targets::render_target` — the same renderer the
 //! CLI prints from — so "correct bytes" means CLI-identical bytes.
 
+use membw_core::runner::counters::Counter;
 use membw_core::runner::fault::{self, Domain, FAULT_ENV};
 use membw_core::service::{ServiceRequest, ServiceResponse, STATS_TARGET};
 use membw_core::sweep::SweepMode;
@@ -392,7 +393,7 @@ fn torn_frames_accept_failures_and_stalls_converge() {
 /// with deterministic backoff, the restarted generation rebinds the
 /// stale socket and republishes the pidfile, and the client's bounded
 /// retry converges to the fault-free bytes. The restart is visible to
-/// clients as the `supervisor-restarts` stats counter.
+/// clients as the `supervisor_restarts` stats counter.
 fn explore_supervised_crashes(jobs: usize, warm: bool) {
     let reference = reference_stdout();
     let heat = if warm { "warm" } else { "cold" };
@@ -521,13 +522,13 @@ fn supervised_crash_converges(k: u64, jobs: usize, warm: bool, reference: &str) 
             Some(Duration::from_secs(30)),
             &policy,
         ) {
-            Ok(ServiceResponse::Stats(s)) if s.supervisor_restarts >= 1 => {
-                break s.supervisor_restarts;
+            Ok(ServiceResponse::Stats(s)) if s.get(Counter::SupervisorRestarts) >= 1 => {
+                break s.get(Counter::SupervisorRestarts);
             }
             Ok(_) | Err(_) => {
                 assert!(
                     Instant::now() < deadline,
-                    "{what}: generation 1 never reported supervisor-restarts >= 1"
+                    "{what}: generation 1 never reported supervisor_restarts >= 1"
                 );
                 std::thread::sleep(Duration::from_millis(50));
             }

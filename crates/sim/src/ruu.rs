@@ -10,6 +10,7 @@
 use crate::bpred::{BranchPredictor, TwoLevelPredictor};
 use crate::machine::MachineSpec;
 use crate::memsys::MemSystem;
+use membw_runner::counters::{self, Counter};
 use membw_runner::{CancelToken, RunContext};
 use membw_trace::uop::NUM_REGS;
 use membw_trace::{OpClass, TraceSink, Uop, Workload};
@@ -155,7 +156,9 @@ impl RuuCore {
     }
 
     /// Finish the run: total cycles and the memory system (for stats).
+    /// Adds the run's uops to the process-wide [`Counter::Uops`].
     pub fn into_result(self) -> (u64, MemSystem) {
+        counters::add(Counter::Uops, self.uops);
         (self.finish.max(1), self.mem)
     }
 

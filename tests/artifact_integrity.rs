@@ -4,6 +4,7 @@
 //! at `--jobs 1` and `--jobs 8` alike.
 
 use membw::run_table8;
+use membw::runner::counters::{self, Counter};
 use membw::runner::{self, CheckpointConfig};
 use membw::trace::replay::TraceCache;
 use membw::workloads::{suite92, Scale};
@@ -73,14 +74,14 @@ fn flipped_checkpoint_byte_is_quarantined_and_output_identical() {
         bytes[pos] ^= 0x04;
         fs::write(victim, &bytes).expect("write corrupted artifact");
 
-        let quarantined_before = runner::quarantined_artifacts();
+        let quarantined_before = counters::get(Counter::CheckpointQuarantined);
         let resumed = table8_output(jobs, cfg);
         assert_eq!(
             resumed, cold,
             "--jobs {jobs}: resumed output must be byte-identical to the cold run"
         );
         assert!(
-            runner::quarantined_artifacts() > quarantined_before,
+            counters::get(Counter::CheckpointQuarantined) > quarantined_before,
             "the corrupt artifact must be quarantined, not silently served"
         );
         let mut corrupt = victim.clone().into_os_string();

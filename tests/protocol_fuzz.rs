@@ -19,6 +19,7 @@
 //! reproduces exactly — the same contract as `corruption_fuzz.rs` for
 //! storage artifacts, applied to the wire.
 
+use membw::runner::counters::Counter;
 use membw::runner::{fault, persist, CancelReason, CancelToken};
 use membw::service::{ServiceRequest, ServiceResponse, STATS_TARGET};
 use membw::sweep::SweepMode;
@@ -337,20 +338,20 @@ fn fuzzed_frames_never_panic_never_answer_wrong_never_leak_a_slot() {
         other => panic!("expected stats, got {other:?}"),
     };
     assert!(
-        stats.malformed_rejected > 0,
-        "the corpus contains garbage frames; malformed-rejected must move"
+        stats.get(Counter::MalformedRejected) > 0,
+        "the corpus contains garbage frames; malformed_rejected must move"
     );
     assert!(
-        stats.oversize_rejected > 0,
-        "the corpus contains oversize frames; oversize-rejected must move"
+        stats.get(Counter::OversizeRejected) > 0,
+        "the corpus contains oversize frames; oversize_rejected must move"
     );
     assert!(
-        stats.net_timeouts > 0,
-        "a half-sent frame outlived the read timeout; net-timeouts must move"
+        stats.get(Counter::NetTimeouts) > 0,
+        "a half-sent frame outlived the read timeout; net_timeouts must move"
     );
     assert!(
-        stats.reply_aborted > 0,
-        "a reply was severed mid-write; reply-aborted must move"
+        stats.get(Counter::ReplyAborted) > 0,
+        "a reply was severed mid-write; reply_aborted must move"
     );
 
     cancel.cancel(CancelReason::Interrupted);
