@@ -19,7 +19,7 @@
 //! with power-of-two capacities), so the modelling error is
 //! structural: set-associative conflict misses, replacement policy,
 //! and overlap between computation and memory time. The bound is
-//! *calibrated*: per-machine-class constants in [`calib`], fitted once
+//! *calibrated*: per-machine-class constants in `calib`, fitted once
 //! against the cycle-level simulator at test scale and frozen under
 //! [`MODEL_VERSION`], with margin over the worst relative error
 //! observed during calibration.
@@ -37,7 +37,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Version tag carried by every prediction. Bump whenever the model
-/// equations or the [`calib`] constants change.
+/// equations or the `calib` constants change.
 pub const MODEL_VERSION: &str = "ecm-1";
 
 // ---------------------------------------------------------------------------

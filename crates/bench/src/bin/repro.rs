@@ -728,7 +728,35 @@ fn cmd_query(argv: &[String]) -> i32 {
     0
 }
 
+/// Pin glibc malloc's mmap threshold at its own 128 KiB default.
+///
+/// glibc raises the threshold whenever an mmapped chunk is freed, up to
+/// 32 MiB, after which every allocation below it comes from the brk
+/// heap. A finished job's freed buffers there are seldom returned, so
+/// the resident set climbs above the live heap. Setting the threshold
+/// once turns the rise off: large buffers stay mmapped and go back to
+/// the kernel when freed. The CLI, `serve`, `query` and supervised
+/// children all start here.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_mmap_threshold() {
+    const M_MMAP_THRESHOLD: i32 = -3;
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    // SAFETY: mallopt only updates allocator parameters; it is called
+    // once, before this process starts any thread, with a parameter and
+    // value glibc documents as valid. It returns 0 on failure, which
+    // leaves glibc's dynamic threshold in place: nothing to handle.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn pin_mmap_threshold() {}
+
 fn main() {
+    pin_mmap_threshold();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
         Some("serve") => std::process::exit(cmd_serve(&argv[1..])),

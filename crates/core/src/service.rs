@@ -19,7 +19,7 @@
 //! These types live in `membw-core` (not the serve crate) so the
 //! `repro query` client, the daemon, and the tests all speak the same
 //! schema from one definition. Serialization goes through the vendored
-//! serde shim's [`json::Value`] tree; every field is written in a fixed
+//! serde shim's [`serde::json::Value`] tree; every field is written in a fixed
 //! order so responses are byte-stable — the dedupe fan-out and the
 //! result store both rely on "same request, same bytes".
 
@@ -171,7 +171,7 @@ pub mod error_kind {
     /// A transient I/O failure (full disk, failed fsync, injected
     /// fault): the render may well succeed if retried — the response
     /// carries a `retry_after_ms` hint and well-behaved clients back
-    /// off and retry ([`membw_serve::Backoff`] in the serve crate).
+    /// off and retry (`membw_serve::Backoff` in the serve crate).
     pub const TRANSIENT: &str = "transient";
     /// Non-retryable internal failure (corrupt trace, logic error).
     pub const INTERNAL: &str = "internal";

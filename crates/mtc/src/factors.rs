@@ -177,7 +177,7 @@ pub fn factor_gaps<W: Workload + ?Sized>(
     let refs = workload.collect_mem_refs();
 
     // block size -> next-use index, built lazily on first use. The
-    // index is the dominant allocation (8 bytes per reference); report
+    // index is the dominant allocation (4 bytes per reference); report
     // it to the ambient governor like any other sweep buffer.
     let mut indices: Vec<(u64, NextUseIndex)> = Vec::new();
     fn index_at<'a>(
@@ -188,10 +188,11 @@ pub fn factor_gaps<W: Workload + ?Sized>(
         if let Some(i) = indices.iter().position(|(b, _)| *b == block) {
             return &indices[i].1;
         }
+        let index = NextUseIndex::build(refs, block);
         membw_runner::RunContext::current()
             .governor
-            .observe_arena_bytes(refs.len() as u64 * 8);
-        indices.push((block, NextUseIndex::build(refs, block)));
+            .observe_arena_bytes(index.bytes());
+        indices.push((block, index));
         &indices.last().expect("just pushed").1
     }
 

@@ -28,7 +28,7 @@
 //! cache, not the trace; the live set (and so every victim) is
 //! unchanged. [`MinCache::simulate_workload`] also keeps the reference
 //! stream itself out of memory: it generates the workload twice and
-//! holds only the 8-byte next-use link per reference in between.
+//! holds only the 4-byte next-use link per reference in between.
 
 use crate::nextuse::NextUseIndex;
 use membw_cache::CacheStats;
@@ -160,7 +160,7 @@ impl MinCache {
     }
 
     /// Simulate `workload`'s reference stream without holding it: pass 1
-    /// generates it to build the next-use index (8 bytes per reference),
+    /// generates it to build the next-use index (4 bytes per reference),
     /// pass 2 generates it again and replays it through the cache. The
     /// counters equal [`MinCache::simulate`] over
     /// [`Workload::collect_mem_refs`].
@@ -173,7 +173,7 @@ impl MinCache {
         let index = NextUseIndex::from_stream(cfg.block_size, |f| workload.for_each_mem_ref(f));
         membw_runner::RunContext::current()
             .governor
-            .observe_arena_bytes(index.len() as u64 * 8);
+            .observe_arena_bytes(index.bytes());
         let mut cache = Self::new(*cfg);
         index.replay(workload, |r, block, next_use| {
             cache.access(r, block, next_use);
@@ -186,7 +186,7 @@ impl MinCache {
     /// capacities at one block size share the index build — the dominant
     /// cost of a **min** pass at MTC (one-word) granularity — instead of
     /// paying it once per capacity (see
-    /// [`min_sweep`](crate::optstack::min_sweep)).
+    /// [`min_sweep`](crate::min_sweep)).
     ///
     /// # Panics
     ///

@@ -76,7 +76,7 @@ use std::collections::BinaryHeap;
 /// single pass, sharing one next-use index.
 ///
 /// The stream is generated twice and never held: once to build the
-/// next-use index (8 bytes per reference), once to replay it, as
+/// next-use index (4 bytes per reference), once to replay it, as
 /// [`MinCache::simulate_workload`] does. A collected slice of
 /// references is a [`Workload`] too.
 ///
@@ -105,11 +105,11 @@ pub fn min_sweep<W: Workload + ?Sized>(cfgs: &[MinConfig], workload: &W) -> Vec<
         "min_sweep requires a uniform block size (got mixed sizes)"
     );
     let index = NextUseIndex::from_stream(block, |f| workload.for_each_mem_ref(f));
-    // The shared next-use index (8 bytes per reference) is the sweep's
+    // The shared next-use index (4 bytes per reference) is the sweep's
     // big allocation; let the governor see it.
     membw_runner::RunContext::current()
         .governor
-        .observe_arena_bytes(index.len() as u64 * 8);
+        .observe_arena_bytes(index.bytes());
     if cfgs
         .iter()
         .all(|c| c.write == first.write && c.bypass == first.bypass)

@@ -144,7 +144,7 @@ enum Core {
 /// A cheap, cloneable cancellation token.
 ///
 /// Cloning shares the underlying state: cancelling any clone cancels
-/// them all. See the [module docs](self) for the protocol.
+/// them all. See the `cancel` module docs for the protocol.
 #[derive(Clone)]
 pub struct CancelToken {
     core: Core,

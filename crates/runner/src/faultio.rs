@@ -1,5 +1,5 @@
 //! The storage facade every durable write in the workspace goes
-//! through: the `io:` domain of the [`fault`](crate::fault) plan.
+//! through: the `io:` domain of the [`fault`] plan.
 //!
 //! The durability story built by the checkpoint store, the `.mwtr`
 //! writer, the signature store, and the `membw serve` result store is a

@@ -92,7 +92,7 @@ pub struct GovernorStats {
     pub events: u64,
 }
 
-/// See the [module docs](self) for the state machine.
+/// See the `governor` module docs for the state machine.
 pub struct Governor {
     /// Budget in bytes; `UNLIMITED` disables the governor entirely.
     budget_bytes: u64,

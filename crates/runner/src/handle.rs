@@ -199,7 +199,7 @@ struct Shared<T> {
     ctx: Arc<RunContext>,
 }
 
-/// See the [module docs](self).
+/// See the `handle` module docs.
 pub struct Dispatcher<T: Send + Sync + 'static> {
     shared: Arc<Shared<T>>,
     workers: Vec<std::thread::JoinHandle<()>>,

@@ -21,7 +21,7 @@
 //! The checkpoint store (PR 4), the `repro` JSON archives, and the
 //! `membw serve` result store all persist through this module, so their
 //! crash-safety stories are literally the same code path. Every
-//! filesystem operation goes through [`faultio`](crate::faultio), so
+//! filesystem operation goes through [`faultio`], so
 //! `MEMBW_FAULT`'s `io:` directives — short writes, injected `ENOSPC`, failing
 //! `fsync`, torn renames, a crash at any I/O point — exercises exactly
 //! the code production runs.

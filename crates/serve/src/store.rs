@@ -4,7 +4,7 @@
 //! One file per distinct request key (`v1|target|scale|sweep`), named
 //! by the key's FNV-1a 64 hash, written through the same
 //! tmp→fsync→rename + seal-header path the checkpoint store uses
-//! ([`membw_runner::persist`]). A daemon killed with SIGKILL and
+//! ([`membw_core::runner::persist`]). A daemon killed with SIGKILL and
 //! restarted serves every previously completed request from here —
 //! checksum-verified — instead of recomputing; a torn or bit-flipped
 //! entry fails the seal check, is quarantined to a `.corrupt`

@@ -130,7 +130,7 @@ pub mod prop {
         use crate::{SmallRng, Strategy};
         use rand::Rng;
 
-        /// Length bounds for [`vec`].
+        /// Length bounds for [`vec()`].
         #[derive(Debug, Clone)]
         pub struct SizeRange {
             lo: usize,
@@ -162,7 +162,7 @@ pub mod prop {
             }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: SizeRange,

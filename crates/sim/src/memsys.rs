@@ -46,9 +46,9 @@ pub struct MemSystemStats {
 #[derive(Debug)]
 pub struct MemSystem {
     mode: MemoryMode,
-    l1: Cache,
-    icache: Option<Cache>,
-    l2: Cache,
+    /// The caches; `None` under [`MemoryMode::Perfect`], whose accesses
+    /// never reach them.
+    caches: Option<Caches>,
     bus1: Bus,
     bus2: Bus,
     dram: Dram,
@@ -84,11 +84,14 @@ impl MemSystem {
             MemoryMode::Full => Dram::new(spec.dram),
             _ => Dram::new(DramConfig::infinite_banks(spec.dram.access_cycles)),
         };
-        Self {
-            mode,
+        let caches = (mode != MemoryMode::Perfect).then(|| Caches {
             l1: Cache::new(spec.l1_config()),
             icache: spec.icache_config().map(Cache::new),
             l2: Cache::new(spec.l2_config()),
+        });
+        Self {
+            mode,
+            caches,
             bus1,
             bus2,
             dram,
@@ -117,19 +120,25 @@ impl MemSystem {
         s
     }
 
-    /// L1 functional counters.
-    pub fn l1_stats(&self) -> &CacheStats {
-        self.l1.stats()
+    /// L1 functional counters (all zero under [`MemoryMode::Perfect`]).
+    pub fn l1_stats(&self) -> CacheStats {
+        self.caches
+            .as_ref()
+            .map(|c| *c.l1.stats())
+            .unwrap_or_default()
+    }
+
+    fn caches(&mut self) -> &mut Caches {
+        self.caches
+            .as_mut()
+            .expect("perfect memory never reaches the caches")
     }
 
     /// Present an instruction fetch of the 32-byte block at `pc` issued
     /// at `now`; returns the cycle the block is available. Returns `now`
     /// when I-side modeling is disabled or memory is perfect.
     pub fn ifetch(&mut self, now: u64, pc: u64) -> u64 {
-        if self.mode == MemoryMode::Perfect {
-            return now;
-        }
-        let Some(ic) = self.icache.as_mut() else {
+        let Some(ic) = self.caches.as_mut().and_then(|c| c.icache.as_mut()) else {
             return now;
         };
         let outcome = ic.access(MemRef::read(pc & !31, 4));
@@ -192,7 +201,7 @@ impl MemSystem {
     /// Core of the timing model. Returns the data-ready cycle (loads).
     fn access(&mut self, now: u64, r: MemRef, wait_for_data: bool) -> u64 {
         let block = r.addr >> self.l1_shift;
-        let Some(outcome) = self.l1.access_unless_quiet(r) else {
+        let Some(outcome) = self.caches().l1.access_unless_quiet(r) else {
             // A hit on a still-filling block waits for the fill.
             return self.fill_ready.wait(block, now + 1);
         };
@@ -253,7 +262,7 @@ impl MemSystem {
     fn fetch_from_l2(&mut self, t: u64, req: BelowRequest) -> u64 {
         let l2_block = req.addr >> self.l2_shift;
         let size = u16::try_from(req.bytes.min(u64::from(u16::MAX))).expect("bounded");
-        let outcome = self.l2.access(MemRef::read(req.addr, size));
+        let outcome = self.caches().l2.access(MemRef::read(req.addr, size));
         // Request reaches L2, which takes l2_latency to respond.
         let l2_done = t + self.spec.l2_latency;
         let data_at_l2 = if outcome.hit {
@@ -304,13 +313,21 @@ impl MemSystem {
             // Writeback / write-through: occupy bus1, then update L2.
             let grant = self.bus1.acquire(t, req.bytes);
             let size = u16::try_from(req.bytes.min(u64::from(u16::MAX))).expect("bounded");
-            let outcome = self.l2.access(MemRef::write(req.addr, size));
+            let outcome = self.caches().l2.access(MemRef::write(req.addr, size));
             for sub in outcome.below() {
                 self.bus2.acquire(grant.done, sub.bytes);
                 self.stats.memory_traffic += sub.bytes;
             }
         }
     }
+}
+
+/// The functional caches behind a [`MemSystem`].
+#[derive(Debug)]
+struct Caches {
+    l1: Cache,
+    icache: Option<Cache>,
+    l2: Cache,
 }
 
 /// Completion cycles of block fills, keyed by block number.
@@ -361,11 +378,15 @@ mod tests {
 
     #[test]
     fn perfect_mode_is_always_one_cycle() {
-        let spec = MachineSpec::spec92(Experiment::A).mem;
+        let mut spec = MachineSpec::spec92(Experiment::A).mem;
+        spec.icache_bytes = 64 * 1024;
         let mut m = MemSystem::new(&spec, MemoryMode::Perfect);
+        assert!(m.caches.is_none(), "perfect memory builds no cache lines");
+        assert_eq!(m.ifetch(50, 0x400000), 50);
         assert_eq!(m.load(100, 0xdead000), 101);
         assert_eq!(m.store(200, 0xbeef000), 201);
         assert_eq!(m.stats().memory_traffic, 0);
+        assert_eq!(m.l1_stats(), CacheStats::default());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! | call | before | after |
 //! |---|---|---|
-//! | `run_table2::run(1024)` | 165.1 MiB | 33.1 MiB |
+//! | `run_table2::run(1024)` | 165.1 MiB | 17.1 MiB |
 //! | `run_swprefetch::run()` | 81.5 MiB | 1.8 MiB |
 //! | 1 Mi-load rewrite, distance 1 / 64 / 4096 | 40.2 MiB | 208 B / 2.5 KiB / 160 KiB |
 //! | `run_interference::run(16 * 1024, 200)` | 40.0 MiB | 1.4 MiB |
@@ -23,7 +23,8 @@
 //! Table 2's largest kernel is the time-tiled stencil at its 1 KiB cache
 //! (2.43 M references). Before, it held the collected references, a
 //! block vector, the next-use links and one stale heap pair per hit;
-//! after, only the 8-byte next-use links. Interference held every
+//! after, only the 4-byte next-use links (33.1 MiB while they were
+//! 8 bytes). Interference held every
 //! thread's collected uops (40 B each) and now holds each thread's
 //! recorded arena (about 2 B per uop); speculation held the whole
 //! collected kernel and now holds one task.
@@ -150,12 +151,13 @@ fn count_refs(w: &dyn Workload) -> usize {
 #[test]
 fn table2_peak_is_bounded_by_its_largest_kernel() {
     // The stencil tiled for table2's 1 KiB cache. Its next-use links
-    // take 8 B per reference, up to 16 B with `Vec` doubling; the 4 MiB
+    // take 4 B per reference, up to 8 B with `Vec` doubling; the 4 MiB
     // covers the footprint-sized `last_seen` map and the cache itself.
+    // 8-byte links would need up to 16 B per reference and fail.
     let refs = count_refs(&TimeTiledStencil::new(128, 8, 5));
     let (result, peak) = peak_during(|| membw::run_table2::run(1024));
     result.expect("table2 audit passes");
-    let bound = 16 * refs + 4 * MIB;
+    let bound = 8 * refs + 4 * MIB;
     assert!(
         peak <= bound,
         "table2 peaked at {:.1} MiB (bound {:.1} MiB, {refs} references)",
