@@ -60,8 +60,7 @@
 //! force-exits), `--deadline SECS` bounds the whole invocation's wall
 //! clock the same way (exit code 124), and `--mem-budget MB` (or
 //! `MEMBW_MEM_BUDGET_MB`) keeps the invocation inside a memory budget
-//! by degrading — trace-cache shrink, then record-streaming, then
-//! serialized job admission — instead of OOMing. All three preserve
+//! by serializing job admission instead of OOMing. All three preserve
 //! stdout byte-identity: a cancelled run resumed with `--resume`, or a
 //! budgeted run, prints exactly what an undisturbed run prints.
 
@@ -96,14 +95,20 @@ const ANALYTIC_RETIRED: &str = "the analytic fast lane is retired: its fig3 boun
      (900-990 permille) never fit a client's tolerance and its predictions disagreed \
      with simulation; drop the flag to get the simulated answer";
 
+/// The retired trace-cache budget variable, and why it is refused.
+const TRACE_CACHE_MB_ENV: &str = "MEMBW_TRACE_CACHE_MB";
+const TRACE_CACHE_RETIRED: &str = "the trace cache is retired: regenerating a \
+     benchmark's stream costs no more time than replaying a recording, and the \
+     recordings kept about 5 MB resident for the whole run; unset the variable";
+
 /// Reject malformed environment configuration up front, before any
 /// target runs or the daemon binds: the lazy readers would otherwise
 /// only warn and fall back, or silently read a bad value as off.
 /// `repro` and `repro serve` both call this, so their checks cannot
 /// drift apart. Returns the `MEMBW_MEM_BUDGET_MB` budget, if set.
 fn validate_env() -> Result<Option<u64>, String> {
-    if let Ok(v) = std::env::var(membw_core::trace::replay::TRACE_CACHE_MB_ENV) {
-        membw_core::trace::replay::parse_cache_budget_mb(&v)?;
+    if let Ok(v) = std::env::var(TRACE_CACHE_MB_ENV) {
+        return Err(format!("{TRACE_CACHE_MB_ENV}={v:?}: {TRACE_CACHE_RETIRED}"));
     }
     if let Ok(v) = std::env::var(runner::JOBS_ENV) {
         runner::parse_jobs(&v)?;
@@ -221,9 +226,7 @@ fn parse_args() -> Result<Options, String> {
                     "--mem-budget MB (or {}) bounds memory by degrading",
                     runner::MEM_BUDGET_MB_ENV
                 );
-                println!(
-                    "(cache shrink -> record-streaming -> throttled admission; 0 = strictest);"
-                );
+                println!("(throttled, one-at-a-time job admission; 0 = strictest);");
                 println!("--resume replays completed jobs archived under --checkpoint-dir");
                 println!("(default results/.checkpoint) by a previous, possibly interrupted run.");
                 println!("--audit LEVEL checks the paper's invariants on every target:");
@@ -239,10 +242,7 @@ fn parse_args() -> Result<Options, String> {
                 );
                 println!("through the one cross-check helper, membw_core::error::sweep_jobs:");
                 println!("one bit-exact sweep-exact audit check per job.");
-                println!(
-                    "{} caps the in-memory trace cache (whole MiB; 0 disables caching).",
-                    membw_core::trace::replay::TRACE_CACHE_MB_ENV
-                );
+                println!("{TRACE_CACHE_MB_ENV} is retired (traces are regenerated, never cached).");
                 println!("SIGINT/SIGTERM request a graceful drain (second signal force-exits).");
                 println!("exit codes: 0 ok, 1 target/job failures, 2 usage error,");
                 println!("            124 deadline exceeded, 130 interrupted,");
@@ -315,7 +315,7 @@ fn run_leaf(opts: &Options, target: &str) -> Result<(), MembwError> {
         use membw_core::workloads::{suite92, suite95};
         for b in suite92(opts.scale).iter().chain(suite95(opts.scale).iter()) {
             let path = dir.join(format!("{}.mwtr", b.name()));
-            let n = save_workload(&b.replayable(), &path).map_err(|e| MembwError::Trace {
+            let n = save_workload(b.workload(), &path).map_err(|e| MembwError::Trace {
                 path: path.clone(),
                 source: e,
             })?;
@@ -823,18 +823,14 @@ fn main() {
     }
     let audit_targets = counters::get(Counter::AuditTargets);
     if audit_targets > 0 || audit::configured_level() != audit::AuditLevel::Off {
-        let trace_failures = membw_core::trace::TraceCache::global()
-            .stats()
-            .verify_failures;
         eprintln!(
             "audit[{}]: {} check(s) across {} target(s), {} violation(s); \
-             {} artifact(s) quarantined, {} cached trace(s) failed verification",
+             {} artifact(s) quarantined",
             audit::configured_level().as_str(),
             counters::get(Counter::AuditChecks),
             audit_targets,
             counters::get(Counter::AuditViolations),
             counters::get(Counter::CheckpointQuarantined),
-            trace_failures,
         );
     }
     let ctx = RunContext::current();
@@ -842,16 +838,11 @@ fn main() {
         let s = ctx.governor.stats();
         eprintln!(
             "governor[{} MiB]: finished at level {}; {} escalation event(s), \
-             {} forced eviction(s), {} throttled admission(s), \
-             {} byte(s) of trace cache resident",
+             {} throttled admission(s)",
             s.budget_bytes.unwrap_or(0) / (1024 * 1024),
             s.level,
             s.events,
-            s.forced_evictions,
             s.throttled_admissions,
-            membw_core::trace::TraceCache::global()
-                .stats()
-                .resident_bytes,
         );
     }
     if let Some(reason) = cancel.cancel_reason() {

@@ -348,6 +348,27 @@ fn serve_rejects_malformed_environment_like_the_cli() {
 }
 
 #[test]
+fn retired_trace_cache_variable_is_a_usage_error_on_both_subcommands() {
+    let dir = scratch("trace_cache_retired");
+    for value in ["0", "512"] {
+        let env = [("MEMBW_TRACE_CACHE_MB", value)];
+        let cli = repro(&["--scale", "test", "table1"], &env, &dir.join("ckpt"));
+        let serve = serve_expecting_exit(&dir, &[], &env);
+        for (name, out) in [("repro", cli), ("repro serve", serve)] {
+            let err = stderr_str(&out);
+            assert_eq!(out.status.code(), Some(2), "{name} ={value} exits 2: {err}");
+            assert!(
+                err.contains("MEMBW_TRACE_CACHE_MB"),
+                "{name}: error names the variable: {err}"
+            );
+            assert!(err.contains("retired"), "{name}: error says retired: {err}");
+            assert!(stdout_str(&out).is_empty(), "{name}: nothing rendered");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn zero_jobs_is_a_usage_error_on_both_subcommands() {
     let dir = scratch("zero_jobs");
     let cli = repro(

@@ -12,7 +12,7 @@ use crate::error::{collect_jobs, MembwError};
 use crate::report::Table;
 use membw_cache::{BypassCache, Cache, CacheConfig, CacheStats, StreamBuffers, VictimCache};
 use membw_runner::checkpointed;
-use membw_trace::{MemRef, Workload};
+use membw_trace::MemRef;
 use membw_workloads::{suite92, Scale};
 use serde::{Deserialize, Serialize};
 
@@ -128,7 +128,7 @@ pub fn run(scale: Scale, cache_bytes: u64) -> Result<(AblationResult, Table), Me
     let raw = checkpointed("ablation", &key, suite.len() * n_t, |k| {
         let b = &suite[k / n_t];
         let t = TECHNIQUES[k % n_t];
-        let refs = b.replayable().collect_mem_refs();
+        let refs = b.workload().collect_mem_refs();
         let (misses, traffic) = run_one(t, &refs, cfg);
         AblationCell {
             workload: b.name().to_string(),

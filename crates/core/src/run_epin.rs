@@ -13,7 +13,7 @@ use crate::report::Table;
 use membw_analytic::{effective_pin_bandwidth, upper_bound_epin};
 use membw_cache::{CacheConfig, Hierarchy};
 use membw_mtc::{MinCache, MinConfig};
-use membw_trace::{MemRef, Workload};
+use membw_trace::MemRef;
 use membw_workloads::{suite92, Scale};
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +59,7 @@ pub fn run(scale: Scale) -> Result<(Vec<EpinRow>, Table), MembwError> {
 
     let mut rows = Vec::new();
     for b in suite92(scale) {
-        let refs: Vec<MemRef> = b.replayable().collect_mem_refs();
+        let refs: Vec<MemRef> = b.workload().collect_mem_refs();
         let mut h = Hierarchy::new(vec![l1, l2]);
         for &r in &refs {
             h.access(r);

@@ -74,12 +74,11 @@ impl Fig3Result {
 /// Fans the matrix out on the run engine as one job per (benchmark,
 /// core): experiments whose machines share a [`CoreKey`] — A/B/C and
 /// D/E in both suites — share one perfect-memory run, since `T_P`
-/// ignores the memory system. Each job replays its benchmark's
-/// recorded trace (recorded once per process via the trace cache;
-/// regenerated when caching is off), runs `T_P` once and `T_I` and `T`
-/// per experiment of its group. The results are then normalized and
+/// ignores the memory system. Each job regenerates its benchmark's
+/// stream for every run, runs `T_P` once and `T_I` and `T` per
+/// experiment of its group. The results are then normalized and
 /// assembled in canonical order, so they are identical at any
-/// `--jobs` setting and with the cache on or off. Jobs are
+/// `--jobs` setting. Jobs are
 /// fault-isolated and checkpointed under the batch label
 /// `fig3/<suite>`.
 ///
@@ -155,7 +154,7 @@ pub fn run_suite(
             .collect();
         // Record once, replay for every (experiment × memory-mode) run
         // of this benchmark — and across runner threads.
-        let ds = decompose_group(&b.replayable(), &specs);
+        let ds = decompose_group(b.workload(), &specs);
         ds.into_iter()
             .zip(&specs)
             .map(|(d, spec)| {

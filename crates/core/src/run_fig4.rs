@@ -119,7 +119,7 @@ pub fn run(scale: Scale) -> Result<(Vec<Fig4Panel>, Vec<Table>), MembwError> {
 /// the panel's trace; curves merge back panel-major in the figure's
 /// fixed curve order. Jobs are fault-isolated and checkpointed under
 /// the batch label `fig4` (the key encodes the sweep mode). Every job
-/// streams the panel's shared recording and never collects it. In
+/// streams the panel's generator and never collects it. In
 /// stack mode each cache curve is one [`membw_sweep::sweep_lru`] pass
 /// and each MTC curve one [`membw_mtc::min_sweep`] (two passes) instead
 /// of seventeen independent simulations; stdout and the returned values
@@ -151,7 +151,7 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Vec<Fig4Panel>, Vec<Ta
                 .expect("panel benchmark exists in SPEC92 suite");
             Curve {
                 label: spec.label(),
-                points: curve_points(&b.replayable(), spec, mode),
+                points: curve_points(b.workload(), spec, mode),
             }
         },
         |k| format!("{}/{}", panel_names[k / n_c], curve_specs[k % n_c].label()),

@@ -5,7 +5,6 @@ use crate::audit::Auditor;
 use crate::error::MembwError;
 use crate::report::Table;
 use membw_trace::sink::CountSink;
-use membw_trace::Workload;
 use membw_workloads::{suite92, suite95, Scale};
 use serde::Serialize;
 
@@ -39,7 +38,7 @@ pub fn run(scale: Scale) -> Result<(Vec<Table3Row>, Table), MembwError> {
     let mut rows = Vec::new();
     for b in suite92(scale).iter().chain(suite95(scale).iter()) {
         let mut c = CountSink::new();
-        b.replayable().generate(&mut c);
+        b.workload().generate(&mut c);
         rows.push(Table3Row {
             name: b.name().to_string(),
             suite: match b.suite() {

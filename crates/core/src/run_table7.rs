@@ -53,7 +53,7 @@ pub struct Table7Result {
 fn row_for(b: &membw_workloads::Benchmark, mode: SweepMode) -> Table7Row {
     let ratios = SIZES
         .iter()
-        .zip(mode.lru(&SweepSpec::new(32), &SIZES, &b.replayable()))
+        .zip(mode.lru(&SweepSpec::new(32), &SIZES, b.workload()))
         .map(|(&size, stats)| {
             let stats = stats.expect("1KB-2MB direct-mapped 32B-block geometries are valid");
             let oversized = size >= b.footprint_bytes;
@@ -108,7 +108,7 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table7Result, Table), 
         mode,
         &mut audit,
         |i, mode| {
-            // Stream the shared recording through the sweep.
+            // Stream the generator through the sweep.
             row_for(&suite[i], mode)
         },
         |i| suite[i].name().to_string(),

@@ -59,7 +59,7 @@ fn row_for(b: &membw_workloads::Benchmark, mode: SweepMode) -> Table8Row {
         .copied()
         .filter(|&s| s < b.footprint_bytes)
         .collect();
-    let mut traffic = row_traffic(&b.replayable(), &included, mode).into_iter();
+    let mut traffic = row_traffic(b.workload(), &included, mode).into_iter();
     let mut inefficiencies = Vec::new();
     for &size in &SIZES {
         if size >= b.footprint_bytes {
@@ -95,7 +95,7 @@ pub fn run(scale: Scale) -> Result<(Table8Result, Table), MembwError> {
 
 /// Regenerate Table 8 at `scale` with an explicit sweep engine.
 ///
-/// One run-engine job per benchmark (the shared recording streamed,
+/// One run-engine job per benchmark (the generator streamed,
 /// never collected, with the whole size sweep inside — three passes in
 /// stack mode, one LRU and two **min** per size in direct mode,
 /// identical output either way); `all_g` is

@@ -72,7 +72,7 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table9Result, Vec<Tabl
         &mut audit,
         |i, mode| {
             let b = &suite[i];
-            mode.factor_gaps(&b.replayable(), capacity_for(b.name()))
+            mode.factor_gaps(b.workload(), capacity_for(b.name()))
         },
         |i| suite[i].name().to_string(),
     )?

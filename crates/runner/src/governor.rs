@@ -3,36 +3,31 @@
 //!
 //! # State machine
 //!
-//! The governor walks a monotonic escalation ladder; it never
-//! de-escalates within a run, so a budgeted run's degradation sequence
-//! is stable and auditable from the event log:
+//! The governor has two levels and never steps back within a run, so a
+//! budgeted run's degradation is stable and auditable from the event
+//! log:
 //!
 //! ```text
-//! Normal ──▶ CacheShrunk ──▶ Streaming ──▶ Throttled
+//! Normal ──▶ Throttled
 //! ```
 //!
-//! * **Normal** — no interference; the trace cache uses its configured
-//!   `MEMBW_TRACE_CACHE_MB` budget.
-//! * **CacheShrunk** — the trace-cache byte cap is clamped to half the
-//!   governor budget; the cache's existing LRU eviction does the work.
-//! * **Streaming** — the cache cap drops to zero: replays degrade to
-//!   record-streaming (every job regenerates its trace), which PR 3's
-//!   determinism contract guarantees is byte-identical on stdout.
+//! * **Normal** — no interference; jobs are admitted as the run engine
+//!   schedules them.
 //! * **Throttled** — new job admission serializes (at most one job in
-//!   flight at a time) so peak working-set, not just cache residency,
-//!   fits the budget. A lone job is always admitted — the ladder can
-//!   slow the run down arbitrarily but can never wedge it.
+//!   flight at a time) so the peak working set fits the budget. A lone
+//!   job is always admitted — the governor can slow the run down
+//!   arbitrarily but can never wedge it.
 //!
-//! Escalation triggers whenever *projected* usage at the current level
-//! exceeds the budget, where projected usage is the cache residency the
-//! level would allow plus (jobs in flight × the largest trace arena
-//! observed so far) as the per-job working-set estimate. Every
+//! The governor throttles once *projected* usage exceeds the budget,
+//! where projected usage is jobs in flight × the largest per-job arena
+//! observed so far (the MTC next-use index and the LRU sweep tables
+//! report theirs through [`Governor::observe_arena_bytes`]). The
 //! transition is logged loudly to stderr (`governor: …`) and kept for
 //! the end-of-run summary.
 //!
-//! Because all three degradations preserve each job's pure-function
-//! contract, stdout stays byte-identical to an unbudgeted run — the CI
-//! smoke diffs it.
+//! Serialized admission preserves each job's pure-function contract,
+//! so stdout stays byte-identical to an unbudgeted run — the CI smoke
+//! diffs it.
 //!
 //! # Ambient installation
 //!
@@ -40,11 +35,10 @@
 //! [`RunContext`](crate::RunContext)'s `governor` field. `repro
 //! --mem-budget` installs a budgeted one in the process-wide context;
 //! tests scope a context with their own. The run engine admits every
-//! job through the batch's governor, and the trace cache consults the
-//! current context's governor on every lookup.
+//! job through the batch's governor.
 
 use crate::cancel::CancelToken;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -56,18 +50,11 @@ const MIB: u64 = 1024 * 1024;
 /// "No budget" sentinel in `budget_bytes`.
 const UNLIMITED: u64 = u64::MAX;
 
-/// Escalation ladder levels (values of `Governor::level`).
-const NORMAL: u8 = 0;
-const CACHE_SHRUNK: u8 = 1;
-const STREAMING: u8 = 2;
-const THROTTLED: u8 = 3;
-
-fn level_name(level: u8) -> &'static str {
-    match level {
-        NORMAL => "normal",
-        CACHE_SHRUNK => "cache-shrunk",
-        STREAMING => "streaming",
-        _ => "throttled",
+fn level_name(throttled: bool) -> &'static str {
+    if throttled {
+        "throttled"
+    } else {
+        "normal"
     }
 }
 
@@ -76,16 +63,11 @@ fn level_name(level: u8) -> &'static str {
 pub struct GovernorStats {
     /// Configured budget in bytes (`None` = unlimited).
     pub budget_bytes: Option<u64>,
-    /// Current escalation level name (`normal`, `cache-shrunk`,
-    /// `streaming`, `throttled`).
+    /// Current level name (`normal` or `throttled`).
     pub level: &'static str,
-    /// Trace-cache resident bytes last reported by the cache.
-    pub cache_resident_bytes: u64,
-    /// Largest single trace arena observed (the per-job working-set
+    /// Largest single per-job arena observed (the per-job working-set
     /// estimate).
     pub arena_estimate_bytes: u64,
-    /// Evictions the governor forced beyond the cache's own budget.
-    pub forced_evictions: u64,
     /// Times a job waited for serialized admission under `Throttled`.
     pub throttled_admissions: u64,
     /// Escalation events so far.
@@ -96,14 +78,10 @@ pub struct GovernorStats {
 pub struct Governor {
     /// Budget in bytes; `UNLIMITED` disables the governor entirely.
     budget_bytes: u64,
-    /// Current ladder level (monotonic within a run).
-    level: AtomicU8,
-    /// Last cache residency report.
-    cache_resident: AtomicU64,
+    /// Whether admission serializes (monotonic within a run).
+    throttled: AtomicBool,
     /// Max observed arena size (per-job working-set estimate).
     arena_estimate: AtomicU64,
-    /// Evictions forced beyond the cache's configured budget.
-    forced_evictions: AtomicU64,
     /// Jobs that waited for serialized admission.
     throttled_admissions: AtomicU64,
     /// Jobs currently admitted (mirrors the mutexed count for lock-free
@@ -136,10 +114,8 @@ impl Governor {
     pub fn unlimited() -> Self {
         Governor {
             budget_bytes: UNLIMITED,
-            level: AtomicU8::new(NORMAL),
-            cache_resident: AtomicU64::new(0),
+            throttled: AtomicBool::new(false),
             arena_estimate: AtomicU64::new(0),
-            forced_evictions: AtomicU64::new(0),
             throttled_admissions: AtomicU64::new(0),
             inflight_mirror: AtomicU64::new(0),
             admission: Mutex::new(0),
@@ -163,69 +139,45 @@ impl Governor {
         self.budget_bytes != UNLIMITED
     }
 
-    fn level_now(&self) -> u8 {
-        self.level.load(Ordering::Relaxed)
+    fn is_throttled(&self) -> bool {
+        self.throttled.load(Ordering::Relaxed)
     }
 
-    /// Cache residency the ladder level would permit, given the actual
-    /// residency `resident`.
-    fn cache_allowance(&self, level: u8, resident: u64) -> u64 {
-        let budget = self.budget_bytes;
-        match level {
-            NORMAL => resident,
-            CACHE_SHRUNK => resident.min(budget / 2),
-            _ => 0,
-        }
-    }
-
-    /// Projected bytes at `level` with `inflight` jobs running.
-    fn projected(&self, level: u8, inflight: u64) -> u64 {
-        let resident = self.cache_resident.load(Ordering::Relaxed);
-        let estimate = self.arena_estimate.load(Ordering::Relaxed);
-        self.cache_allowance(level, resident)
-            .saturating_add(inflight.saturating_mul(estimate))
-    }
-
-    /// Climb the ladder while projected usage exceeds the budget.
-    /// Monotonic: concurrent callers race upward only.
+    /// Throttle once projected usage (`inflight` jobs × the largest
+    /// arena observed) exceeds the budget. Monotonic: concurrent
+    /// callers race to throttle, and only the winner logs.
     fn maybe_escalate(&self, inflight: u64) {
-        if !self.limited() {
+        if !self.limited() || self.is_throttled() {
             return;
         }
         let budget = self.budget_bytes;
-        loop {
-            let level = self.level_now();
-            if level >= THROTTLED {
-                return;
-            }
-            let projected = self.projected(level, inflight);
-            if projected <= budget {
-                return;
-            }
-            if self
-                .level
-                .compare_exchange(level, level + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                let msg = format!(
-                    "governor: {} -> {}: projected {:.1} MiB over {} MiB budget \
-                     (cache {:.1} MiB resident, {} in flight x {:.1} MiB est.)",
-                    level_name(level),
-                    level_name(level + 1),
-                    projected as f64 / MIB as f64,
-                    budget / MIB,
-                    self.cache_resident.load(Ordering::Relaxed) as f64 / MIB as f64,
-                    inflight,
-                    self.arena_estimate.load(Ordering::Relaxed) as f64 / MIB as f64,
-                );
-                eprintln!("{msg}");
-                let mut log = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-                log.push(msg);
-            }
+        let estimate = self.arena_estimate.load(Ordering::Relaxed);
+        let projected = inflight.saturating_mul(estimate);
+        if projected <= budget {
+            return;
+        }
+        if self
+            .throttled
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            let msg = format!(
+                "governor: {} -> {}: projected {:.1} MiB over {} MiB budget \
+                 ({} in flight x {:.1} MiB est.)",
+                level_name(false),
+                level_name(true),
+                projected as f64 / MIB as f64,
+                budget / MIB,
+                inflight,
+                estimate as f64 / MIB as f64,
+            );
+            eprintln!("{msg}");
+            let mut log = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+            log.push(msg);
         }
     }
 
-    /// Admit one job, honouring the ladder: under `Throttled`,
+    /// Admit one job, honouring the level: under `Throttled`,
     /// admission serializes (waits until no other job is in flight),
     /// polling `cancel` so a drain is never blocked on the gate. The
     /// returned guard retires the job on drop.
@@ -242,7 +194,7 @@ impl Governor {
             self.maybe_escalate(*inflight + 1);
             // Always admit a lone job; and never gate a cancelled run —
             // its jobs fail fast at the pre-dispatch check anyway.
-            if self.level_now() < THROTTLED || *inflight == 0 || cancel.is_cancelled() {
+            if !self.is_throttled() || *inflight == 0 || cancel.is_cancelled() {
                 break;
             }
             waited = true;
@@ -263,18 +215,8 @@ impl Governor {
         }
     }
 
-    /// The trace cache reports its resident bytes after every insert or
-    /// eviction; growth past the budget escalates the ladder.
-    pub fn report_cache_resident(&self, bytes: u64) {
-        if !self.limited() {
-            return;
-        }
-        self.cache_resident.store(bytes, Ordering::Relaxed);
-        self.maybe_escalate(self.inflight_mirror.load(Ordering::Relaxed));
-    }
-
-    /// The trace layer reports each recorded arena's size; the largest
-    /// one becomes the per-job working-set estimate.
+    /// The MTC next-use index and the LRU sweep tables report their
+    /// size; the largest one becomes the per-job working-set estimate.
     pub fn observe_arena_bytes(&self, bytes: u64) {
         if !self.limited() {
             return;
@@ -283,40 +225,13 @@ impl Governor {
         self.maybe_escalate(self.inflight_mirror.load(Ordering::Relaxed));
     }
 
-    /// The byte cap the ladder currently imposes on the trace cache,
-    /// given the cache's own `configured` budget. `Normal` passes the
-    /// configured cap through; `CacheShrunk` clamps it to half the
-    /// governor budget; `Streaming`/`Throttled` return 0: the cache
-    /// must hold nothing, and replays record-stream instead.
-    pub fn cache_cap(&self, configured: u64) -> u64 {
-        if !self.limited() {
-            return configured;
-        }
-        let budget = self.budget_bytes;
-        match self.level_now() {
-            NORMAL => configured,
-            CACHE_SHRUNK => configured.min(budget / 2),
-            _ => 0,
-        }
-    }
-
-    /// Count evictions the governor forced beyond the cache's own
-    /// budget (reported by the cache when the effective cap shrank).
-    pub fn note_forced_evictions(&self, n: u64) {
-        if n > 0 {
-            self.forced_evictions.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Snapshot the governor accounting.
     pub fn stats(&self) -> GovernorStats {
         let budget = self.budget_bytes;
         GovernorStats {
             budget_bytes: (budget != UNLIMITED).then_some(budget),
-            level: level_name(self.level_now()),
-            cache_resident_bytes: self.cache_resident.load(Ordering::Relaxed),
+            level: level_name(self.is_throttled()),
             arena_estimate_bytes: self.arena_estimate.load(Ordering::Relaxed),
-            forced_evictions: self.forced_evictions.load(Ordering::Relaxed),
             throttled_admissions: self.throttled_admissions.load(Ordering::Relaxed),
             events: self
                 .events
@@ -374,9 +289,7 @@ mod tests {
     fn unlimited_governor_is_inert() {
         let g = Arc::new(Governor::unlimited());
         assert!(!g.limited());
-        g.report_cache_resident(1 << 40);
         g.observe_arena_bytes(1 << 40);
-        assert_eq!(g.cache_cap(123), 123);
         assert_eq!(g.stats().level, "normal");
         let _a = g.admit(&CancelToken::new());
         let _b = g.admit(&CancelToken::new());
@@ -385,23 +298,26 @@ mod tests {
     #[test]
     fn escalation_ladder_is_monotonic_and_ordered() {
         let g = Arc::new(Governor::with_budget_mb(10));
-        // 4 MiB cache + one 8 MiB job projected over 10 MiB: shrink the
-        // cache first.
-        g.observe_arena_bytes(8 * MIB);
-        g.report_cache_resident(4 * MIB);
-        let _slot = g.admit(&CancelToken::new());
-        // The cache allowance at CacheShrunk is min(4, 10/2) = 4 MiB,
-        // still over with the 8 MiB job — so the ladder runs to
-        // Streaming (cache 0 + 8 MiB job fits 10 MiB).
-        assert_eq!(g.stats().level, "streaming");
-        assert_eq!(g.cache_cap(512 * MIB), 0);
+        g.observe_arena_bytes(4 * MIB);
+        // Two 4 MiB jobs project to 8 MiB and fit the 10 MiB budget.
+        let a = g.admit(&CancelToken::new());
+        let b = g.admit(&CancelToken::new());
+        assert_eq!(g.stats().level, "normal");
+        assert!(g.events().is_empty());
+        // A job reporting a 6 MiB arena projects 2 x 6 = 12 MiB: throttle.
+        g.observe_arena_bytes(6 * MIB);
+        assert_eq!(g.stats().level, "throttled");
+        // Retiring every job never steps back down, and a smaller arena
+        // leaves the estimate at its maximum.
+        drop((a, b));
+        g.observe_arena_bytes(MIB);
+        let _lone = g.admit(&CancelToken::new());
+        let s = g.stats();
+        assert_eq!((s.level, s.arena_estimate_bytes), ("throttled", 6 * MIB));
         let events = g.events();
-        assert_eq!(events.len(), 2);
-        assert!(events[0].contains("normal -> cache-shrunk"), "{events:?}");
-        assert!(
-            events[1].contains("cache-shrunk -> streaming"),
-            "{events:?}"
-        );
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert!(events[0].contains("normal -> throttled"), "{events:?}");
+        assert!(events[0].contains("2 in flight x 6.0 MiB"), "{events:?}");
     }
 
     #[test]
@@ -411,6 +327,7 @@ mod tests {
         let t = CancelToken::new();
         let first = g.admit(&t);
         assert_eq!(g.stats().level, "throttled");
+        assert_eq!(g.stats().events, 1);
         // A second admission must wait for the first to retire; retire
         // it from another thread and require the gate to open.
         let g2 = Arc::clone(&g);
@@ -433,18 +350,6 @@ mod tests {
         t.cancel(crate::CancelReason::Interrupted);
         // Would deadlock if the gate ignored cancellation.
         let _second = g.admit(&t);
-    }
-
-    #[test]
-    fn cache_shrink_level_halves_the_cap() {
-        let g = Arc::new(Governor::with_budget_mb(100));
-        // 80 MiB resident + one 30 MiB job projects to 110 MiB: one
-        // escalation (to cache-shrunk, allowance 50 + 30 = 80) suffices.
-        g.observe_arena_bytes(30 * MIB);
-        let _slot = g.admit(&CancelToken::new());
-        g.report_cache_resident(80 * MIB);
-        assert_eq!(g.stats().level, "cache-shrunk");
-        assert_eq!(g.cache_cap(512 * MIB), 50 * MIB);
     }
 
     #[test]

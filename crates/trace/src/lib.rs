@@ -44,7 +44,7 @@ pub mod uop;
 pub use fasthash::{FastBuildHasher, FastHashMap, FastHasher};
 pub use interleave::Interleave;
 pub use record::{AccessKind, MemRef};
-pub use replay::{RecordedTrace, RecordingSink, TraceCache};
+pub use replay::{RecordedTrace, RecordingSink};
 pub use signature::{SignatureCache, SignatureStore, TraceSignature};
 pub use sink::{CollectSink, CountSink, FnSink, MemRefFnSink, TraceSink};
 pub use squash::Squashing;

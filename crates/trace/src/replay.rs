@@ -1,23 +1,21 @@
-//! Record-once / replay-many trace engine.
+//! Recorded traces: a workload's uop stream captured into a compact
+//! arena.
 //!
-//! The paper's methodology simulates the *identical* uop stream many
-//! times: three memory models per decomposition cell (§3.1), six
-//! experiments per benchmark (Figure 3), plus the trace-driven cache and
-//! MTC passes. Regenerating a synthetic workload for every run wastes
-//! most of a figure's wall clock on redundant generation work. This
-//! module captures a workload's stream once into a compact arena
-//! ([`RecordedTrace`]: a table of the trace's distinct uop shapes, one
-//! variable-length shape id per uop and one variable-length address
-//! delta per memory reference) and replays it as a [`Workload`], and
-//! provides a process-wide [`TraceCache`] so one recording is shared
-//! across the three decomposition runs, across all experiments of a
-//! benchmark, and across runner threads.
+//! [`RecordedTrace`] holds a table of the trace's distinct uop shapes,
+//! one variable-length shape id per uop and one variable-length address
+//! delta per memory reference, and replays them as a [`Workload`].
+//! [`Interleave`](crate::Interleave) records each of its threads this
+//! way, so it holds about two bytes per buffered uop instead of a
+//! collected `Uop` vector.
+//!
+//! The suite benchmarks are not recorded: every consumer regenerates
+//! its stream from the synthetic generator, which costs no more time
+//! than decoding an arena and keeps no arena resident (DESIGN.md §9.2
+//! records the measurements that retired the process-wide trace cache).
 //!
 //! Replay is *exact*: the recorded stream is bit-for-bit the stream the
-//! generator emitted, so simulation results are byte-identical whether a
-//! trace was replayed or regenerated — which is what keeps the parallel
-//! run engine's determinism and checkpoint/resume guarantees intact (see
-//! DESIGN.md §9).
+//! generator emitted, so a simulation fed a recording is byte-identical
+//! to one fed the generator (see DESIGN.md §9).
 //!
 //! # Example
 //!
@@ -38,7 +36,6 @@ use crate::Workload;
 use membw_runner::{CancelToken, RunContext};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 // Packed uop shape (one u128 per distinct shape): everything about a
 // uop except its memory address.
@@ -65,33 +62,6 @@ const PC_SHIFT: u32 = 64;
 /// How many uops the recorder and both replay walks handle between
 /// polls of the ambient cancel token.
 const CANCEL_POLL_UOPS: usize = 8192;
-
-/// Fold `bytes` into a running 64-bit FNV-1a hash.
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// Content checksum of a trace arena: FNV-1a over the name, the uop and
-/// reference counts, and every payload region, each region prefixed by
-/// its length so boundary shifts between regions cannot cancel out.
-fn arena_checksum(t: &RecordedTrace) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for n in [t.name.len(), t.len, t.mem_refs, t.shapes.len()] {
-        fnv1a(&mut h, &(n as u64).to_le_bytes());
-    }
-    fnv1a(&mut h, t.name.as_bytes());
-    for s in &t.shapes {
-        fnv1a(&mut h, &s.to_le_bytes());
-    }
-    for region in [&t.ids, &t.addrs] {
-        fnv1a(&mut h, &(region.len() as u64).to_le_bytes());
-        fnv1a(&mut h, region);
-    }
-    h
-}
 
 fn class_code(c: OpClass) -> u128 {
     match c {
@@ -265,12 +235,6 @@ pub struct RecordedTrace {
     len: usize,
     /// Number of memory references (`addrs` holds one code each).
     mem_refs: usize,
-    /// FNV-1a content checksum sealed at recording time; [`verify`]
-    /// recomputes it to detect in-memory corruption of a cached arena
-    /// before it is replayed into results.
-    ///
-    /// [`verify`]: RecordedTrace::verify
-    checksum: u64,
 }
 
 impl RecordedTrace {
@@ -300,54 +264,13 @@ impl RecordedTrace {
         self.mem_refs
     }
 
-    /// Resident size of the arena in bytes (used for the [`TraceCache`]
-    /// budget).
+    /// Resident size of the arena in bytes.
     pub fn arena_bytes(&self) -> u64 {
         (self.shapes.capacity() * size_of::<u128>()
             + self.ids.capacity()
             + self.addrs.capacity()
             + self.name.capacity()
             + size_of::<Self>()) as u64
-    }
-
-    /// The content checksum sealed when recording finished.
-    pub fn checksum(&self) -> u64 {
-        self.checksum
-    }
-
-    /// Recompute the arena checksum and compare it against the sealed
-    /// one. `false` means the arena was altered after recording and
-    /// must not be replayed.
-    pub fn verify(&self) -> bool {
-        arena_checksum(self) == self.checksum
-    }
-
-    /// Flip one bit of the arena's payload (shape table, id stream or
-    /// address stream), leaving the sealed checksum untouched — a
-    /// corruption injector for integrity tests and the mutation-fuzz
-    /// harness. `bit` is reduced modulo the payload size, so any `u64`
-    /// seed indexes a valid bit. No-op on an empty trace.
-    #[doc(hidden)]
-    pub fn corrupt_bit(&mut self, bit: u64) {
-        let shape_bits = self.shapes.len() as u64 * 128;
-        let id_bits = self.ids.len() as u64 * 8;
-        let addr_bits = self.addrs.len() as u64 * 8;
-        let total = shape_bits + id_bits + addr_bits;
-        if total == 0 {
-            return;
-        }
-        let mut bit = bit % total;
-        if bit < shape_bits {
-            self.shapes[(bit / 128) as usize] ^= 1 << (bit % 128);
-            return;
-        }
-        bit -= shape_bits;
-        if bit < id_bits {
-            self.ids[(bit / 8) as usize] ^= 1 << (bit % 8);
-            return;
-        }
-        bit -= id_bits;
-        self.addrs[(bit / 8) as usize] ^= 1 << (bit % 8);
     }
 }
 
@@ -444,7 +367,6 @@ impl RecordingSink {
                 addrs: Vec::new(),
                 len: 0,
                 mem_refs: 0,
-                checksum: 0,
             },
             shape_ids: HashMap::default(),
             last_addr: 0,
@@ -453,12 +375,11 @@ impl RecordingSink {
     }
 
     /// Finish recording, returning the encoded trace with capacity
-    /// trimmed to length and its content checksum sealed.
+    /// trimmed to length.
     pub fn finish(mut self) -> RecordedTrace {
         self.trace.shapes.shrink_to_fit();
         self.trace.ids.shrink_to_fit();
         self.trace.addrs.shrink_to_fit();
-        self.trace.checksum = arena_checksum(&self.trace);
         self.trace
     }
 }
@@ -511,301 +432,6 @@ impl TraceSink for RecordingSink {
         });
         push_leb128(&mut t.ids, id);
         t.len += 1;
-    }
-}
-
-/// Environment knob naming the [`TraceCache`] budget in MiB.
-///
-/// Unset → a 512 MiB default; `0` → caching disabled (every caller
-/// falls back to direct regeneration, which produces byte-identical
-/// results).
-pub const TRACE_CACHE_MB_ENV: &str = "MEMBW_TRACE_CACHE_MB";
-
-const DEFAULT_BUDGET_BYTES: u64 = 512 * 1024 * 1024;
-
-/// Counters describing a [`TraceCache`]'s behaviour so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceCacheStats {
-    /// Lookups that found a finished recording.
-    pub hits: u64,
-    /// Lookups that had to record (or wait for a concurrent recording).
-    pub misses: u64,
-    /// Recordings dropped to stay within the byte budget.
-    pub evictions: u64,
-    /// Bytes currently accounted to resident recordings.
-    pub resident_bytes: u64,
-    /// Cache hits whose arena failed checksum verification and were
-    /// discarded and re-recorded instead of being served.
-    pub verify_failures: u64,
-}
-
-struct CacheEntry {
-    /// The recording slot. Holding this lock while recording serializes
-    /// same-key callers (the second caller waits and reuses the first's
-    /// work) without blocking callers on other keys.
-    slot: Arc<Mutex<Option<Arc<RecordedTrace>>>>,
-    bytes: u64,
-    last_used: u64,
-}
-
-struct CacheInner {
-    map: HashMap<(String, String), CacheEntry>,
-    tick: u64,
-    stats: TraceCacheStats,
-}
-
-/// A process-wide cache of [`RecordedTrace`]s keyed by
-/// `(benchmark, variant)` — variant is typically the scale — with an
-/// explicit byte budget and least-recently-used eviction.
-///
-/// `Arc<RecordedTrace>` handles stay valid after eviction (eviction
-/// drops the cache's reference, not the trace), so callers never
-/// observe a trace disappearing mid-run.
-pub struct TraceCache {
-    budget_bytes: u64,
-    inner: Mutex<CacheInner>,
-}
-
-impl std::fmt::Debug for TraceCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceCache")
-            .field("budget_bytes", &self.budget_bytes)
-            .finish_non_exhaustive()
-    }
-}
-
-impl TraceCache {
-    /// A cache with an explicit byte budget. A budget of 0 disables
-    /// caching: [`TraceCache::get_or_record`] always returns `None`.
-    pub fn with_budget(budget_bytes: u64) -> Self {
-        Self {
-            budget_bytes,
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                tick: 0,
-                stats: TraceCacheStats::default(),
-            }),
-        }
-    }
-
-    /// The shared process-wide cache, budgeted from
-    /// [`TRACE_CACHE_MB_ENV`] (read once, at first use).
-    pub fn global() -> &'static TraceCache {
-        static GLOBAL: OnceLock<TraceCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| TraceCache::with_budget(budget_from_env()))
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
-    }
-
-    /// `true` if the budget disables caching entirely.
-    pub fn is_disabled(&self) -> bool {
-        self.budget_bytes == 0
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> TraceCacheStats {
-        self.inner.lock().expect("trace cache poisoned").stats
-    }
-
-    /// Fetch the recording for `(name, variant)`, recording `workload`
-    /// on first use. Returns `None` when caching is disabled — the
-    /// caller should then use the workload directly.
-    ///
-    /// Concurrent callers with the same key serialize on the recording
-    /// (the loser reuses the winner's arena); callers with different
-    /// keys proceed in parallel.
-    pub fn get_or_record<W: Workload + ?Sized>(
-        &self,
-        name: &str,
-        variant: &str,
-        workload: &W,
-    ) -> Option<Arc<RecordedTrace>> {
-        if self.is_disabled() {
-            return None;
-        }
-        // Memory-governor consultation: under CacheShrunk the effective
-        // byte cap is clamped below the configured budget; at a cap of
-        // 0 the cache empties and steps aside (callers record-stream,
-        // which is byte-identical).
-        let ctx = RunContext::current();
-        let gov = &*ctx.governor;
-        if gov.cache_cap(self.budget_bytes) == 0 {
-            let mut inner = self.inner.lock().expect("trace cache poisoned");
-            self.fit_to_governed_budget(&mut inner, gov);
-            return None;
-        }
-        let slot = {
-            let mut inner = self.inner.lock().expect("trace cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            let entry = inner
-                .map
-                .entry((name.to_string(), variant.to_string()))
-                .or_insert_with(|| CacheEntry {
-                    slot: Arc::new(Mutex::new(None)),
-                    bytes: 0,
-                    last_used: tick,
-                });
-            entry.last_used = tick;
-            Arc::clone(&entry.slot)
-        };
-
-        // Poison-tolerant: a cancellation can unwind a recording while
-        // it holds this lock. The slot is only ever written *after* a
-        // recording completes, so a poisoned slot still holds `None`
-        // (or a finished arena) — safe to reuse.
-        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut verify_failed = false;
-        if let Some(trace) = guard.as_ref() {
-            if trace.verify() {
-                let trace = Arc::clone(trace);
-                drop(guard);
-                let mut inner = self.inner.lock().expect("trace cache poisoned");
-                inner.stats.hits += 1;
-                // Honour a cap the governor shrank since the arena
-                // landed: evict on the hit path too, and keep the
-                // governor's residency view current.
-                self.fit_to_governed_budget(&mut inner, gov);
-                return Some(trace);
-            }
-            // The cached arena no longer matches its sealed checksum
-            // (in-memory corruption): never replay it. Drop the bad
-            // recording and fall through to record afresh.
-            verify_failed = true;
-            *guard = None;
-            eprintln!(
-                "warning: cached trace {name}/{variant} failed checksum verification; \
-                 discarded and re-recording"
-            );
-        }
-
-        // Record while holding only this key's slot lock.
-        let trace = Arc::new(RecordedTrace::record(workload));
-        *guard = Some(Arc::clone(&trace));
-        drop(guard);
-
-        let bytes = trace.arena_bytes();
-        gov.observe_arena_bytes(bytes);
-        let mut inner = self.inner.lock().expect("trace cache poisoned");
-        inner.stats.misses += 1;
-        if verify_failed {
-            inner.stats.verify_failures += 1;
-        }
-        let key = (name.to_string(), variant.to_string());
-        if let Some(entry) = inner.map.get_mut(&key) {
-            // A racing eviction may have already charged (or dropped)
-            // this entry; only charge bytes not yet accounted. A
-            // re-record after a verify failure may shrink the entry.
-            let old = entry.bytes;
-            entry.bytes = bytes;
-            if bytes >= old {
-                inner.stats.resident_bytes += bytes - old;
-            } else {
-                inner.stats.resident_bytes -= old - bytes;
-            }
-        }
-        // The cap is read afresh: the governor may have escalated while
-        // this arena was recording.
-        self.fit_to_governed_budget(&mut inner, gov);
-        Some(trace)
-    }
-
-    /// Flip one payload bit of the cached arena for `(name, variant)`,
-    /// in place, without touching its sealed checksum. Returns `true`
-    /// if a finished recording was present to corrupt. Corruption
-    /// injector for integrity tests and the mutation-fuzz harness; the
-    /// next lookup must detect the damage and re-record.
-    #[doc(hidden)]
-    pub fn corrupt_cached_trace(&self, name: &str, variant: &str, bit: u64) -> bool {
-        let slot = {
-            let inner = self.inner.lock().expect("trace cache poisoned");
-            let Some(entry) = inner.map.get(&(name.to_string(), variant.to_string())) else {
-                return false;
-            };
-            Arc::clone(&entry.slot)
-        };
-        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(trace) = guard.as_mut() else {
-            return false;
-        };
-        if trace.is_empty() {
-            return false;
-        }
-        // Clone-on-write: outstanding handles keep the healthy arena;
-        // the *cached* copy is the one damaged.
-        Arc::make_mut(trace).corrupt_bit(bit);
-        true
-    }
-
-    /// Drop least-recently-used finished recordings until resident
-    /// bytes fit `budget`. Entries still recording (bytes == 0, slot
-    /// locked elsewhere) carry no weight and are never worth evicting.
-    fn evict_to_budget(&self, inner: &mut CacheInner, budget: u64) {
-        while inner.stats.resident_bytes > budget {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(_, e)| e.bytes > 0)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            let Some(key) = victim else { break };
-            let entry = inner.map.remove(&key).expect("victim exists");
-            inner.stats.resident_bytes -= entry.bytes;
-            inner.stats.evictions += 1;
-        }
-    }
-
-    /// [`evict_to_budget`](Self::evict_to_budget) against the
-    /// configured budget, then against the governor's current cap,
-    /// crediting evictions the cap forced (beyond what the configured
-    /// budget alone would have evicted) to the governor's accounting,
-    /// and report the new residency to the governor.
-    fn fit_to_governed_budget(&self, inner: &mut CacheInner, gov: &membw_runner::Governor) {
-        let before = inner.stats.evictions;
-        self.evict_to_budget(inner, self.budget_bytes);
-        let own = inner.stats.evictions - before;
-        let cap = gov.cache_cap(self.budget_bytes);
-        if cap < self.budget_bytes {
-            self.evict_to_budget(inner, cap);
-            gov.note_forced_evictions(inner.stats.evictions - before - own);
-        }
-        gov.report_cache_resident(inner.stats.resident_bytes);
-    }
-}
-
-/// Parse a [`TRACE_CACHE_MB_ENV`] value into a byte budget.
-///
-/// # Errors
-///
-/// A non-numeric value is an error naming the variable and the bad
-/// value — drivers (`repro`) validate the environment up front with
-/// this and refuse to start, rather than silently running with a
-/// default the user didn't ask for.
-pub fn parse_cache_budget_mb(value: &str) -> Result<u64, String> {
-    value
-        .trim()
-        .parse::<u64>()
-        .map(|mb| mb.saturating_mul(1024 * 1024))
-        .map_err(|_| {
-            format!(
-                "invalid {TRACE_CACHE_MB_ENV}={value:?}: expected a whole number of MiB \
-                 (0 disables the trace cache)"
-            )
-        })
-}
-
-fn budget_from_env() -> u64 {
-    match std::env::var(TRACE_CACHE_MB_ENV) {
-        Ok(v) => parse_cache_budget_mb(&v).unwrap_or_else(|e| {
-            // Library-level fallback for embedders that skipped up-front
-            // validation; `repro` rejects the value before this runs.
-            eprintln!("warning: {e}; using the default budget");
-            DEFAULT_BUDGET_BYTES
-        }),
-        Err(_) => DEFAULT_BUDGET_BYTES,
     }
 }
 
@@ -993,93 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_shares_one_recording_per_key() {
-        let cache = TraceCache::with_budget(u64::MAX);
-        let w = mixed_workload();
-        let a = cache.get_or_record("mixed", "Test", &w).expect("enabled");
-        let b = cache.get_or_record("mixed", "Test", &w).expect("enabled");
-        assert!(Arc::ptr_eq(&a, &b), "second lookup reuses the arena");
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-        assert_eq!(s.resident_bytes, a.arena_bytes());
-        // A different variant records separately.
-        let c = cache.get_or_record("mixed", "Small", &w).expect("enabled");
-        assert!(!Arc::ptr_eq(&a, &c));
-    }
-
-    #[test]
-    fn zero_budget_disables_caching() {
-        let cache = TraceCache::with_budget(0);
-        assert!(cache.is_disabled());
-        assert!(cache.get_or_record("x", "y", &mixed_workload()).is_none());
-        assert_eq!(cache.stats(), TraceCacheStats::default());
-    }
-
-    #[test]
-    fn lru_eviction_respects_the_budget() {
-        let w = Strided::reads(0, 4, 4096);
-        let probe = RecordedTrace::record(&w);
-        let one = probe.arena_bytes();
-        // Budget fits two traces but not three.
-        let cache = TraceCache::with_budget(one * 2 + one / 2);
-        let a = cache.get_or_record("a", "t", &w).unwrap();
-        let _b = cache.get_or_record("b", "t", &w).unwrap();
-        // Touch "a" so "b" is the LRU when "c" lands.
-        let a2 = cache.get_or_record("a", "t", &w).unwrap();
-        assert!(Arc::ptr_eq(&a, &a2));
-        let _c = cache.get_or_record("c", "t", &w).unwrap();
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert!(s.resident_bytes <= cache.budget_bytes());
-        // "b" was evicted; re-fetch records again (miss, not hit).
-        let misses_before = s.misses;
-        let _b2 = cache.get_or_record("b", "t", &w).unwrap();
-        assert_eq!(cache.stats().misses, misses_before + 1);
-        // Evicted handles remain usable.
-        assert_eq!(a.collect_mem_refs().len(), 4096);
-    }
-
-    #[test]
-    fn checksum_seals_at_finish_and_catches_any_bit_flip() {
-        let w = UopListWorkload(full_uop_workload());
-        let rec = RecordedTrace::record(&w);
-        assert!(rec.verify(), "freshly recorded arenas verify");
-        // Re-recording the same stream yields the same checksum.
-        assert_eq!(rec.checksum(), RecordedTrace::record(&w).checksum());
-        // Every payload region is covered: probe the first and last bit
-        // of the shape table, the id stream and the address stream.
-        let shape_bits = rec.shapes.len() as u64 * 128;
-        let id_bits = rec.ids.len() as u64 * 8;
-        let addr_bits = rec.addrs.len() as u64 * 8;
-        assert!(shape_bits > 0 && id_bits > 0 && addr_bits > 0);
-        let ids_start = shape_bits;
-        let addrs_start = ids_start + id_bits;
-        let probes = [
-            (0, "shape table"),
-            (ids_start - 1, "shape table"),
-            (ids_start, "id stream"),
-            (addrs_start - 1, "id stream"),
-            (addrs_start, "address stream"),
-            (addrs_start + addr_bits - 1, "address stream"),
-            (u64::MAX, "any region"),
-        ];
-        for (bit, region) in probes {
-            let mut bad = rec.clone();
-            bad.corrupt_bit(bit);
-            assert!(
-                !bad.verify(),
-                "bit {bit} flip in the {region} must fail verification"
-            );
-        }
-        let mut bad = rec.clone();
-        bad.corrupt_bit(ids_start + 3);
-        assert_ne!(bad.ids, rec.ids, "probe lands in the id stream");
-        let mut bad = rec.clone();
-        bad.corrupt_bit(addrs_start + 5);
-        assert_ne!(bad.addrs, rec.addrs, "probe lands in the address stream");
-    }
-
-    #[test]
     fn cancelled_token_stops_a_mem_ref_walk() {
         let w = Strided::reads(0, 4, 10 * CANCEL_POLL_UOPS as u64);
         let rec = RecordedTrace::record(&w);
@@ -1104,108 +643,5 @@ mod tests {
             .downcast_ref::<membw_runner::CancelUnwind>()
             .is_some());
         assert_eq!(seen, CANCEL_POLL_UOPS, "the walk stops at the next poll");
-    }
-
-    #[test]
-    fn cache_detects_corrupt_arena_and_rerecords() {
-        let cache = TraceCache::with_budget(u64::MAX);
-        let w = mixed_workload();
-        let healthy = cache.get_or_record("mixed", "Test", &w).expect("enabled");
-        assert!(
-            cache.corrupt_cached_trace("mixed", "Test", 17),
-            "a finished recording was present to corrupt"
-        );
-        let refetched = cache.get_or_record("mixed", "Test", &w).expect("enabled");
-        assert!(
-            !Arc::ptr_eq(&healthy, &refetched),
-            "corrupt arena must not be served"
-        );
-        assert!(refetched.verify());
-        assert_eq!(refetched.collect_uops(), w.collect_uops());
-        let s = cache.stats();
-        assert_eq!(s.verify_failures, 1);
-        assert_eq!((s.hits, s.misses), (0, 2));
-        assert_eq!(s.resident_bytes, refetched.arena_bytes());
-        // Outstanding handles to the pre-corruption arena stay healthy
-        // (clone-on-write damages only the cached copy).
-        assert!(healthy.verify());
-        // The healed entry now hits normally.
-        let again = cache.get_or_record("mixed", "Test", &w).expect("enabled");
-        assert!(Arc::ptr_eq(&refetched, &again));
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn corrupting_an_absent_entry_is_a_no_op() {
-        let cache = TraceCache::with_budget(u64::MAX);
-        assert!(!cache.corrupt_cached_trace("nope", "t", 0));
-    }
-
-    #[test]
-    fn cache_budget_env_parses_strictly() {
-        assert_eq!(parse_cache_budget_mb("512"), Ok(512 * 1024 * 1024));
-        assert_eq!(parse_cache_budget_mb(" 0 "), Ok(0));
-        let err = parse_cache_budget_mb("lots").unwrap_err();
-        assert!(err.contains(TRACE_CACHE_MB_ENV), "{err}");
-        assert!(err.contains("lots"), "{err}");
-        assert!(parse_cache_budget_mb("-1").is_err());
-        assert!(parse_cache_budget_mb("1.5").is_err());
-        assert!(parse_cache_budget_mb("").is_err());
-    }
-
-    #[test]
-    fn concurrent_same_key_lookups_record_once() {
-        let cache = Arc::new(TraceCache::with_budget(u64::MAX));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                std::thread::spawn(move || {
-                    let w = Strided::reads(0, 4, 2048);
-                    cache.get_or_record("shared", "t", &w).unwrap()
-                })
-            })
-            .collect();
-        let traces: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for t in &traces[1..] {
-            assert!(Arc::ptr_eq(&traces[0], t), "all threads share one arena");
-        }
-        assert_eq!(cache.stats().misses, 1, "exactly one recording happened");
-    }
-
-    #[test]
-    fn a_governor_at_streaming_empties_the_cache() {
-        // Scattered addresses: ~0.9 MiB of arena, over half the budget.
-        let mut x = 0x9E37_79B9_u64;
-        let refs = (0..120_000)
-            .map(|_| {
-                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                MemRef::read((x >> 16) & !7, 8)
-            })
-            .collect();
-        let w = crate::VecWorkload::new("scattered", refs);
-        let gov = Arc::new(membw_runner::Governor::with_budget_mb(1));
-        let cache = TraceCache::with_budget(u64::MAX);
-        let ctx = RunContext {
-            governor: Arc::clone(&gov),
-            ..RunContext::clone(&RunContext::current())
-        };
-        ctx.scope(|| {
-            let _slot = gov.admit(&CancelToken::new());
-            let arena = cache
-                .get_or_record("w", "t", &w)
-                .expect("normal level caches");
-            let bytes = arena.arena_bytes();
-            assert!((512 << 10..1 << 20).contains(&bytes), "arena is {bytes} B");
-            // One job's arena plus the cached copy exceed the budget.
-            assert_eq!(gov.stats().level, "streaming");
-            assert!(
-                cache.get_or_record("w", "t", &w).is_none(),
-                "cache steps aside"
-            );
-        });
-        let s = cache.stats();
-        assert_eq!((s.resident_bytes, s.evictions), (0, 1), "{s:?}");
-        assert_eq!(gov.stats().cache_resident_bytes, 0);
-        assert_eq!(gov.stats().forced_evictions, 1);
     }
 }

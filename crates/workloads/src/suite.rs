@@ -1,11 +1,15 @@
 //! Benchmark suites: the SPEC92/SPEC95 selections of the paper's
 //! Table 3, with scaled data sets.
+//!
+//! A [`Benchmark`] hands out its synthetic generator and nothing else:
+//! every experiment regenerates the stream each time it walks it. The
+//! generators are deterministic, so repeated walks see the identical
+//! stream, and no recording of it stays resident between walks.
 
 use crate::{
     Applu, Compress, Dnasa2, Eqntott, Espresso, Hydro2d, Li, Perl, Su2cor, Swm, Tomcatv, Vortex,
 };
-use membw_trace::replay::{RecordedTrace, TraceCache};
-use membw_trace::{MemRef, SignatureCache, TraceSink, Workload};
+use membw_trace::{SignatureCache, Workload};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -66,27 +70,14 @@ impl Benchmark {
         self.scale
     }
 
-    /// The workload (always regenerates from the synthetic generator).
+    /// The workload: each walk regenerates the stream from the synthetic
+    /// generator.
     pub fn workload(&self) -> &(dyn Workload + Send + Sync) {
         self.workload.as_ref()
     }
 
-    /// The workload, routed through the process-wide [`TraceCache`]:
-    /// the first caller records the stream once, and every later caller
-    /// — other decomposition runs, other experiments, other runner
-    /// threads — replays the shared arena. Falls back to direct
-    /// regeneration when caching is disabled (`MEMBW_TRACE_CACHE_MB=0`);
-    /// both paths emit the identical stream.
-    pub fn replayable(&self) -> BenchWorkload<'_> {
-        match TraceCache::global().get_or_record(self.name, self.variant(), self.workload.as_ref())
-        {
-            Some(trace) => BenchWorkload::Recorded(trace),
-            None => BenchWorkload::Direct(self.workload.as_ref()),
-        }
-    }
-
-    /// The scale's stable variant label (the trace-cache and
-    /// signature-store key component).
+    /// The scale's stable variant label (the signature-store key
+    /// component).
     pub fn variant(&self) -> &'static str {
         match self.scale {
             Scale::Test => "Test",
@@ -97,51 +88,10 @@ impl Benchmark {
 
     /// This benchmark's trace signature, via the process-wide
     /// [`SignatureCache`]: loaded from the sealed store when present,
-    /// computed once from the recorded trace otherwise. The ECM
-    /// model's renderer reads only this — never the trace arena.
+    /// computed once from a fresh generation otherwise. The ECM
+    /// model's renderer reads only this — never the trace.
     pub fn signature(&self) -> Arc<membw_trace::TraceSignature> {
-        SignatureCache::global().get_or_compute(self.name, self.variant(), &self.replayable())
-    }
-}
-
-/// A benchmark's stream source: a shared recorded trace, or the live
-/// generator when the trace cache is disabled.
-pub enum BenchWorkload<'a> {
-    /// Replays a shared recording.
-    Recorded(Arc<RecordedTrace>),
-    /// Streams straight from the synthetic generator.
-    Direct(&'a (dyn Workload + Send + Sync)),
-}
-
-impl Workload for BenchWorkload<'_> {
-    fn name(&self) -> &str {
-        match self {
-            BenchWorkload::Recorded(t) => t.name(),
-            BenchWorkload::Direct(w) => w.name(),
-        }
-    }
-
-    fn generate(&self, sink: &mut dyn TraceSink) {
-        match self {
-            BenchWorkload::Recorded(t) => t.generate(sink),
-            BenchWorkload::Direct(w) => w.generate(sink),
-        }
-    }
-
-    fn for_each_mem_ref(&self, f: &mut dyn FnMut(MemRef)) {
-        match self {
-            BenchWorkload::Recorded(t) => t.for_each_mem_ref(f),
-            BenchWorkload::Direct(w) => w.for_each_mem_ref(f),
-        }
-    }
-}
-
-impl std::fmt::Debug for BenchWorkload<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BenchWorkload::Recorded(t) => f.debug_tuple("Recorded").field(&t.name()).finish(),
-            BenchWorkload::Direct(w) => f.debug_tuple("Direct").field(&w.name()).finish(),
-        }
+        SignatureCache::global().get_or_compute(self.name, self.variant(), self.workload())
     }
 }
 

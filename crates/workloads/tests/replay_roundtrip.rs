@@ -46,19 +46,3 @@ fn every_suite_workload_replays_its_direct_generation_exactly() {
         assert_eq!(mem_refs(&trace), mem_refs(b.workload()), "{}", b.name());
     }
 }
-
-#[test]
-fn cached_replayable_matches_direct_generation() {
-    for b in suite92(Scale::Test)
-        .iter()
-        .chain(suite95(Scale::Test).iter())
-    {
-        let mut direct = CollectSink::new();
-        b.workload().generate(&mut direct);
-
-        let mut via_cache = CollectSink::new();
-        b.replayable().generate(&mut via_cache);
-
-        assert_eq!(via_cache.uops(), direct.uops(), "{}", b.name());
-    }
-}

@@ -162,9 +162,9 @@ fn zero_mem_budget_degrades_without_changing_output() {
     let (_, clean7) = with_jobs(1, || run_table7::run(Scale::Test)).expect("clean table7");
     let (_, clean8) = with_jobs(1, || run_table8::run(Scale::Test)).expect("clean table8");
 
-    // The strictest possible budget: the governor must walk its ladder
-    // (cache shrink -> record-streaming -> throttled admission) instead
-    // of exceeding it, and the science must not notice.
+    // The strictest possible budget: the governor must throttle job
+    // admission instead of exceeding it, and the science must not
+    // notice.
     let gov = Arc::new(Governor::with_budget_mb(0));
     let (t7, t8) = RunContext {
         jobs: 8,

@@ -7,7 +7,7 @@
 //! counts are deterministic, not timings, so the bounds are tight enough
 //! to catch a consumer that starts materializing its trace again.
 //! Measured peaks, collect-then-simulate before and streaming after,
-//! and the live heap the resident trace arenas retain, fixed-width
+//! and the live heap the 14 recorded test-scale arenas hold, fixed-width
 //! before and shape-table encoded after:
 //!
 //! | call | before | after |
@@ -18,7 +18,7 @@
 //! | `run_interference::run(16 * 1024, 200)` | 40.0 MiB | 1.4 MiB |
 //! | `run_speculation::run()` | 41.6 MiB | 1.7 MiB |
 //! | 1 Mi-load `Squashing`, 256-uop tasks | 40.0 MiB | 10 KiB |
-//! | 14 `Scale::Test` arenas in a `TraceCache` (retained) | 21.0 MiB | 4.9 MiB |
+//! | 14 `Scale::Test` arenas, recorded and held | 21.0 MiB | 4.9 MiB |
 //!
 //! Table 2's largest kernel is the time-tiled stencil at its 1 KiB cache
 //! (2.43 M references). Before, it held the collected references, a
@@ -31,7 +31,7 @@
 //!
 //! The traffic sweeps, dense LRU levels over collected references
 //! before and first-touch chunked levels over streamed references
-//! after (recordings already in the trace cache):
+//! after:
 //!
 //! | call | before | after |
 //! |---|---|---|
@@ -44,14 +44,18 @@
 //!
 //! Table 9's `factor_gaps` still collects its references; it replays
 //! them once per Table 10 factor.
+//!
+//! Once a render returns, the live heap it leaves behind is its result
+//! alone: every benchmark's stream is regenerated, so no recorded trace
+//! stays resident between targets.
 
 use membw::cache::Associativity;
+use membw::sim::Experiment;
 use membw::sweep::{sweep_lru, SweepSpec};
-use membw::trace::replay::TraceCache;
 use membw::trace::sink::CountSink;
-use membw::trace::{MemRef, SoftwarePrefetch, Squashing, Workload};
+use membw::trace::{MemRef, RecordedTrace, SoftwarePrefetch, Squashing, Workload};
 use membw::workloads::kernels::TimeTiledStencil;
-use membw::workloads::{suite92, suite95, Scale};
+use membw::workloads::{suite92, suite95, Scale, Suite};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -246,27 +250,21 @@ fn resident_test_scale_arenas_are_compact_and_honestly_sized() {
         .chain(suite95(Scale::Test))
         .collect();
     assert_eq!(benchmarks.len(), 14);
-    let ((_cache, arena), retained) = retained_by(|| {
-        let cache = TraceCache::with_budget(u64::MAX);
-        let arena: u64 = benchmarks
+    let (arenas, retained) = retained_by(|| {
+        benchmarks
             .iter()
-            .map(|b| {
-                cache
-                    .get_or_record(b.name(), b.variant(), b.workload())
-                    .expect("cache enabled")
-                    .arena_bytes()
-            })
-            .sum();
-        (cache, arena)
+            .map(|b| RecordedTrace::record(b.workload()))
+            .collect::<Vec<_>>()
     });
+    let arena: u64 = arenas.iter().map(RecordedTrace::arena_bytes).sum();
     let mib = |b: f64| b / MIB as f64;
     assert!(
         retained <= 8 * MIB,
         "14 arenas retain {:.2} MiB (bound 8 MiB)",
         mib(retained as f64)
     );
-    // The cache budget and the memory governor charge `arena_bytes`;
-    // it must match what the arenas really hold.
+    // Bytes-per-uop figures divide `arena_bytes`; it must match what
+    // the arenas really hold.
     let gap = (arena as f64 - retained as f64).abs() / retained as f64;
     assert!(
         gap <= 0.05,
@@ -276,22 +274,35 @@ fn resident_test_scale_arenas_are_compact_and_honestly_sized() {
     );
 }
 
-/// The fig4 panels' recordings, made before a measurement so it counts
-/// the sweeps, not the one-time recording into the global trace cache.
-fn record_fig4_panels() {
-    for b in suite92(Scale::Test)
-        .iter()
-        .filter(|b| ["compress", "eqntott", "swm"].contains(&b.name()))
-    {
-        let _ = b.replayable();
-    }
+#[test]
+fn a_render_retains_no_trace() {
+    // The results themselves are a few KiB; one retained arena of the
+    // suite would be 0.1-0.8 MiB, and all fourteen 4.9 MiB.
+    let (table7, retained) =
+        retained_by(|| membw::runner::with_jobs(1, || membw::run_table7::run(Scale::Test)));
+    table7.expect("table7 audit passes");
+    assert!(
+        retained < MIB,
+        "table7 left {:.2} MiB live after it returned",
+        retained as f64 / MIB as f64
+    );
+    let (fig3, retained) = retained_by(|| {
+        membw::runner::with_jobs(1, || {
+            membw::run_fig3::run_suite(Suite::Spec92, Scale::Test, &Experiment::ALL)
+        })
+    });
+    fig3.expect("fig3 audit passes");
+    assert!(
+        retained < MIB,
+        "fig3 left {:.2} MiB live after it returned",
+        retained as f64 / MIB as f64
+    );
 }
 
 #[test]
 fn fig4_peak_follows_the_touched_sets_at_one_job_thread() {
     // Dense levels hold 18 MiB per 4-B-block job whatever the trace
     // touches, and every job collected its references (2 MiB) besides.
-    peak_during(record_fig4_panels);
     let (result, peak) =
         peak_during(|| membw::runner::with_jobs(1, || membw::run_fig4::run(Scale::Test)));
     result.expect("fig4 audit passes");

@@ -23,7 +23,7 @@ use membw::cache::{Associativity, WriteAllocate, WritePolicy, INDEXED_WAYS};
 use membw::mtc::{min_sweep, MinCache, MinConfig, MinWritePolicy};
 use membw::sweep::{direct_reference, sweep_lru, SweepMode, SweepSpec, CHUNK_SLOTS};
 use membw::trace::reuse::ReuseProfile;
-use membw::trace::{MemRef, VecWorkload, Workload};
+use membw::trace::{MemRef, RecordedTrace, VecWorkload, Workload};
 use membw::workloads::{suite92, Scale};
 use proptest::prelude::*;
 
@@ -275,7 +275,7 @@ fn streamed_sweeps_equal_sweeps_over_the_collected_slice() {
         .iter()
         .find(|b| b.name() == "eqntott")
         .expect("eqntott is in SPEC92");
-    let recorded = bench.replayable();
+    let recorded = RecordedTrace::record(bench.workload());
     let refs = recorded.collect_mem_refs();
     let collected = VecWorkload::new("eqntott", refs.clone());
     let caps: Vec<u64> = (6..=22).map(|p| 1u64 << p).collect();
