@@ -279,6 +279,21 @@ impl Cache {
         }
     }
 
+    /// Empty the cache in place, keeping its allocations: afterwards it
+    /// behaves exactly as `Cache::new(*self.config())` would. Dirty
+    /// lines are dropped, not written back.
+    pub fn reset(&mut self) {
+        self.lines.fill(Line::default());
+        self.plru.fill(PlruBits::default());
+        self.picker = VictimPicker::new(self.cfg.replacement());
+        self.clock = 0;
+        self.stats = CacheStats::default();
+        if let Some(w) = &mut self.wide {
+            w.slots.clear();
+            w.resident.fill(0);
+        }
+    }
+
     /// The configuration this cache was built with.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
@@ -1171,6 +1186,60 @@ mod tests {
                 assert!(p.hit && p.below().is_empty());
             }
             assert_eq!(quiet.stats(), plain.stats());
+        }
+    }
+
+    #[test]
+    fn a_reset_cache_replays_like_a_fresh_one() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let stream = |seed: u64| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            (0..3000)
+                .map(|_| {
+                    let addr = rng.gen_range(0..400u64) * 4 * 9;
+                    if rng.gen_range(0..3u32) == 0 {
+                        MemRef::write(addr, 4)
+                    } else {
+                        MemRef::read(addr, [4u16, 8][rng.gen_range(0..2usize)])
+                    }
+                })
+                .collect::<Vec<_>>()
+        };
+        let configs = [
+            CacheConfig::builder(1024, 32)
+                .associativity(Associativity::Ways(4))
+                .tagged_prefetch(true)
+                .build()
+                .unwrap(),
+            CacheConfig::builder(1024, 32)
+                .associativity(Associativity::Ways(2))
+                .replacement(ReplacementPolicy::Random(11))
+                .build()
+                .unwrap(),
+            CacheConfig::builder(64 * 32, 32)
+                .associativity(Associativity::Full)
+                .build()
+                .unwrap(),
+        ];
+        assert!(configs[2].ways() > INDEXED_WAYS);
+        for cfg in configs {
+            let mut reused = Cache::new(cfg);
+            for r in stream(1) {
+                reused.access(r);
+            }
+            reused.reset();
+            let mut fresh = Cache::new(cfg);
+            for r in stream(2) {
+                let (a, b) = (reused.access(r), fresh.access(r));
+                assert_eq!((a.hit, a.below()), (b.hit, b.below()), "{cfg:?} {r:?}");
+                assert_eq!(reused.stats(), fresh.stats());
+            }
+            if let Some(w) = &reused.wide {
+                assert_eq!(w.slots.len(), fresh.wide.as_ref().unwrap().slots.len());
+                assert_index_exact(&reused);
+            }
+            assert_eq!(reused.flush(), fresh.flush());
         }
     }
 

@@ -162,14 +162,14 @@ impl Governor {
             .is_ok()
         {
             let msg = format!(
-                "governor: {} -> {}: projected {:.1} MiB over {} MiB budget \
-                 ({} in flight x {:.1} MiB est.)",
+                "governor: {} -> {}: projected {} over {} MiB budget \
+                 ({} in flight x {} est.)",
                 level_name(false),
                 level_name(true),
-                projected as f64 / MIB as f64,
+                size(projected),
                 budget / MIB,
                 inflight,
-                estimate as f64 / MIB as f64,
+                size(estimate),
             );
             eprintln!("{msg}");
             let mut log = self.events.lock().unwrap_or_else(PoisonError::into_inner);
@@ -281,6 +281,16 @@ pub fn parse_mem_budget_mb(raw: &str) -> Result<u64, String> {
     })
 }
 
+/// `bytes` in MiB, or in KiB below one MiB so a small size never
+/// reads as zero.
+fn size(bytes: u64) -> String {
+    if bytes < MIB {
+        format!("{:.1} KiB", bytes as f64 / 1024.0)
+    } else {
+        format!("{:.1} MiB", bytes as f64 / MIB as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,6 +328,20 @@ mod tests {
         assert_eq!(events.len(), 1, "{events:?}");
         assert!(events[0].contains("normal -> throttled"), "{events:?}");
         assert!(events[0].contains("2 in flight x 6.0 MiB"), "{events:?}");
+    }
+
+    #[test]
+    fn a_sub_mib_estimate_is_logged_in_kib() {
+        let g = Arc::new(Governor::with_budget_mb(0));
+        g.observe_arena_bytes(48 * 1024);
+        let _a = g.admit(&CancelToken::new());
+        let events = g.events();
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert!(
+            events[0]
+                .contains("projected 48.0 KiB over 0 MiB budget (1 in flight x 48.0 KiB est.)"),
+            "{events:?}"
+        );
     }
 
     #[test]

@@ -44,9 +44,8 @@ impl Decomposition {
 fn run_once<W: Workload + ?Sized>(
     workload: &W,
     spec: &MachineSpec,
-    mode: MemoryMode,
+    mem: MemSystem,
 ) -> (u64, MemSystem, u64) {
-    let mem = MemSystem::new(&spec.mem, mode);
     match spec.core {
         CoreKind::InOrder => {
             let mut core = InOrderCore::new(spec, mem);
@@ -96,12 +95,16 @@ pub fn decompose_group<W: Workload + ?Sized>(
         specs.iter().all(|s| s.core_key() == first.core_key()),
         "decompose_group needs machines that share one core"
     );
-    let (t_p, _, uops) = run_once(workload, first, MemoryMode::Perfect);
+    let perfect = MemSystem::new(&first.mem, MemoryMode::Perfect);
+    let (t_p, _, uops) = run_once(workload, first, perfect);
     specs
         .iter()
         .map(|spec| {
-            let (t_i, _, _) = run_once(workload, spec, MemoryMode::LatencyOnly);
-            let (t, mem, _) = run_once(workload, spec, MemoryMode::Full);
+            let latency = MemSystem::new(&spec.mem, MemoryMode::LatencyOnly);
+            let (t_i, mem, _) = run_once(workload, spec, latency);
+            // The full run empties the latency run's caches in place.
+            let full = MemSystem::reusing(mem, MemoryMode::Full);
+            let (t, mem, _) = run_once(workload, spec, full);
             // Guard the invariants against model corner cases.
             let t_i = t_i.max(t_p);
             let t = t.max(t_i);

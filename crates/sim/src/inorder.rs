@@ -9,42 +9,11 @@
 use crate::bpred::{BranchPredictor, TwoLevelPredictor};
 use crate::machine::MachineSpec;
 use crate::memsys::MemSystem;
+use crate::ports::MonotoneWidth;
 use membw_runner::counters::{self, Counter};
 use membw_runner::{CancelToken, RunContext};
 use membw_trace::uop::NUM_REGS;
 use membw_trace::{OpClass, TraceSink, Uop, Workload};
-
-/// Per-cycle slot accounting for a monotone (in-order) schedule.
-#[derive(Debug, Clone, Copy)]
-struct MonotoneWidth {
-    cycle: u64,
-    used: u32,
-    width: u32,
-}
-
-impl MonotoneWidth {
-    fn new(width: u32) -> Self {
-        Self {
-            cycle: 0,
-            used: 0,
-            width,
-        }
-    }
-
-    /// First cycle `>= earliest` with a free slot; books it.
-    fn schedule(&mut self, earliest: u64) -> u64 {
-        if earliest > self.cycle {
-            self.cycle = earliest;
-            self.used = 0;
-        }
-        if self.used >= self.width {
-            self.cycle += 1;
-            self.used = 0;
-        }
-        self.used += 1;
-        self.cycle
-    }
-}
 
 /// The in-order pipeline, consuming uops as a [`TraceSink`].
 #[derive(Debug)]

@@ -49,6 +49,7 @@ pub mod dram;
 pub mod inorder;
 pub mod machine;
 pub mod memsys;
+mod ports;
 pub mod ruu;
 
 pub use bpred::{BranchPredictor, TwoLevelPredictor};

@@ -73,6 +73,29 @@ pub struct MemSystem {
 impl MemSystem {
     /// Build the hierarchy described by `spec` under `mode`.
     pub fn new(spec: &MemorySpec, mode: MemoryMode) -> Self {
+        let caches = (mode != MemoryMode::Perfect).then(|| Caches {
+            l1: Cache::new(spec.l1_config()),
+            icache: spec.icache_config().map(Cache::new),
+            l2: Cache::new(spec.l2_config()),
+        });
+        Self::with_caches(spec, mode, caches)
+    }
+
+    /// A fresh run of `prev`'s hierarchy under `mode`: equal to
+    /// `MemSystem::new` with `prev`'s spec, but the caches are emptied
+    /// in place instead of allocated anew. Buses, DRAM and in-flight
+    /// state start fresh.
+    pub fn reusing(prev: MemSystem, mode: MemoryMode) -> Self {
+        match prev.caches {
+            Some(mut caches) if mode != MemoryMode::Perfect => {
+                caches.reset();
+                Self::with_caches(&prev.spec, mode, Some(caches))
+            }
+            _ => Self::new(&prev.spec, mode),
+        }
+    }
+
+    fn with_caches(spec: &MemorySpec, mode: MemoryMode, caches: Option<Caches>) -> Self {
         let (bus1, bus2) = match mode {
             MemoryMode::Full => (
                 Bus::new(spec.bus1_width, spec.bus1_ratio),
@@ -84,11 +107,6 @@ impl MemSystem {
             MemoryMode::Full => Dram::new(spec.dram),
             _ => Dram::new(DramConfig::infinite_banks(spec.dram.access_cycles)),
         };
-        let caches = (mode != MemoryMode::Perfect).then(|| Caches {
-            l1: Cache::new(spec.l1_config()),
-            icache: spec.icache_config().map(Cache::new),
-            l2: Cache::new(spec.l2_config()),
-        });
         Self {
             mode,
             caches,
@@ -330,6 +348,16 @@ struct Caches {
     l2: Cache,
 }
 
+impl Caches {
+    fn reset(&mut self) {
+        self.l1.reset();
+        if let Some(ic) = &mut self.icache {
+            ic.reset();
+        }
+        self.l2.reset();
+    }
+}
+
 /// Completion cycles of block fills, keyed by block number.
 ///
 /// `latest` is a watermark: the latest completion ever inserted. A
@@ -470,6 +498,44 @@ mod tests {
             assert_eq!(f.wait(block, at), looked_up, "block {block} at {at}");
         }
         assert_eq!(f.latest, 50);
+    }
+
+    #[test]
+    fn a_reused_hierarchy_times_like_a_fresh_one() {
+        let mut spec = MachineSpec::spec92(Experiment::E).mem;
+        spec.icache_bytes = 16 * 1024;
+        spec.write_buffer_entries = 4;
+        let drive = |m: &mut MemSystem| {
+            let mut t = 0;
+            let mut times = Vec::new();
+            for i in 0..3000u64 {
+                let addr = (i * 0x1234_5677) % (8 << 20);
+                t = match i % 4 {
+                    0 => m.store(t, addr),
+                    1 => m.ifetch(t, addr & 0xffff),
+                    _ => m.load(t, addr),
+                };
+                times.push(t);
+            }
+            (times, m.stats(), m.l1_stats())
+        };
+        for (first, then) in [
+            (MemoryMode::LatencyOnly, MemoryMode::Full),
+            (MemoryMode::Full, MemoryMode::LatencyOnly),
+            (MemoryMode::Perfect, MemoryMode::Full),
+            (MemoryMode::Full, MemoryMode::Perfect),
+        ] {
+            let mut used = MemSystem::new(&spec, first);
+            drive(&mut used);
+            let mut reused = MemSystem::reusing(used, then);
+            let mut fresh = MemSystem::new(&spec, then);
+            assert_eq!(reused.mode(), then);
+            assert_eq!(
+                drive(&mut reused),
+                drive(&mut fresh),
+                "{first:?} -> {then:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,68 +10,15 @@
 use crate::bpred::{BranchPredictor, TwoLevelPredictor};
 use crate::machine::MachineSpec;
 use crate::memsys::MemSystem;
+use crate::ports::{CycleWidth, MonotoneWidth};
 use membw_runner::counters::{self, Counter};
 use membw_runner::{CancelToken, RunContext};
 use membw_trace::uop::NUM_REGS;
 use membw_trace::{OpClass, TraceSink, Uop, Workload};
 use std::collections::VecDeque;
 
-/// Per-cycle slot accounting that tolerates out-of-order requests.
-///
-/// A dense ring of per-cycle counters over the active scheduling window
-/// (`base` is the cycle of the ring's front). Scheduling and pruning
-/// are amortized O(1) with no steady-state allocation — the ring's
-/// capacity converges on the widest window the run ever needs. This is
-/// the hot loop of the out-of-order core: every uop books a dispatch,
-/// issue, (possibly) memory-port, and commit slot.
-#[derive(Debug)]
-struct CycleWidth {
-    width: u32,
-    counts: VecDeque<u32>,
-    /// Cycle number of `counts[0]`; requests below it are clamped up,
-    /// exactly like the pruned watermark they replace.
-    base: u64,
-}
-
-impl CycleWidth {
-    fn new(width: u32) -> Self {
-        Self {
-            width,
-            counts: VecDeque::new(),
-            base: 0,
-        }
-    }
-
-    /// First cycle `>= earliest` with a free slot; books it.
-    fn schedule(&mut self, earliest: u64) -> u64 {
-        let t = earliest.max(self.base);
-        let mut idx = (t - self.base) as usize;
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
-        }
-        loop {
-            if self.counts[idx] < self.width {
-                self.counts[idx] += 1;
-                return self.base + idx as u64;
-            }
-            idx += 1;
-            if idx == self.counts.len() {
-                self.counts.push_back(0);
-            }
-        }
-    }
-
-    /// Cycles `< floor` can never be requested again; drop their entries.
-    fn prune(&mut self, floor: u64) {
-        while self.base < floor {
-            if self.counts.pop_front().is_none() {
-                self.base = floor;
-                return;
-            }
-            self.base += 1;
-        }
-    }
-}
+/// Uops between scheduler prunes.
+const PRUNE_EVERY: u64 = 64;
 
 /// The out-of-order pipeline, consuming uops as a [`TraceSink`].
 #[derive(Debug)]
@@ -88,7 +35,7 @@ pub struct RuuCore {
     dispatch: CycleWidth,
     issue: CycleWidth,
     mem_ports: CycleWidth,
-    commit: CycleWidth,
+    commit: MonotoneWidth,
     fetch_cycle: u64,
     fetch_in_cycle: u32,
     fetch_width: u32,
@@ -99,8 +46,8 @@ pub struct RuuCore {
     finish: u64,
     uops: u64,
     /// Ambient cancellation token, captured at construction and polled
-    /// on the same 4096-uop cadence as the scheduler prune, so a drain
-    /// or deadline stops a simulation within milliseconds.
+    /// every 4096 uops, so a drain or deadline stops a simulation
+    /// within milliseconds.
     cancel: CancelToken,
 }
 
@@ -124,7 +71,7 @@ impl RuuCore {
             dispatch: CycleWidth::new(spec.issue_width),
             issue: CycleWidth::new(spec.issue_width),
             mem_ports: CycleWidth::new(2),
-            commit: CycleWidth::new(spec.issue_width),
+            commit: MonotoneWidth::new(spec.issue_width),
             fetch_cycle: 0,
             fetch_in_cycle: 0,
             fetch_width: spec.issue_width,
@@ -279,14 +226,17 @@ impl TraceSink for RuuCore {
         }
         self.finish = self.finish.max(commit);
 
-        // Nothing can be scheduled before the oldest in-flight commit.
         if self.uops.is_multiple_of(4096) {
             self.cancel.check();
-            let floor = self.slot_free.front().copied().unwrap_or(0);
+        }
+        // Once the window is full, every later uop dispatches no earlier
+        // than the oldest in-flight commit, which it frees: no port is
+        // ever asked for an earlier cycle.
+        if self.uops.is_multiple_of(PRUNE_EVERY) && self.slot_free.len() >= self.ruu_slots {
+            let floor = self.slot_free[0];
             self.dispatch.prune(floor);
             self.issue.prune(floor);
             self.mem_ports.prune(floor);
-            self.commit.prune(floor);
         }
     }
 }

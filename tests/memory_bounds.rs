@@ -42,6 +42,13 @@
 //! | `run_table9::run(Test)`, 1 job thread | 5.8 MiB | 5.8 MiB |
 //! | 4-way, 4-B-block sweep of 256 words, 64 B – 4 MiB | 18.0 MiB | 228 KiB |
 //!
+//! The timing cores, port accounting dense in cycles before and a
+//! calendar ring plus a sparse far list after:
+//!
+//! | call | before | after |
+//! |---|---|---|
+//! | `run_fig3::run_suite(Spec95, Test)`, 1 job thread | 5.10 MiB | 2.80 MiB |
+//!
 //! Table 9's `factor_gaps` still collects its references; it replays
 //! them once per Table 10 factor.
 //!
@@ -309,6 +316,24 @@ fn fig4_peak_follows_the_touched_sets_at_one_job_thread() {
     assert!(
         peak <= 12 * MIB,
         "fig4 peaked at {:.1} MiB (bound 12 MiB)",
+        peak as f64 / MIB as f64
+    );
+}
+
+#[test]
+fn fig3_peak_follows_the_in_flight_window() {
+    // A load queued behind a saturated bus books its ports hundreds of
+    // thousands of cycles ahead; a scheduler dense in cycles held one
+    // counter per cycle of that span (5.1 MiB here).
+    let (result, peak) = peak_during(|| {
+        membw::runner::with_jobs(1, || {
+            membw::run_fig3::run_suite(Suite::Spec95, Scale::Test, &Experiment::ALL)
+        })
+    });
+    result.expect("fig3 audit passes");
+    assert!(
+        peak <= 7 * MIB / 2,
+        "fig3 SPEC95 peaked at {:.2} MiB (bound 3.5 MiB)",
         peak as f64 / MIB as f64
     );
 }
