@@ -13,6 +13,14 @@
 //! on the per-level stacks so write-back and end-of-run flush traffic
 //! come out byte-exact, not just miss counts.
 //!
+//! The same inclusion means a level that has never evicted holds every
+//! block allocated so far, and so does every larger level, with the
+//! same counters. The engine therefore builds the capacities smallest
+//! first and only up to the first one that has not evicted: the larger
+//! ones mirror it, and each is split off the level below just before
+//! that one first evicts. A sweep holds memory for the levels the trace
+//! overflows plus one, not for the whole axis.
+//!
 //! [`sweep_lru`] is the entry point: it consumes one replayed reference
 //! stream and returns a full [`CacheStats`](membw_cache::CacheStats)
 //! per capacity, each equal — counter for counter — to what

@@ -8,6 +8,12 @@
 //! pass reproduces the direct simulator's per-capacity counters
 //! verbatim: hit/miss splits, write-allocate fills, dirty-eviction
 //! write-backs, write-through bytes, and the end-of-run flush.
+//!
+//! Levels are built smallest first, and only up to the first one that
+//! has not evicted yet. Every larger level would hold the same blocks
+//! with the same counters, so it is a mirror of that top level until
+//! the top is about to evict for the first time; the top is then split
+//! into the next level.
 
 use membw_cache::{
     Associativity, CacheConfig, CacheStats, ConfigError, ReplacementPolicy, WriteAllocate,
@@ -147,6 +153,10 @@ impl std::fmt::Display for SweepUnsupported {
 /// fresh chunk is all zeros, and a set is one array to search and
 /// rotate. Blocks are at least 4 bytes (the builder rejects smaller
 /// ones), so `block + 1 <= 2^62` and the shift cannot overflow.
+///
+/// A level is built either empty (the smallest capacity) or by
+/// [`Level::split`] from the next smaller level just before that one
+/// first evicts.
 #[derive(Debug)]
 struct Level {
     set_mask: u64,
@@ -161,6 +171,12 @@ struct Level {
     /// The touched chunks in first-touch order; within a chunk,
     /// set-major, MRU-first within a set.
     slots: Vec<u64>,
+    counts: Counts,
+}
+
+/// A level's own counters.
+#[derive(Debug, Default, Clone, Copy)]
+struct Counts {
     read_hits: u64,
     read_misses: u64,
     write_hits: u64,
@@ -186,14 +202,34 @@ impl Level {
             chunk_log2: chunk.trailing_zeros(),
             table: vec![UNTOUCHED; (sets / chunk_sets) as usize],
             slots: Vec::new(),
-            read_hits: 0,
-            read_misses: 0,
-            write_hits: 0,
-            write_misses: 0,
-            fills: 0,
-            writebacks: 0,
-            through_bytes: 0,
+            counts: Counts::default(),
         }
+    }
+
+    /// The level `cfg` denotes, built from this one, which must not have
+    /// evicted yet and must be the next smaller level of the sweep.
+    ///
+    /// A level that has never evicted holds every block allocated so far.
+    /// The larger level shares its ways (or is fully associative too), and
+    /// its sets refine this level's by bit selection, so it holds the same
+    /// blocks, each in the set its index bits select, in the same MRU
+    /// order and with the same dirty bits, and it has counted the same
+    /// hits, misses, fills and bytes. Its sets fill MRU-first from slot
+    /// 0, so each block lands at the end of its set's filled prefix, found
+    /// by binary search: a fully associative set of a million ways is
+    /// never scanned per block.
+    fn split(&self, cfg: &CacheConfig) -> Level {
+        let mut next = Level {
+            counts: self.counts,
+            ..Level::new(cfg)
+        };
+        for &slot in self.slots.iter().filter(|&&s| s != 0) {
+            let base = next.set_base((slot >> 1) - 1);
+            let set = &mut next.slots[base..base + next.ways];
+            let way = set.partition_point(|&s| s != 0);
+            set[way] = slot;
+        }
+        next
     }
 
     /// Bytes held: the chunk table plus the chunks allocated so far.
@@ -216,21 +252,10 @@ impl Level {
         ordinal
     }
 
-    /// Present one block-aligned piece: `bn` is its block number and
-    /// `key` its slot encoding, `(bn + 1) << 1`. `WAYS` is the level's
-    /// way count when the caller knows it at compile time, 0 otherwise.
+    /// Offset in `slots` of block `bn`'s set, whose chunk is allocated
+    /// on first touch.
     #[inline(always)]
-    fn access<const WAYS: usize>(
-        &mut self,
-        bn: u64,
-        key: u64,
-        is_write: bool,
-        size: u64,
-        wp: WritePolicy,
-        wa: WriteAllocate,
-    ) {
-        debug_assert!(WAYS == 0 || WAYS == self.ways);
-        let ways = if WAYS == 0 { self.ways } else { WAYS };
+    fn set_base(&mut self, bn: u64) -> usize {
         let set = bn & self.set_mask;
         let chunk = (set >> self.chunk_sets_log2) as usize;
         let ordinal = match self.table[chunk] {
@@ -238,16 +263,41 @@ impl Level {
             o => o,
         };
         let in_chunk = (set & ((1 << self.chunk_sets_log2) - 1)) as usize;
-        let base = ((ordinal as usize) << self.chunk_log2) + (in_chunk << self.ways_log2);
+        ((ordinal as usize) << self.chunk_log2) + (in_chunk << self.ways_log2)
+    }
+
+    /// Present one piece. `WAYS` is the level's way count when the
+    /// caller knows it at compile time, 0 otherwise.
+    ///
+    /// With `guard` set, a piece that would evict leaves the level
+    /// untouched and returns `false`; otherwise it returns `true`.
+    #[inline(always)]
+    fn access<const WAYS: usize>(
+        &mut self,
+        p: Piece,
+        wp: WritePolicy,
+        wa: WriteAllocate,
+        guard: bool,
+    ) -> bool {
+        debug_assert!(WAYS == 0 || WAYS == self.ways);
+        let Piece {
+            bn,
+            key,
+            is_write,
+            size,
+        } = p;
+        let ways = if WAYS == 0 { self.ways } else { WAYS };
+        let base = self.set_base(bn);
         let slots = &mut self.slots[base..base + ways];
+        let c = &mut self.counts;
 
         if let Some(way) = slots.iter().position(|&s| s & !DIRTY == key) {
             // Hit: rotate the touched block to MRU, carrying its dirty
             // bit; writes dirty it (write-back) or push through.
             if is_write {
-                self.write_hits += 1;
+                c.write_hits += 1;
             } else {
-                self.read_hits += 1;
+                c.read_hits += 1;
             }
             let mut hit = slots[way];
             for w in (1..=way).rev() {
@@ -256,31 +306,36 @@ impl Level {
             if is_write {
                 match wp {
                     WritePolicy::WriteBack => hit |= DIRTY,
-                    WritePolicy::WriteThrough => self.through_bytes += size,
+                    WritePolicy::WriteThrough => c.through_bytes += size,
                 }
             }
             slots[0] = hit;
-            return;
+            return true;
         }
 
-        // Miss.
-        if is_write {
-            self.write_misses += 1;
-            if wa == WriteAllocate::NoAllocate {
-                // Straight through; set state untouched.
-                self.through_bytes += size;
-                return;
-            }
-        } else {
-            self.read_misses += 1;
-        }
-
-        // Allocate: evict LRU (empty slots drift to the tail, and an
-        // empty slot is never dirty), fill at MRU.
-        self.fills += 1;
+        // Miss. An allocating miss on a full set evicts its LRU block
+        // (empty slots drift to the tail, and an empty slot is never
+        // dirty).
+        let allocate = !is_write || wa != WriteAllocate::NoAllocate;
         let last = ways - 1;
+        if guard && allocate && slots[last] != 0 {
+            return false;
+        }
+        if is_write {
+            c.write_misses += 1;
+        } else {
+            c.read_misses += 1;
+        }
+        if !allocate {
+            // Straight through; set state untouched.
+            c.through_bytes += size;
+            return true;
+        }
+
+        // Allocate: evict LRU, fill at MRU.
+        c.fills += 1;
         if slots[last] & DIRTY != 0 {
-            self.writebacks += 1;
+            c.writebacks += 1;
         }
         for w in (1..=last).rev() {
             slots[w] = slots[w - 1];
@@ -288,8 +343,9 @@ impl Level {
         let dirty = is_write && wp == WritePolicy::WriteBack;
         slots[0] = key | u64::from(dirty);
         if is_write && wp == WritePolicy::WriteThrough {
-            self.through_bytes += size;
+            c.through_bytes += size;
         }
+        true
     }
 
     /// Fold the level's counters (plus the stream-wide shared counters)
@@ -301,22 +357,35 @@ impl Level {
             .chunks_exact(1 << self.chunk_log2)
             .map(|chunk| chunk.iter().filter(|&&s| s & DIRTY != 0).count() as u64)
             .sum();
+        let c = &self.counts;
         CacheStats {
             accesses: shared.accesses,
             reads: shared.reads,
             writes: shared.writes,
             request_bytes: shared.request_bytes,
-            read_hits: self.read_hits,
-            read_misses: self.read_misses,
-            write_hits: self.write_hits,
-            write_misses: self.write_misses,
-            bytes_fetched: self.fills * block,
-            bytes_written_back: self.writebacks * block,
-            bytes_written_through: self.through_bytes,
+            read_hits: c.read_hits,
+            read_misses: c.read_misses,
+            write_hits: c.write_hits,
+            write_misses: c.write_misses,
+            bytes_fetched: c.fills * block,
+            bytes_written_back: c.writebacks * block,
+            bytes_written_through: c.through_bytes,
             bytes_flushed: dirty_resident * block,
             ..CacheStats::default()
         }
     }
+}
+
+/// One block-aligned reference piece as every level sees it.
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    /// Block number.
+    bn: u64,
+    /// Slot encoding of the block, `(bn + 1) << 1`.
+    key: u64,
+    is_write: bool,
+    /// Bytes the piece covers.
+    size: u64,
 }
 
 /// Stream-wide counters, identical at every capacity (the straddle
@@ -331,23 +400,36 @@ struct Shared {
 
 /// The one-pass multi-capacity LRU engine. Most callers want
 /// [`sweep_lru`], which adds the loud direct fallback.
+///
+/// The representable capacities are kept smallest first, and only a
+/// prefix of them is built as levels. The top built level is the first
+/// that has not evicted yet; every larger capacity is an exact copy of
+/// it, so it is never built and reports the top level's counters. Just
+/// before a piece would make the top level evict for the first time,
+/// the top is split into the next capacity (`Level::split`),
+/// and again on the new top while the same piece would evict there.
 #[derive(Debug)]
 pub struct LruSweep {
     spec: SweepSpec,
-    /// `(capacity index in the caller's list, level)`.
-    levels: Vec<(usize, Level)>,
+    /// The representable capacities, fewest blocks first, one entry per
+    /// geometry: its config and the indices in the caller's list that
+    /// ask for it.
+    configs: Vec<(CacheConfig, Vec<usize>)>,
+    /// The built levels: `levels[k]` is `configs[k]`.
+    levels: Vec<Level>,
     n_capacities: usize,
     shared: Shared,
 }
 
 impl LruSweep {
-    /// Build levels for every representable capacity.
+    /// Order the representable capacities and build the smallest.
     ///
     /// Capacities whose geometry is invalid are skipped exactly like
     /// the direct path omits them (unexpected configuration errors get
-    /// a stderr diagnostic). A level starts with only its chunk table;
-    /// [`LruSweep::run`] reports what the levels hold to the ambient
-    /// memory governor as arena bytes while it runs.
+    /// a stderr diagnostic). The smallest level starts with only its
+    /// chunk table, and the others hold nothing until they are built;
+    /// [`LruSweep::run`] reports what the built levels hold to the
+    /// ambient memory governor as arena bytes while it runs.
     ///
     /// # Errors
     ///
@@ -357,23 +439,35 @@ impl LruSweep {
         if let Some(reason) = spec.unsupported_reason() {
             return Err(SweepUnsupported(reason));
         }
-        let mut levels = Vec::with_capacity(capacities.len());
-        for (i, &cap) in capacities.iter().enumerate() {
-            if let Some(cfg) = config_or_skip(spec, cap) {
-                levels.push((i, Level::new(&cfg)));
+        let mut valid: Vec<(usize, CacheConfig)> = capacities
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &cap)| Some((i, config_or_skip(spec, cap)?)))
+            .collect();
+        valid.sort_by_key(|(_, cfg)| cfg.num_blocks());
+        let mut configs: Vec<(CacheConfig, Vec<usize>)> = Vec::new();
+        for (i, cfg) in valid {
+            match configs.last_mut() {
+                Some((last, indices)) if *last == cfg => indices.push(i),
+                _ => configs.push((cfg, vec![i])),
             }
         }
         Ok(Self {
             spec: *spec,
-            levels,
+            levels: configs
+                .iter()
+                .take(1)
+                .map(|(cfg, _)| Level::new(cfg))
+                .collect(),
+            configs,
             n_capacities: capacities.len(),
             shared: Shared::default(),
         })
     }
 
-    /// Bytes the levels hold: chunk tables plus allocated chunks.
+    /// Bytes the built levels hold: chunk tables plus allocated chunks.
     fn bytes(&self) -> u64 {
-        self.levels.iter().map(|(_, l)| l.bytes()).sum()
+        self.levels.iter().map(Level::bytes).sum()
     }
 
     #[inline(always)]
@@ -388,17 +482,48 @@ impl LruSweep {
             self.shared.reads += 1;
         }
         let bn = r.block(self.spec.block_size);
-        let key = (bn + 1) << 1;
-        let size = u64::from(r.size);
+        let p = Piece {
+            bn,
+            key: (bn + 1) << 1,
+            is_write,
+            size: u64::from(r.size),
+        };
         let (wp, wa) = (self.spec.write_policy, self.spec.write_allocate);
-        for (_, level) in &mut self.levels {
-            level.access::<WAYS>(bn, key, is_write, size, wp, wa);
+        let can_split = self.levels.len() < self.configs.len();
+        let Some((top, below)) = self.levels.split_last_mut() else {
+            return;
+        };
+        for level in below {
+            level.access::<WAYS>(p, wp, wa, false);
+        }
+        if !top.access::<WAYS>(p, wp, wa, can_split) {
+            self.split_past_first_eviction(p);
+        }
+    }
+
+    /// `p` would make the top level evict for the first time: build the
+    /// next capacity from the top, let the old top evict, and repeat on
+    /// the new top while `p` would evict there too (one piece can be
+    /// the first eviction of several levels).
+    #[cold]
+    #[inline(never)]
+    fn split_past_first_eviction(&mut self, p: Piece) {
+        let (wp, wa) = (self.spec.write_policy, self.spec.write_allocate);
+        loop {
+            let top = self.levels.len() - 1;
+            let next = self.levels[top].split(&self.configs[top + 1].0);
+            self.levels.push(next);
+            self.levels[top].access::<0>(p, wp, wa, false);
+            let can_split = self.levels.len() < self.configs.len();
+            if self.levels[top + 1].access::<0>(p, wp, wa, can_split) {
+                return;
+            }
         }
     }
 
     /// Present one reference: split a straddling one exactly like
     /// [`membw_cache::Cache::access`] (QPT-style per-block pieces) and
-    /// update every level.
+    /// update every built level.
     #[inline(always)]
     fn access<const WAYS: usize>(&mut self, r: MemRef) {
         let block = self.spec.block_size;
@@ -427,11 +552,9 @@ impl LruSweep {
         // A `Ways(n)` spec gives every level `n` ways. The suites sweep
         // direct-mapped (Tables 7 and 8) and 4-way (Figure 4) levels;
         // those get a kernel with the set width fixed at compile time.
-        let ways = self.levels.first().map(|(_, l)| l.ways);
-        let uniform = self.levels.iter().all(|(_, l)| Some(l.ways) == ways);
-        match ways.filter(|_| uniform) {
-            Some(1) => self.run_with::<1, W>(workload),
-            Some(4) => self.run_with::<4, W>(workload),
+        match self.spec.associativity {
+            Associativity::Ways(1) => self.run_with::<1, W>(workload),
+            Associativity::Ways(4) => self.run_with::<4, W>(workload),
             _ => self.run_with::<0, W>(workload),
         }
     }
@@ -452,10 +575,24 @@ impl LruSweep {
             self.access::<WAYS>(r);
         });
         governor.observe_arena_bytes(self.bytes());
+        self.finish()
+    }
+
+    /// The per-capacity counters as they stand: a capacity that was
+    /// never built reports the top level's.
+    fn finish(&self) -> Vec<Option<CacheStats>> {
         let block = self.spec.block_size;
+        let built: Vec<CacheStats> = self
+            .levels
+            .iter()
+            .map(|level| level.finish(&self.shared, block))
+            .collect();
         let mut out: Vec<Option<CacheStats>> = vec![None; self.n_capacities];
-        for (i, level) in &self.levels {
-            out[*i] = Some(level.finish(&self.shared, block));
+        for (k, (_, indices)) in self.configs.iter().enumerate() {
+            let stats = built[k.min(built.len() - 1)];
+            for &i in indices {
+                out[i] = Some(stats);
+            }
         }
         out
     }
@@ -642,10 +779,93 @@ mod tests {
         for &r in &refs {
             engine.access::<0>(r);
         }
+        // 1 KiB (64 sets of 4 ways) holds all 256 words: it is the first
+        // level that never evicts, and no larger capacity is built.
+        assert_eq!(engine.levels.len(), 5);
+        let per_capacity: Vec<u64> = (0..caps.len())
+            .map(|k| engine.levels.get(k).map_or(0, Level::bytes))
+            .collect();
+        assert!(per_capacity[5..].iter().all(|&b| b == 0));
         let held = engine.bytes();
+        assert_eq!(per_capacity.iter().sum::<u64>(), held);
         assert_eq!(gov.stats().arena_estimate_bytes, held);
         assert!(held > tables, "touched chunks count too");
-        assert!(held < 1 << 20, "levels hold {held} B, not the dense 16 MiB");
+        assert!(
+            held < 64 << 10,
+            "levels hold {held} B, not the dense 16 MiB"
+        );
         assert_eq!(engine.run(&[][..]), swept, "the hand pass is the same pass");
+    }
+
+    #[test]
+    fn one_reference_can_be_the_first_eviction_of_several_levels() {
+        // Direct-mapped, 4-B blocks, 1 – 32 sets. Blocks 0 and 8 share
+        // a set in every level of up to 8 sets, so the read of block 8
+        // is the first eviction of the four smallest levels at once, and
+        // it writes back the dirty block 0 from each of them.
+        let spec = SweepSpec::new(4);
+        let caps: Vec<u64> = (2..=7).map(|p| 1u64 << p).collect();
+        let refs = [
+            MemRef::write(0, 4),
+            MemRef::read(2, 2),
+            MemRef::read(32, 4),
+            MemRef::write(0, 4),
+            MemRef::read(64, 4),
+        ];
+        let mut engine = LruSweep::new(&spec, &caps).expect("LRU spec");
+        for &r in &refs[..2] {
+            engine.access::<1>(r);
+        }
+        assert_eq!(engine.levels.len(), 1, "nothing has evicted yet");
+        engine.access::<1>(refs[2]);
+        assert_eq!(engine.levels.len(), 5, "4 B – 32 B evict, 64 B does not");
+        let after_three = engine.finish();
+        for (k, got) in after_three.iter().enumerate() {
+            let written_back = if k < 4 { 4 } else { 0 };
+            assert_eq!(got.expect("valid").bytes_written_back, written_back, "{k}");
+        }
+        for &r in &refs[3..] {
+            engine.access::<1>(r);
+        }
+        let swept = engine.finish();
+        for (&cap, got) in caps.iter().zip(&swept) {
+            assert_eq!(
+                *got,
+                direct_reference(&spec, cap, &refs[..]),
+                "capacity {cap}"
+            );
+        }
+    }
+
+    #[test]
+    fn shuffled_and_repeated_capacities_share_their_levels() {
+        let refs = trace(3000, 96, 11);
+        let caps = [4096u64, 256, 64, 4096, 16384, 1024, 256, 32768];
+        let spec = SweepSpec::new(16).associativity(Associativity::Ways(2));
+        let engine = LruSweep::new(&spec, &caps).expect("LRU spec");
+        assert_eq!(engine.configs.len(), 6, "one level per distinct capacity");
+        assert_eq!(engine.configs[1].1, [1, 6]);
+        assert_equiv(&spec, &caps, &refs);
+    }
+
+    #[test]
+    fn a_wide_fully_associative_level_splits_in_order() {
+        // 5000 distinct blocks then a reuse pass: the 4 KiB level (1024
+        // ways at 4-B blocks) evicts first and every split up to 32 KiB
+        // (8192 ways) copies a thousands-wide set.
+        let refs: Vec<MemRef> = (0..5000u64)
+            .chain((0..5000).rev())
+            .enumerate()
+            .map(|(i, b)| {
+                if i % 4 == 0 {
+                    MemRef::write(b * 4, 4)
+                } else {
+                    MemRef::read(b * 4, 4)
+                }
+            })
+            .collect();
+        let spec = SweepSpec::new(4).associativity(Associativity::Full);
+        let caps: Vec<u64> = (12..=16).map(|p| 1u64 << p).collect();
+        assert_equiv(&spec, &caps, &refs);
     }
 }

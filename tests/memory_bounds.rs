@@ -1,6 +1,7 @@
 //! Whole-trace consumers hold memory proportional to the cache, not the
 //! trace, and the sweep engines hold memory for the sets a trace
-//! touches, not for the capacities they sweep.
+//! touches, not for the capacities they sweep, and nothing for the
+//! capacities above the first one that never evicts.
 //!
 //! A counting `#[global_allocator]` records the peak of live heap bytes
 //! (allocated capacity, not touched pages) while one call runs. The
@@ -29,18 +30,25 @@
 //! recorded arena (about 2 B per uop); speculation held the whole
 //! collected kernel and now holds one task.
 //!
-//! The traffic sweeps, dense LRU levels over collected references
-//! before and first-touch chunked levels over streamed references
-//! after:
+//! The traffic sweeps: dense LRU levels over collected references,
+//! then first-touch chunked levels over streamed references (the
+//! chunked column re-measured on the engine just before mirroring),
+//! then chunked levels built only up to the first one that never
+//! evicts, the larger capacities mirroring it:
 //!
-//! | call | before | after |
-//! |---|---|---|
-//! | `run_fig4::run(Test)`, 1 job thread | 20.0 MiB | 8.2 MiB |
-//! | `run_fig4::run(Test)`, 2 job threads | 31.0 MiB | 12.2 MiB |
-//! | `run_table7::run(Test)`, 1 job thread | 3.1 MiB | 0.3 MiB |
-//! | `run_table8::run(Test)`, 1 job thread | 5.9 MiB | 2.7 MiB |
-//! | `run_table9::run(Test)`, 1 job thread | 5.8 MiB | 5.8 MiB |
-//! | 4-way, 4-B-block sweep of 256 words, 64 B – 4 MiB | 18.0 MiB | 228 KiB |
+//! | call | dense | chunked | mirrored |
+//! |---|---|---|---|
+//! | `run_fig4::run(Test)`, 1 job thread | 20.0 MiB | 8.38 MiB | 2.60 MiB |
+//! | `run_fig4::run(Test)`, 2 job threads | 31.0 MiB | 12.70 MiB | 5.05 MiB |
+//! | compress, 4-way 4-B-block `sweep_lru`, fig4's 17 sizes | | 8.38 MiB | 2.27 MiB |
+//! | `run_table7::run(Test)`, 1 job thread | 3.1 MiB | 0.57 MiB | 0.57 MiB |
+//! | `run_table8::run(Test)`, 1 job thread | 5.9 MiB | 2.47 MiB | 2.47 MiB |
+//! | `run_table9::run(Test)`, 1 job thread | 5.8 MiB | 4.79 MiB | 4.79 MiB |
+//! | 4-way, 4-B-block sweep of 256 words, 64 B – 4 MiB | 18.0 MiB | 228 KiB | 9.9 KiB |
+//!
+//! Once fig4's LRU sweeps mirror their eviction-free levels, its MTC
+//! curves (`min_sweep`) set its peak. Tables 7 – 9 are unchanged: their
+//! peaks are their min passes and Table 9's collected references.
 //!
 //! The timing cores, port accounting dense in cycles before and a
 //! calendar ring plus a sparse far list after:
@@ -124,28 +132,26 @@ static ALLOC: Counting = Counting;
 
 const MIB: usize = 1 << 20;
 
-/// Run `f` alone and return its result with the peak live heap bytes it
-/// added.
+/// Run `f` and return its result with the peak live heap bytes it
+/// added. The caller holds [`serial`].
 fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let _serial = serial();
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
     let out = f();
     (out, PEAK.load(Ordering::Relaxed) - base)
 }
 
-/// Run `f` alone and return its result with the live heap bytes still
+/// Run `f` and return its result with the live heap bytes still
 /// allocated when it returns: what the result (and any global `f`
-/// touched) keeps resident.
+/// touched) keeps resident. The caller holds [`serial`].
 fn retained_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let _serial = serial();
     let base = LIVE.load(Ordering::Relaxed);
     let out = f();
     (out, LIVE.load(Ordering::Relaxed).saturating_sub(base))
 }
 
-/// The lock every measuring helper holds, so no test counts another's
-/// allocations.
+/// The lock every test holds for its whole body, setup and teardown
+/// included, so no test counts another's allocations.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL
@@ -161,6 +167,7 @@ fn count_refs(w: &dyn Workload) -> usize {
 
 #[test]
 fn table2_peak_is_bounded_by_its_largest_kernel() {
+    let _serial = serial();
     // The stencil tiled for table2's 1 KiB cache. Its next-use links
     // take 4 B per reference, up to 8 B with `Vec` doubling; the 4 MiB
     // covers the footprint-sized `last_seen` map and the cache itself.
@@ -179,6 +186,7 @@ fn table2_peak_is_bounded_by_its_largest_kernel() {
 
 #[test]
 fn prefetch_rewrite_window_is_independent_of_trace_length() {
+    let _serial = serial();
     let inner = membw::trace::pattern::Strided::reads(0, 4, 1 << 20);
     for distance in [1, 64, 4096] {
         let w = SoftwarePrefetch::with_inaccuracy(inner.clone(), distance, 64, 3);
@@ -200,6 +208,7 @@ fn prefetch_rewrite_window_is_independent_of_trace_length() {
 
 #[test]
 fn swprefetch_peak_stays_small() {
+    let _serial = serial();
     let (result, peak) = peak_during(membw::run_swprefetch::run);
     result.expect("swprefetch audit passes");
     assert!(
@@ -211,6 +220,7 @@ fn swprefetch_peak_stays_small() {
 
 #[test]
 fn interference_peak_stays_small() {
+    let _serial = serial();
     let (result, peak) = peak_during(|| membw::run_interference::run(16 * 1024, 200));
     result.expect("interference audit passes");
     assert!(
@@ -222,6 +232,7 @@ fn interference_peak_stays_small() {
 
 #[test]
 fn speculation_peak_stays_small() {
+    let _serial = serial();
     let (result, peak) = peak_during(membw::run_speculation::run);
     result.expect("speculation audit passes");
     assert!(
@@ -233,6 +244,7 @@ fn speculation_peak_stays_small() {
 
 #[test]
 fn squash_task_buffer_is_independent_of_trace_length() {
+    let _serial = serial();
     let inner = membw::trace::pattern::Strided::reads(0, 4, 1 << 20);
     let w = Squashing::new(inner, 256, 128, 7);
     let (count, peak) = peak_during(|| {
@@ -252,6 +264,7 @@ fn squash_task_buffer_is_independent_of_trace_length() {
 
 #[test]
 fn resident_test_scale_arenas_are_compact_and_honestly_sized() {
+    let _serial = serial();
     let benchmarks: Vec<_> = suite92(Scale::Test)
         .into_iter()
         .chain(suite95(Scale::Test))
@@ -283,6 +296,7 @@ fn resident_test_scale_arenas_are_compact_and_honestly_sized() {
 
 #[test]
 fn a_render_retains_no_trace() {
+    let _serial = serial();
     // The results themselves are a few KiB; one retained arena of the
     // suite would be 0.1-0.8 MiB, and all fourteen 4.9 MiB.
     let (table7, retained) =
@@ -308,20 +322,47 @@ fn a_render_retains_no_trace() {
 
 #[test]
 fn fig4_peak_follows_the_touched_sets_at_one_job_thread() {
+    let _serial = serial();
     // Dense levels hold 18 MiB per 4-B-block job whatever the trace
     // touches, and every job collected its references (2 MiB) besides.
+    // Chunked levels for all 17 sizes peaked at 8.4 MiB in the compress
+    // 4-B-block job; mirrored, the MTC curves set the peak (2.6 MiB).
     let (result, peak) =
         peak_during(|| membw::runner::with_jobs(1, || membw::run_fig4::run(Scale::Test)));
     result.expect("fig4 audit passes");
     assert!(
-        peak <= 12 * MIB,
-        "fig4 peaked at {:.1} MiB (bound 12 MiB)",
+        peak <= 13 * MIB / 4,
+        "fig4 peaked at {:.2} MiB (bound 3.25 MiB)",
+        peak as f64 / MIB as f64
+    );
+}
+
+#[test]
+fn fig4_largest_lru_sweep_builds_only_the_levels_that_evict() {
+    let _serial = serial();
+    // Compress at 4-B blocks touches the most sets of any fig4 job. Its
+    // four largest capacities (512 KiB – 4 MiB) never evict, and built
+    // as levels they held 6.8 MiB of the 8.4 MiB the job peaked at.
+    let suite = suite92(Scale::Test);
+    let compress = suite
+        .iter()
+        .find(|b| b.name() == "compress")
+        .expect("compress is in SPEC92");
+    let spec = SweepSpec::new(4).associativity(Associativity::Ways(4));
+    let caps = membw::run_fig4::sizes();
+    assert_eq!(caps.len(), 17);
+    let (swept, peak) = peak_during(|| sweep_lru(&spec, &caps, compress.workload()));
+    assert!(swept.iter().all(Option::is_some));
+    assert!(
+        peak <= 3 * MIB,
+        "compress 4-B-block sweep peaked at {:.2} MiB (bound 3 MiB)",
         peak as f64 / MIB as f64
     );
 }
 
 #[test]
 fn fig3_peak_follows_the_in_flight_window() {
+    let _serial = serial();
     // A load queued behind a saturated bus books its ports hundreds of
     // thousands of cycles ahead; a scheduler dense in cycles held one
     // counter per cycle of that span (5.1 MiB here).
@@ -340,6 +381,7 @@ fn fig3_peak_follows_the_in_flight_window() {
 
 #[test]
 fn short_trace_sweep_allocation_does_not_follow_the_largest_capacity() {
+    let _serial = serial();
     // 256 distinct words: every level touches at most 256 sets.
     let refs: Vec<MemRef> = (0..4096u64)
         .map(|i| MemRef::read((i * 13 % 256) * 4, 4))
@@ -349,17 +391,20 @@ fn short_trace_sweep_allocation_does_not_follow_the_largest_capacity() {
         let caps: Vec<u64> = (6..=top).map(|p| 1u64 << p).collect();
         peak_during(|| sweep_lru(&spec, &caps, &refs[..])).1
     };
-    let (small, large) = (peak_to(16), peak_to(22));
-    // Out to 4 MiB the dense levels would take 18 MiB. Chunked, the six
-    // extra levels add their chunk tables (4 B per 64 slots, 126 KiB in
-    // all) and the chunks of the same 256 sets each.
+    let (fits, large) = (peak_to(10), peak_to(22));
+    // Out to 4 MiB the dense levels would take 18 MiB. Chunked, every
+    // level took its chunk table (4 B per 64 slots) and the chunks of
+    // the same 256 sets (228 KiB in all). 1 KiB is the first capacity
+    // that holds all 256 words, so it never evicts and no larger level
+    // is built: the 12 capacities above it add their config and result
+    // entries only (3.2 KiB measured).
     assert!(
-        large <= 512 * 1024,
-        "a 4 MiB sweep of 256 words peaked at {large} B (bound 512 KiB)"
+        large <= 16 * 1024,
+        "a 4 MiB sweep of 256 words peaked at {large} B (bound 16 KiB)"
     );
     assert!(
-        large - small <= 256 * 1024,
-        "6 more levels added {} B (64 KiB axis: {small} B)",
-        large - small
+        large - fits <= 4 * 1024,
+        "12 capacities above the first eviction-free one added {} B (1 KiB axis: {fits} B)",
+        large - fits
     );
 }

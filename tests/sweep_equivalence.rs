@@ -16,8 +16,12 @@
 //! on first touch, with `(block + 1) << 1 | dirty` slots, so its
 //! equality is also checked on every chunk layout (one chunk, many
 //! chunks, sets wider than a chunk) and at the top of the address
-//! space. The engines read any `Workload` and stream it: a streamed
-//! sweep must equal one over the collected references.
+//! space. It builds a capacity only when the next smaller one first
+//! evicts and reports the top level's counters for the ones it never
+//! built, so its equality is also checked on shuffled capacity lists
+//! with repeats, over footprints that reach partway up the axis. The
+//! engines read any `Workload` and stream it: a streamed sweep must
+//! equal one over the collected references.
 
 use membw::cache::{Associativity, WriteAllocate, WritePolicy, INDEXED_WAYS};
 use membw::mtc::{min_sweep, MinCache, MinConfig, MinWritePolicy};
@@ -141,6 +145,48 @@ proptest! {
         for (&cap, got) in caps.iter().zip(&swept) {
             let want = direct_reference(&spec, cap, &refs[..]);
             prop_assert_eq!(got, &want, "capacity {}", cap);
+        }
+    }
+
+    /// Equality on capacity lists in any order and with repeated sizes,
+    /// over footprints from a quarter of the smallest capacity to the
+    /// largest: the engine builds a capacity only when the next smaller
+    /// one first evicts, so its larger levels appear partway through the
+    /// trace, or never, and the ones never built copy the top level.
+    #[test]
+    fn stack_sweep_matches_direct_cache_on_shuffled_repeated_capacities(
+        raw in prop::collection::vec((0u64..1 << 20, prop::bool::ANY, 1u32..3), 1..600),
+        footprint_words in 4u64..4096,
+        cap_pows in prop::collection::vec(6u32..15, 1..12),
+        block_pow in 2u32..5,
+        ways_idx in 0usize..4,
+        write_back in prop::bool::ANY,
+        allocate in prop::bool::ANY,
+    ) {
+        let refs: Vec<MemRef> = raw
+            .into_iter()
+            .map(|(w, is_write, size_words)| {
+                let addr = w % footprint_words * 4;
+                let size = (size_words * 4) as u16;
+                if is_write { MemRef::write(addr, size) } else { MemRef::read(addr, size) }
+            })
+            .collect();
+        let assoc = [
+            Associativity::Ways(1),
+            Associativity::Ways(2),
+            Associativity::Ways(4),
+            Associativity::Full,
+        ][ways_idx];
+        let spec = SweepSpec::new(1 << block_pow)
+            .associativity(assoc)
+            .write_policy(if write_back { WritePolicy::WriteBack } else { WritePolicy::WriteThrough })
+            .write_allocate(if allocate { WriteAllocate::Allocate } else { WriteAllocate::NoAllocate });
+        let caps: Vec<u64> = cap_pows.iter().map(|&p| 1u64 << p).collect();
+        let swept = sweep_lru(&spec, &caps, &refs[..]);
+        prop_assert_eq!(swept.len(), caps.len());
+        for (&cap, got) in caps.iter().zip(&swept) {
+            let want = direct_reference(&spec, cap, &refs[..]);
+            prop_assert_eq!(got, &want, "capacity {} of {:?}", cap, caps);
         }
     }
 
